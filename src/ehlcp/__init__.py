@@ -2,7 +2,7 @@
 
 Everything computes over rationals: tuple properties (column W, W0, ND-W,
 column sufficient-W and its cone variant), single-matrix classes (Z, M, P,
-nondegenerate, column sufficient), an enumeration solver returning the
+nondegenerate, column sufficient), a column-selector solver returning the
 full polyhedral solution structure, and a seeded theorem-verification
 harness.
 """
@@ -60,11 +60,9 @@ from .representatives import (
     selectors,
 )
 from .solver import (
-    BranchPattern,
     EhlcpInstance,
     SolutionPiece,
     SolutionTuple,
-    enumerate_branches,
     is_solution,
     solve_all,
     solve_branch,

@@ -1,7 +1,8 @@
 """Command-line front end: check, solve, verify, gen.
 
 Exit codes: 0 success, 1 theorem violations, 2 input error, 3 resource cap,
-4 internal invariant failure (a --recheck pass disagreed with the report).
+4 internal invariant failure (an InvariantError, or a --recheck pass
+disagreed with the report).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .csw import (
     check_csw,
     check_x_column_sufficiency,
 )
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InvariantError
 from .harness import GenSpec, THEOREM_IDS, gen_instance, gen_tuple, verify_theorem
 from .io import dump_json, instance_to_json, load_instance, piece_to_json, solution_to_json
 from .representatives import (
@@ -227,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an EHLCP instance file")
     p.add_argument("--file", required=True)
-    p.add_argument("--all", action="store_true",
-                   help="full branch enumeration (the default behavior)")
     p.add_argument("--fast-m", dest="fast_m", action="store_true",
                    help="try the M-matrix closed form first")
     p.add_argument("--recheck", action="store_true")
@@ -268,6 +267,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
-from .errors import UndecidedSize
+from .errors import InputError, UndecidedSize
 from .linprog import lp_solve
 from .rational import Mat, Vec, identity, zeros
 from .representatives import (
@@ -53,9 +53,12 @@ def pattern_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(PATTERN_CAP_ENV)
-    if env is not None:
+    if env is None:
+        return PATTERN_CAP_DEFAULT
+    try:
         return int(env)
-    return PATTERN_CAP_DEFAULT
+    except ValueError as exc:
+        raise InputError(f"{PATTERN_CAP_ENV} must be an integer, got {env!r}") from exc
 
 
 def _require_within_cap(t: MatrixTuple, cap: Optional[int]) -> None:

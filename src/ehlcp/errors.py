@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 2, CapExceeded -> 3.
+The CLI maps these onto exit codes: InputError -> 2, CapExceeded -> 3,
+InvariantError -> 4.
 """
 
 
@@ -22,3 +23,7 @@ class UndecidedSize(CapExceeded):
     Raised instead of guessing: the verdict is 'undecided: size', never a
     silent default.
     """
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, never a property of the input."""

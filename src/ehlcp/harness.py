@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from .classes import is_m, is_z
 from .csw import check_cone_csw, check_csw, check_x_column_sufficiency
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .io import instance_to_json, tuple_to_json
 from .rational import (
     Mat,
@@ -112,7 +112,8 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
         for row in mats[which]:
             row[col] = 0
         t = make_tuple(mats)
-        assert not check_column_ndw_det(t).holds
+        if check_column_ndw_det(t).holds:
+            raise InvariantError("degenerate family produced a column ND-W tuple")
         return t
     if spec.family == "column_w_constructive":
         for _ in range(1000):
@@ -127,7 +128,8 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
                     for i in range(n)]
             mats.append(mat_mul(c0, tuple(tuple(row) for row in diag)))
         t = make_tuple(mats)
-        assert check_column_w(t).holds
+        if not check_column_w(t).holds:
+            raise InvariantError("constructive family produced a non-column-W tuple")
         return t
     # z_structured: C_0 = I and every C_i a Z-matrix
     mats = [identity(n)]
@@ -136,7 +138,8 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
                  for j in range(n)] for i in range(n)]
         mats.append(mat(rows))
     t = make_tuple(mats)
-    assert all(is_z(m).holds for m in t.mats[1:])
+    if not all(is_z(m).holds for m in t.mats[1:]):
+        raise InvariantError("z_structured family produced a non-Z matrix")
     return t
 
 
@@ -234,7 +237,8 @@ def instance_with_segment(t: MatrixTuple, kernel: tuple) -> tuple:
     other = SolutionTuple(
         tuple(tuple(a + b for a, b in zip(x, wx)) for x, wx in zip(base.xs, w))
     )
-    assert is_solution(inst, base) and is_solution(inst, other)
+    if not (is_solution(inst, base) and is_solution(inst, other)):
+        raise InvariantError("constructed segment endpoints do not solve the instance")
     return inst, base, other
 
 

@@ -14,7 +14,7 @@ from typing import Any
 from .errors import InputError
 from .rational import Mat, Vec, rat, rat_str, zeros
 from .representatives import MatrixTuple, make_tuple
-from .solver import EhlcpInstance, SolutionPiece, SolutionTuple
+from .solver import EhlcpInstance, SolutionPiece, SolutionTuple, branch_label
 
 
 def _parse_matrix(obj: Any, n: int) -> list:
@@ -26,20 +26,33 @@ def _parse_matrix(obj: Any, n: int) -> list:
         if len(obj) != n * n:
             raise InputError("flat matrix must have n*n entries")
         rows = [obj[i * n : (i + 1) * n] for i in range(n)]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise InputError("matrix must be n x n")
     return rows
+
+
+def _parse_int(doc: dict, key: str) -> int:
+    try:
+        value = rat(doc[key])
+    except (KeyError, InputError) as exc:
+        raise InputError("instance document needs integer fields n and k") from exc
+    if value.denominator != 1:
+        raise InputError(f"{key} must be an integer, got {value}")
+    return int(value)
+
+
+def _parse_vector(obj: Any, n: int, name: str) -> Vec:
+    if not isinstance(obj, list) or len(obj) != n:
+        raise InputError(f"{name} must be an array of dimension n")
+    return tuple(rat(x) for x in obj)
 
 
 def parse_instance(doc: Any) -> EhlcpInstance:
     """Validate and convert a parsed JSON document to an exact instance."""
     if not isinstance(doc, dict):
         raise InputError("instance document must be a JSON object")
-    try:
-        n = int(doc["n"])
-        k = int(doc["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("instance document needs integer fields n and k") from exc
+    n = _parse_int(doc, "n")
+    k = _parse_int(doc, "k")
     if n < 1 or k < 1:
         raise InputError("n and k must be positive")
     mats = doc.get("C")
@@ -49,24 +62,14 @@ def parse_instance(doc: Any) -> EhlcpInstance:
     d_raw = doc.get("d", [])
     if d_raw is None:
         d_raw = []
-    if len(d_raw) != k - 1:
+    if not isinstance(d_raw, list) or len(d_raw) != k - 1:
         raise InputError("d must contain exactly k - 1 vectors")
-    d = []
-    for dj in d_raw:
-        if len(dj) != n:
-            raise InputError("each d_j must have dimension n")
-        vals = tuple(rat(x) for x in dj)
-        if any(x <= 0 for x in vals):
-            raise InputError("d must be strictly positive")
-        d.append(vals)
+    d = tuple(_parse_vector(dj, n, "each d_j") for dj in d_raw)
+    if any(x <= 0 for dj in d for x in dj):
+        raise InputError("d must be strictly positive")
     q_raw = doc.get("q")
-    if q_raw is None:
-        q = zeros(n)
-    else:
-        if len(q_raw) != n:
-            raise InputError("q must have dimension n")
-        q = tuple(rat(x) for x in q_raw)
-    return EhlcpInstance(t, tuple(d), q)
+    q = zeros(n) if q_raw is None else _parse_vector(q_raw, n, "q")
+    return EhlcpInstance(t, d, q)
 
 
 def load_instance(path: str) -> EhlcpInstance:
@@ -109,7 +112,7 @@ def solution_to_json(x: SolutionTuple) -> list:
 
 def piece_to_json(piece: SolutionPiece) -> dict:
     return {
-        "branch": [list(row) for row in piece.pattern.choice],
+        "branch": branch_label(piece.selector, len(piece.point.xs) - 1),
         "point": solution_to_json(piece.point),
         "dimension": piece.piece_dimension,
         "kernel_basis": [vec_to_json(v) for v in piece.kernel_basis],

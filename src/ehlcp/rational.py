@@ -66,11 +66,6 @@ def zeros(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
-def zero_mat(n: int, m: int | None = None) -> Mat:
-    m = n if m is None else m
-    return ((Fraction(0),) * m,) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -92,21 +87,10 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionError("vector dimension mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise DimensionError("vector dimension mismatch")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vec) -> Vec:
-    c = rat(c)
-    return tuple(c * x for x in a)
 
 
 def pointwise(a: Vec, b: Vec, kind: str = "product") -> Vec:

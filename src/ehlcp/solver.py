@@ -1,37 +1,24 @@
-"""Exact EHLCP solver by complementarity-branch enumeration.
+"""Exact EHLCP solver by column-selector enumeration.
 
-Each of the 2^{kn} branch patterns pins one side of every wedge condition,
-turning the problem into a linear system plus box inequalities.  Branches
-with singular pinned systems can contribute whole polyhedral pieces; their
-dimension and a kernel basis are computed exactly.
+For a column selector s in {0..k}^n, column r of the solution keeps one free
+unknown x_{s_r,r}; the wedge conditions pin every other component of that
+column to 0 or to its bound d.  Each of the (k+1)^n selectors is therefore an
+n x n linear system plus box inequalities.  Selectors with singular systems
+can contribute whole polyhedral pieces; their dimension and a basis of their
+affine hull are computed exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
 from .classes import is_m
-from .errors import CapExceeded, DimensionError, InputError
+from .errors import CapExceeded, DimensionError, InputError, InvariantError
 from .linprog import lp_solve
-from .rational import (
-    Vec,
-    inverse,
-    mat_vec,
-    pointwise,
-    solve_linear,
-    vec_add,
-    vec_scale,
-    zeros,
-)
-from .representatives import MatrixTuple
-
-BRANCH_CAP = 2**20
-
-LEFT = "left"
-RIGHT = "right"
+from .rational import Vec, identity, inverse, mat_vec, pointwise, solve_linear, zeros
+from .representatives import SELECTOR_CAP, MatrixTuple, selector_count, selectors
 
 
 @dataclass(frozen=True)
@@ -63,28 +50,15 @@ class SolutionTuple:
 
 
 @dataclass(frozen=True)
-class BranchPattern:
-    """k x n wedge side choices.
-
-    Row 1 column r: x_{0,r} = 0 (left) or x_{1,r} = 0 (right).
-    Row j+1 column r: x_{j,r} = d_{j,r} (left) or x_{j+1,r} = 0 (right).
-    """
-
-    choice: tuple  # tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
 class SolutionPiece:
-    """One branch's contribution: a point, the piece dimension, and a basis
-    of directions spanning the piece's affine hull.  pinned_directions are
-    the remaining kernel directions of the branch system, blocked by the
-    inequality constraints."""
+    """One selector's contribution: a point, the piece dimension, and a basis
+    of directions spanning the piece's affine hull, as stacked vectors
+    (x_0, ..., x_k) of length (k+1)n."""
 
-    pattern: BranchPattern
+    selector: tuple
     point: SolutionTuple
     piece_dimension: int
     kernel_basis: tuple = field(default_factory=tuple)
-    pinned_directions: tuple = field(default_factory=tuple)
 
 
 def _wedge_ok(u: Vec, v: Vec) -> bool:
@@ -117,129 +91,94 @@ def is_solution(inst: EhlcpInstance, x: SolutionTuple) -> bool:
     return True
 
 
-def enumerate_branches(n: int, k: int, cap: int = BRANCH_CAP) -> Iterator[BranchPattern]:
-    """All 2^{kn} branch patterns in row-major binary order (left before right)."""
-    if n < 1 or k < 1:
-        raise InputError("enumerate_branches needs n >= 1 and k >= 1")
-    total = 2 ** (k * n)
-    if total > cap:
-        raise CapExceeded(
-            f"2^(k*n) = {total} exceeds the branch cap {cap}"
+def _selector_system(inst: EhlcpInstance, selector: tuple):
+    """Reduced n x n system of one column selector.
+
+    With m = selector[r], the wedge conditions pin x_{0,r} = 0 (m > 0),
+    x_{j,r} = d_{j,r} (0 < j < m) and x_{j,r} = 0 (j > m), leaving x_{m,r}
+    free.  Returns the stacked indices i*n + r of the free unknowns in
+    increasing order (the order fixes which unknowns the RREF leaves free,
+    and so the reported point and basis), the matrix and right-hand side over them, the stacked
+    vector of pinned values, and the bounds on the free unknowns as
+    (column, sign, bound) meaning sign * y_column >= bound: y >= 0 first,
+    then y <= d_m for 0 < m < k.
+    """
+    t = inst.matrix_tuple
+    n = t.n
+    free = sorted(m * n + r for r, m in enumerate(selector))
+    a = tuple(
+        tuple(
+            t.mats[0][row][i % n] if i < n else -t.mats[i // n][row][i % n]
+            for i in free
         )
-    for flat in product((LEFT, RIGHT), repeat=k * n):
-        yield BranchPattern(tuple(flat[j * n : (j + 1) * n] for j in range(k)))
+        for row in range(n)
+    )
+    pinned = [Fraction(0)] * ((t.k + 1) * n)
+    for r, m in enumerate(selector):
+        for j in range(1, m):
+            pinned[j * n + r] = inst.d[j - 1][r]
+    # the pinned d terms move to the right-hand side
+    rhs = tuple(
+        inst.q[row] + sum(t.mats[i // n][row][i % n] * v for i, v in enumerate(pinned) if v)
+        for row in range(n)
+    )
+    box = [(c, 1, Fraction(0)) for c in range(n)] + [
+        (c, -1, -inst.d[i // n - 1][i % n])
+        for c, i in enumerate(free)
+        if 0 < i // n < t.k
+    ]
+    return free, a, rhs, pinned, box
 
 
-def _stack_index(n: int, i: int, r: int) -> int:
-    return i * n + r
-
-
-def _branch_system(inst: EhlcpInstance, b: BranchPattern):
-    """Linear system rows (pins + main equation) over the stacked unknowns."""
+def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece]:
+    """Solution piece of one column selector, or None when it is infeasible."""
     t = inst.matrix_tuple
-    n, k = t.n, t.k
-    dim = (k + 1) * n
-    rows, rhs = [], []
-    for row in range(n):
-        coeffs = [Fraction(0)] * dim
-        for r in range(n):
-            coeffs[_stack_index(n, 0, r)] = t.mats[0][row][r]
-            for i in range(1, k + 1):
-                coeffs[_stack_index(n, i, r)] = -t.mats[i][row][r]
-        rows.append(coeffs)
-        rhs.append(inst.q[row])
-    for j in range(k):
-        for r in range(n):
-            coeffs = [Fraction(0)] * dim
-            if j == 0:
-                target = (0, r) if b.choice[0][r] == LEFT else (1, r)
-                value = Fraction(0)
-            elif b.choice[j][r] == LEFT:
-                target = (j, r)
-                value = inst.d[j - 1][r]
-            else:
-                target = (j + 1, r)
-                value = Fraction(0)
-            coeffs[_stack_index(n, *target)] = Fraction(1)
-            rows.append(coeffs)
-            rhs.append(value)
-    return tuple(tuple(r) for r in rows), tuple(rhs)
+    if len(selector) != t.n or any(not 0 <= m <= t.k for m in selector):
+        raise InputError("selector must have n entries in 0..k")
+    free, a, rhs, pinned, box = _selector_system(inst, selector)
+    res = solve_linear(a, rhs)
+    if res.kind == "inconsistent":
+        return None
+    if res.kind == "unique":
+        y, basis = res.particular, ()
+        if any(sign * y[c] < bound for c, sign, bound in box):
+            return None
+    else:
+        hull = _affine_piece(res.particular, res.kernel_basis, box)
+        if hull is None:
+            return None
+        y, basis = hull
 
+    def stacked(values, base):
+        out = list(base)
+        for i, v in zip(free, values):
+            out[i] = v
+        return tuple(out)
 
-def _inequalities(inst: EhlcpInstance):
-    """Box constraints as (row, rhs) pairs meaning row . x >= rhs."""
-    t = inst.matrix_tuple
-    n, k = t.n, t.k
-    dim = (k + 1) * n
-    out = []
-    for i in range(k + 1):
-        for r in range(n):
-            row = [Fraction(0)] * dim
-            row[_stack_index(n, i, r)] = Fraction(1)
-            out.append((tuple(row), Fraction(0)))  # x_{i,r} >= 0
-    for j in range(1, k):
-        for r in range(n):
-            row = [Fraction(0)] * dim
-            row[_stack_index(n, j, r)] = Fraction(-1)
-            out.append((tuple(row), -inst.d[j - 1][r]))  # x_{j,r} <= d_{j,r}
-    return out
-
-
-def _split(n: int, k: int, stacked: Vec) -> SolutionTuple:
-    return SolutionTuple(
-        tuple(tuple(stacked[i * n : (i + 1) * n]) for i in range(k + 1))
+    n = t.n
+    point = stacked(y, pinned)
+    xs = tuple(point[i * n : (i + 1) * n] for i in range(t.k + 1))
+    zero = (Fraction(0),) * len(pinned)
+    return SolutionPiece(
+        tuple(selector), SolutionTuple(xs), len(basis),
+        tuple(stacked(v, zero) for v in basis),
     )
 
 
-def solve_branch(inst: EhlcpInstance, b: BranchPattern) -> Optional[SolutionPiece]:
-    """Solution piece of one branch, or None when the branch is infeasible."""
-    t = inst.matrix_tuple
-    n, k = t.n, t.k
-    a_rows, rhs = _branch_system(inst, b)
-    res = solve_linear(a_rows, rhs)
-    if res.kind == "inconsistent":
-        return None
-    ineqs = _inequalities(inst)
-    if res.kind == "unique":
-        point = res.particular
-        if any(
-            sum(row[j] * point[j] for j in range(len(point))) < bound
-            for row, bound in ineqs
-        ):
-            return None
-        return SolutionPiece(b, _split(n, k, point), 0)
-    return _affine_piece(inst, b, res.particular, res.kernel_basis, ineqs)
-
-
-def _affine_piece(inst, b, particular, kernel, ineqs) -> Optional[SolutionPiece]:
-    """Feasibility polytope of an underdetermined branch, in the kernel
-    coordinates: a relative-interior point, the affine-hull dimension, and a
-    spanning basis."""
-    t = inst.matrix_tuple
-    n, k = t.n, t.k
+def _affine_piece(particular, kernel, box) -> Optional[tuple]:
+    """Feasibility polytope of an underdetermined selector system, in the
+    kernel coordinates: a relative-interior point and a basis of the affine
+    hull, both in the free unknowns; None when the polytope is empty."""
     dim_a = len(kernel)
-    # inequality c in alpha coordinates: grad_c . alpha >= bound_c
-    grads, bounds = [], []
-    for row, bound in ineqs:
-        base = sum(row[j] * particular[j] for j in range(len(particular)))
-        grad = tuple(
-            sum(row[j] * direction[j] for j in range(len(direction)))
-            for direction in kernel
-        )
-        grads.append(grad)
-        bounds.append(bound - base)  # grad . alpha >= bounds
-
-    alpha_ineqs = [
-        (grad, bound)
-        for grad, bound in zip(grads, bounds)
-        if any(g != 0 for g in grad)
-    ]
-    if any(
-        bound > 0
-        for grad, bound in zip(grads, bounds)
-        if all(g == 0 for g in grad)
-    ):
-        return None  # a pinned component violates its bound identically
+    # box row c in alpha coordinates: grad . alpha >= bound - sign * particular[c]
+    alpha_ineqs = []
+    for c, sign, bound in box:
+        grad = tuple(sign * direction[c] for direction in kernel)
+        rest = bound - sign * particular[c]
+        if any(grad):
+            alpha_ineqs.append((grad, rest))
+        elif rest > 0:
+            return None  # an unknown outside the kernel violates its bound
     feas = lp_solve(zeros(dim_a), [], alpha_ineqs)
     if feas.status != "optimal":
         return None
@@ -255,16 +194,16 @@ def _affine_piece(inst, b, particular, kernel, ineqs) -> Optional[SolutionPiece]
         # maximize s subject to grad . alpha - s >= bound, all constraints, s <= 1
         rows = base_rows + [(tuple(grad) + (Fraction(-1),), bound), cap_row]
         res = lp_solve(objective, [], rows)
-        assert res.status == "optimal"
+        if res.status != "optimal":
+            raise InvariantError(
+                f"slack LP of a feasible polytope returned {res.status!r}"
+            )
         if res.objective_value == 0:
             implicit_grads.append(grad)
         else:
             interior_points.append(res.point[:dim_a])
     if interior_points:
-        total = [Fraction(0)] * dim_a
-        for p in interior_points:
-            total = [a + x for a, x in zip(total, p)]
-        alpha = tuple(x / len(interior_points) for x in total)
+        alpha = tuple(sum(xs) / len(interior_points) for xs in zip(*interior_points))
     else:
         alpha = feas.point
 
@@ -273,10 +212,7 @@ def _affine_piece(inst, b, particular, kernel, ineqs) -> Optional[SolutionPiece]
         null = solve_linear(tuple(implicit_grads), zeros(len(implicit_grads)))
         free = null.kernel_basis
     else:
-        free = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim_a))
-            for i in range(dim_a)
-        )
+        free = identity(dim_a)
     basis = tuple(
         tuple(
             sum(beta[m] * kernel[m][j] for m in range(dim_a))
@@ -285,20 +221,36 @@ def _affine_piece(inst, b, particular, kernel, ineqs) -> Optional[SolutionPiece]
         for beta in free
     )
 
-    stacked = list(particular)
-    for m in range(dim_a):
-        stacked = [x + alpha[m] * kernel[m][j] for j, x in enumerate(stacked)]
-    point = _split(n, k, tuple(stacked))
-    return SolutionPiece(b, point, len(basis), basis, tuple(kernel))
+    point = tuple(
+        x + sum(alpha[m] * kernel[m][j] for m in range(dim_a))
+        for j, x in enumerate(particular)
+    )
+    return point, basis
 
 
-def solve_all(inst: EhlcpInstance, cap: int = BRANCH_CAP) -> list:
-    """Union of all branch pieces, dimension-0 points deduplicated exactly."""
+def branch_label(selector: tuple, k: int) -> list:
+    """k x n wedge sides of a selector: row j, column r is "left" (x_{0,r} = 0
+    for j = 0, x_{j,r} = d_{j,r} otherwise) iff j < selector[r]."""
+    return [["left" if j < m else "right" for m in selector] for j in range(k)]
+
+
+def solve_all(inst: EhlcpInstance) -> list:
+    """Union of all selector pieces, dimension-0 points deduplicated exactly.
+
+    Selectors are visited in row-major order of their branch labels, left
+    before right, so the first occurrence of a repeated point is kept.
+    """
     t = inst.matrix_tuple
+    count = selector_count(t.n, t.k)
+    if count > SELECTOR_CAP:
+        raise CapExceeded(
+            f"(k+1)^n = {count} exceeds the selector cap {SELECTOR_CAP}; "
+            "solve has no override"
+        )
     pieces = []
     seen_points = set()
-    for b in enumerate_branches(t.n, t.k, cap):
-        piece = solve_branch(inst, b)
+    for s in sorted(selectors(t.n, t.k), key=lambda s: branch_label(s, t.k)):
+        piece = solve_branch(inst, s)
         if piece is None:
             continue
         if piece.piece_dimension == 0:

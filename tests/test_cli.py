@@ -137,6 +137,67 @@ class TestSolve:
         report = json.loads(out_path.read_text())
         assert report["command"] == "solve"
 
+    def test_selector_cap_exits_3(self, tmp_path, capsys):
+        # (k+1)^n = 3^13 exceeds the selector cap of 10^6
+        n = 13
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        doc = {"n": n, "k": 2, "C": [eye, eye, eye], "d": [[1] * n], "q": [0] * n}
+        path = write_doc(tmp_path, doc)
+        code, out, err = run_main(["solve", "--file", path], capsys)
+        assert code == 3 and out == ""
+        assert "selector cap" in err
+        assert "--force" not in err
+
+    def test_invariant_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        from ehlcp import cli
+        from ehlcp.errors import InvariantError
+
+        def broken(inst):
+            raise InvariantError("simulated")
+
+        monkeypatch.setattr(cli, "solve_all", broken)
+        doc = {"n": 1, "k": 1, "C": [[[1]], [[1]]], "q": [1]}
+        code, _, err = run_main(["solve", "--file", write_doc(tmp_path, doc)], capsys)
+        assert code == 4
+        assert "simulated" in err
+
+
+class TestMalformedInput:
+    def test_fractional_n_exits_2(self, tmp_path, capsys):
+        doc = {"n": 2.5, "k": 1, "C": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "q": [1, 1]}
+        code, _, err = run_main(["solve", "--file", write_doc(tmp_path, doc)], capsys)
+        assert code == 2
+        assert "n must be an integer" in err
+
+    def test_scalar_d_entry_exits_2(self, tmp_path, capsys):
+        doc = worked_triple_doc()
+        doc["d"] = [5]
+        code, _, err = run_main(["solve", "--file", write_doc(tmp_path, doc)], capsys)
+        assert code == 2
+        assert "d_j" in err
+
+    def test_scalar_q_exits_2(self, tmp_path, capsys):
+        doc = worked_triple_doc()
+        doc["q"] = 7
+        code, _, err = run_main(["solve", "--file", write_doc(tmp_path, doc)], capsys)
+        assert code == 2
+        assert "q must be an array" in err
+
+    def test_non_integer_pattern_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "abc")
+        doc = worked_triple_doc()
+        doc["C"][0] = [[1, 0], [0, 0]]  # forces pattern enumeration
+        path = write_doc(tmp_path, doc)
+        code, _, err = run_main(["check", "--file", path, "--props", "csw"], capsys)
+        assert code == 2
+        assert "EHLCP_MAX_PATTERN_COMPONENTS" in err
+
+    def test_ragged_matrix_row_exits_2(self, tmp_path, capsys):
+        doc = worked_triple_doc()
+        doc["C"][1] = [[0, 1], 3]
+        code, _, err = run_main(["solve", "--file", write_doc(tmp_path, doc)], capsys)
+        assert code == 2
+
 
 class TestVerify:
     def test_pass_exits_0(self, tmp_path, capsys):

@@ -1,18 +1,28 @@
-"""Branch-enumeration solver: validity checks, pieces, fast path."""
+"""Column-selector solver: validity checks, pieces, golden output, fast path."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from ehlcp import solver
 from ehlcp.errors import CapExceeded, DimensionError, InputError
-from ehlcp.harness import GenSpec, gen_instance, gen_tuple, subseed
-from ehlcp.rational import identity, pointwise, vec
-from ehlcp.representatives import make_tuple
+from ehlcp.harness import (
+    GenSpec,
+    SplitMix64,
+    gen_instance,
+    gen_tuple,
+    instance_with_segment,
+    kernel_tuple_from_singular_representative,
+    subseed,
+)
+from ehlcp.io import dump_json, piece_to_json
+from ehlcp.rational import identity, mat_vec, pointwise, vec
+from ehlcp.representatives import make_tuple, selectors
 from ehlcp.solver import (
-    BranchPattern,
     EhlcpInstance,
     SolutionTuple,
-    enumerate_branches,
+    branch_label,
     is_solution,
     solve_all,
     solve_branch,
@@ -38,6 +48,134 @@ def segment_instance():
 def chain_instance():
     t = make_tuple([identity(2), identity(2), identity(2)])
     return EhlcpInstance(t, ((F(1), F(1)),), (F(2), F(-1)))
+
+
+def record_selectors(monkeypatch):
+    """List that collects every selector solve_all hands to solve_branch."""
+    visited = []
+    original = solver.solve_branch
+
+    def spy(inst, selector):
+        visited.append(selector)
+        return original(inst, selector)
+
+    monkeypatch.setattr(solver, "solve_branch", spy)
+    return visited
+
+
+def instance_through_point(t, seed):
+    """Random d and a q that makes a random selector point a solution."""
+    rng = SplitMix64(seed)
+    n, k = t.n, t.k
+    d = tuple(tuple(F(rng.randint(1, 2)) for _ in range(n)) for _ in range(k - 1))
+    xs = [[F(0)] * n for _ in range(k + 1)]
+    for r in range(n):
+        m = rng.randint(0, k)
+        for j in range(1, m):
+            xs[j][r] = d[j - 1][r]
+        xs[m][r] = F(rng.randint(0, 2 if m in (0, k) else int(d[m - 1][r])))
+    lhs = mat_vec(t.mats[0], xs[0])
+    q = tuple(
+        lhs[r] - sum(mat_vec(t.mats[i], xs[i])[r] for i in range(1, k + 1))
+        for r in range(n)
+    )
+    return EhlcpInstance(t, d, q)
+
+
+def golden_instance(label):
+    """Seeded instance named family-n<n>k<k>; see GOLDEN_DIGESTS."""
+    family, shape = label.rsplit("-", 1)
+    n, k = int(shape[1]), int(shape[3])
+    i = 10 * n + k
+    if family == "segment":
+        t = gen_tuple(GenSpec(n, k, "degenerate", 2, subseed(107, i)))
+        kernel = kernel_tuple_from_singular_representative(t)
+        return instance_with_segment(t, kernel)[0]
+    spec_seed, q_seed = {
+        "generic": (101, 102),
+        "column_w_constructive": (103, 104),
+        "z_structured": (105, 106),
+    }[family]
+    t = gen_tuple(GenSpec(n, k, family, 2, subseed(spec_seed, i)))
+    return instance_through_point(t, subseed(q_seed, i))
+
+
+# sha256 of dump_json([piece_to_json(p) for p in solve_all(inst)]), recorded
+# with the 2^(kn) wedge-branch solver that preceded the selector solver.
+GOLDEN_DIGESTS = {
+    "generic-n1k1":
+        "5bbc4d758d3cd5d520b36523805f9a07a10842c240d091a97a9a9d7917947e7c",
+    "column_w_constructive-n1k1":
+        "b98cb747ca3d39690fad9ec99734e084bbbf016c2b8e2c321a517723521db3c4",
+    "z_structured-n1k1":
+        "b1bedebf1d6ee2b45d6036ed04af69a49da68d25f6c2b1afe8553b43c63805cb",
+    "segment-n1k1":
+        "dce9ccf84178d4ec9fc1626044438137fc0f6fcd5849511380b80484cf631faa",
+    "generic-n1k2":
+        "42e4df97a7865d6bd3c854055855875c5ddc1e9bf35d186e414a751790eac21c",
+    "column_w_constructive-n1k2":
+        "717741f7035ed8c55243269ba295fe5d984b73537801c0aa738969893fbf8e53",
+    "z_structured-n1k2":
+        "95f3d3ba7294a3c4925f0172bec85914c0449c215ae3b8be4a7dbbf0535be5b4",
+    "segment-n1k2":
+        "43cfc337608bab5d87af8f4b9543457daa88c5aefd84e4fa1fb6d82bb5802dde",
+    "generic-n1k3":
+        "8ea5b08a7bfcdbfe19040b0e33d57edd8d159c11c6ce8580dcc52a3da84d3bd1",
+    "column_w_constructive-n1k3":
+        "3c914c1d6e150abc2998c876c40a2613e85bf2bf5338deed9f266ced64d710c5",
+    "z_structured-n1k3":
+        "01c150fd96730edd526036770c8f67f035fac5962147710f1135317f939a966d",
+    "segment-n1k3":
+        "c9efbfaa5e08ce0179d48c1c2847b07998348cd6c5aae7163217685a9cd86b16",
+    "generic-n2k1":
+        "b82353018751676cb626b425ca18e22525460cc77e866b00f72352d9ab7a5009",
+    "column_w_constructive-n2k1":
+        "668e00995a57e4e764dfd4c202732354b118ae660bc53771430fdf5d03ab8e6d",
+    "z_structured-n2k1":
+        "d10300fbb4ed8ea6850eb6f28a07c38ecc41bbc54c6a80ec91b83816a03f983b",
+    "segment-n2k1":
+        "1e532cb635bfd9b73aee3bf0cd5269931f7bc99511c195471ed77070c8ccea28",
+    "generic-n2k2":
+        "a2b4f451531bcf795bfb146d6a2ac351c0caaa3b2829f794e6da26d6bb44a1bf",
+    "column_w_constructive-n2k2":
+        "52d470f9adf67c08bbd4f44fcdcb32ddfb025b7fb9d02310a7925760cccae9f0",
+    "z_structured-n2k2":
+        "dd78bf15ffd49ad6af2bfcf74818604a172d4d8c9657fa7a7e45edcd461e2468",
+    "segment-n2k2":
+        "891601123baca4547c568163444aa575d931a992292f1637a6eadc6c6b8dac0a",
+    "generic-n2k3":
+        "104f2c6238d4bbc81bd2bb8cad2b806fa3ee4142e47fbc45e817a088f8ae8b76",
+    "column_w_constructive-n2k3":
+        "f23c72f941d5fce4ee6fdfed2a89517c03268907fa19ff14f73ee5e76529eeea",
+    "z_structured-n2k3":
+        "d7e16110098d36243182423d3b9a94975223e8d6774dc47c3f36843e883ea402",
+    "segment-n2k3":
+        "43c62eb456c4b44c584d03aecfbda35559e8ba864c59d611392277c6a662562d",
+    "generic-n3k1":
+        "abaae19450e77f7f3e1c84f96673f29b4598d24003194e73c044f684edf841d0",
+    "column_w_constructive-n3k1":
+        "fb3ab7d756665000a204c45cd69e692f5deeb00ddd486fb150cc7dbdca7e4f3f",
+    "z_structured-n3k1":
+        "0c6085c7a4149b9a30adb5ec3f1b14035f4710f74d531cac05681b4f832dd526",
+    "segment-n3k1":
+        "ea0c0bf231b7445fcdf7656395aaae7785337a21757d0bfb90f042b096003dd1",
+    "generic-n3k2":
+        "48a1e59d61f88ac0d82de6c8153add00b409856a67a103c90c186e618df6c568",
+    "column_w_constructive-n3k2":
+        "a0f3c316bfcf7b7efd6dbe7fd8960617ff8b641578e7f5dbf9c3f38bdb90bca7",
+    "z_structured-n3k2":
+        "8cb37c7c750f01c86100c59f4471d15cfc35b1f1293bea27823c7fdeae74edd9",
+    "segment-n3k2":
+        "b8449f343925e1738730fac99260f6ee13d517cbd326c2e347dfd5d44e81d58b",
+    "generic-n3k3":
+        "5028fcdabf7cfd0c9b58506b0fbc0f5a0f58d66dec1b415c827db60e7dd0fda6",
+    "column_w_constructive-n3k3":
+        "d82168e388320d1b76515dbdb0e35311236174201b71884d241996d8677bad89",
+    "z_structured-n3k3":
+        "d942305edf0f59c98a09d0803e745d7030ff27daa25889dbde81eed9e18e3d91",
+    "segment-n3k3":
+        "d0f6f1e897a91a0d28367fa6ea7d7b9c2ab68c35a1e39df03053b62d4b1233d9",
+}
 
 
 class TestInstanceValidation:
@@ -80,47 +218,63 @@ class TestIsSolution:
             is_solution(split_instance(), SolutionTuple((vec([1, 0]),)))
 
 
-class TestEnumerateBranches:
-    @pytest.mark.parametrize("n, k, expected", [(1, 1, 2), (2, 1, 4), (2, 2, 16)])
-    def test_counts(self, n, k, expected):
-        assert len(list(enumerate_branches(n, k))) == expected
+class TestSelectorOrder:
+    @pytest.mark.parametrize("n, k, expected", [(1, 1, 2), (2, 1, 4), (2, 2, 9)])
+    def test_counts(self, n, k, expected, monkeypatch):
+        visited = record_selectors(monkeypatch)
+        t = make_tuple([identity(n)] * (k + 1))
+        d = tuple((F(1),) * n for _ in range(k - 1))
+        solve_all(EhlcpInstance(t, d, (F(0),) * n))
+        assert len(visited) == expected
+        assert set(visited) == set(selectors(n, k))
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            list(enumerate_branches(4, 4, cap=2**10))
-
-    def test_row_major_binary_order(self):
-        patterns = list(enumerate_branches(1, 2))
-        assert [p.choice for p in patterns] == [
-            (("left",), ("left",)),
-            (("left",), ("right",)),
-            (("right",), ("left",)),
-            (("right",), ("right",)),
+    def test_label_visit_order(self, monkeypatch):
+        visited = record_selectors(monkeypatch)
+        t = make_tuple([identity(1)] * 3)
+        solve_all(EhlcpInstance(t, ((F(1),),), (F(0),)))
+        assert visited == [(2,), (1,), (0,)]
+        assert [branch_label(s, 2) for s in visited] == [
+            [["left"], ["left"]],
+            [["left"], ["right"]],
+            [["right"], ["right"]],
         ]
+
+    def test_cap_checked_before_any_work(self, monkeypatch):
+        # 3^13 = 1 594 323 selectors exceed the cap of 10^6
+        def fail(*args):
+            raise AssertionError("solve_branch ran above the cap")
+
+        monkeypatch.setattr(solver, "solve_branch", fail)
+        t = make_tuple([identity(13)] * 3)
+        inst = EhlcpInstance(t, ((F(1),) * 13,), (F(0),) * 13)
+        with pytest.raises(CapExceeded, match="selector cap"):
+            solve_all(inst)
 
 
 class TestSolveBranch:
     def test_unique_branch(self):
-        b = BranchPattern((("right", "left"),))
-        piece = solve_branch(split_instance(), b)
+        piece = solve_branch(split_instance(), (0, 1))
         assert piece is not None
         assert piece.piece_dimension == 0
         assert piece.point.xs == ((F(1), F(0)), (F(0), F(2)))
 
     def test_infeasible_branch(self):
         # pinning x0 = 0 forces x1 = -q with a negative component
-        b = BranchPattern((("left", "left"),))
-        assert solve_branch(split_instance(), b) is None
+        assert solve_branch(split_instance(), (1, 1)) is None
 
     def test_affine_branch_yields_dimension_one_piece(self):
-        b = BranchPattern((("left", "right"),))
-        piece = solve_branch(segment_instance(), b)
+        piece = solve_branch(segment_instance(), (1, 0))
         assert piece is not None
         assert piece.piece_dimension == 1
         assert len(piece.kernel_basis) == 1
         # piece is {((0, b), (1-b, 0)) : 0 <= b <= 1}; the reported point is
         # the relative-interior midpoint
         assert piece.point.xs == ((F(0), Fraction(1, 2)), (Fraction(1, 2), F(0)))
+
+    @pytest.mark.parametrize("selector", [(0,), (0, 2), (0, -1)])
+    def test_invalid_selector_rejected(self, selector):
+        with pytest.raises(InputError):
+            solve_branch(split_instance(), selector)
 
 
 class TestSolveAll:
@@ -170,6 +324,14 @@ class TestSolveAll:
         pieces = solve_all(inst)
         assert len(pieces) == 1
         assert pieces[0].point.xs == ((F(0), F(0)), (F(0), F(0)))
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_DIGESTS))
+    def test_solve_all_bytes(self, label):
+        pieces = solve_all(golden_instance(label))
+        text = dump_json([piece_to_json(p) for p in pieces])
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[label]
 
 
 class TestSolveMFast:
