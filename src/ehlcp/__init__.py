@@ -18,8 +18,6 @@ from .classes import (
     principal_minors,
 )
 from .csw import (
-    CswVerdict,
-    SignPattern,
     check_column_ndw_def,
     check_cone_csw,
     check_csw,

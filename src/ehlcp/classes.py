@@ -2,28 +2,20 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
 from .csw import check_csw
-from .errors import CapExceeded, DimensionError
-from .rational import Mat, det, identity, inverse, rat_str
+from .errors import CapExceeded
+from .rational import Mat, det, identity, inverse, rat_str, require_square
 from .representatives import PropertyVerdict, make_tuple
 
 MINOR_CAP = 16
 
 
-def _require_square(m: Mat) -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionError("square matrix required")
-    return n
-
-
 def is_z(m: Mat) -> PropertyVerdict:
     """Z-matrix: all off-diagonal entries nonpositive."""
-    n = _require_square(m)
+    n = require_square(m)
     for i in range(n):
         for j in range(n):
             if i != j and m[i][j] > 0:
@@ -57,7 +49,7 @@ def is_m(m: Mat) -> PropertyVerdict:
 def principal_minors(m: Mat, cap: int = MINOR_CAP) -> list:
     """All 2^n - 1 principal minors as (index_set, value), index sets in
     lexicographic order; indices are 1-based."""
-    n = _require_square(m)
+    n = require_square(m)
     if n > cap:
         raise CapExceeded(f"principal minor enumeration capped at n <= {cap}")
     out = []
@@ -104,16 +96,8 @@ def is_nondegenerate(m: Mat) -> PropertyVerdict:
 def is_column_sufficient(m: Mat) -> PropertyVerdict:
     """Column sufficiency of a single matrix, decided through the pair
     oracle on the tuple (I, m): x * (m x) <= 0 must force x * (m x) = 0."""
-    n = _require_square(m)
-    verdict = check_csw(make_tuple([identity(n), m]))
-    witness = None
-    if verdict.witness is not None:
-        pattern, xs = verdict.witness
-        witness = {
-            "pattern": [list(row) for row in pattern.signs],
-            "x": [[str(v) for v in x] for x in xs],
-        }
+    verdict = check_csw(make_tuple([identity(require_square(m)), m]))
     return PropertyVerdict(
-        "column_sufficient", verdict.holds, witness,
+        "column_sufficient", verdict.holds, verdict.witness,
         "decided via the tuple (I, C); " + verdict.decided_by,
     )

@@ -27,7 +27,14 @@ from .csw import (
 )
 from .errors import CapExceeded, InputError, InvariantError
 from .harness import GenSpec, THEOREM_IDS, gen_instance, gen_tuple, verify_theorem
-from .io import dump_json, instance_to_json, load_instance, piece_to_json, solution_to_json
+from .io import (
+    dump_json,
+    instance_to_json,
+    load_instance,
+    piece_to_json,
+    solution_to_json,
+    verdict_to_json,
+)
 from .representatives import (
     check_column_ndw_det,
     check_column_w,
@@ -35,71 +42,42 @@ from .representatives import (
 )
 from .solver import solve_all, solve_m_fast
 
-TUPLE_PROPS = ("column_w", "column_w0", "column_ndw", "column_ndw_def", "csw", "cone_csw")
-PAIR_PROPS = ("x_col_suff",)
-MATRIX_PROPS = ("z", "m", "p", "nondegenerate", "column_sufficient")
-ALL_PROPS = TUPLE_PROPS + PAIR_PROPS + MATRIX_PROPS
+
+def _per_matrix(oracle, t) -> dict:
+    return {f"C{i}": oracle(m) for i, m in enumerate(t.mats)}
 
 
-def _verdict_json(v) -> dict:
-    return {
-        "property": v.property_name,
-        "holds": v.holds,
-        "certificate": v.certificate,
-        "witness": v.witness,
-    }
+# Property name -> (tuple, parsed args) -> verdict or {entry name: verdict}.
+# The lambdas look oracles up when called, so rebinding a module attribute
+# (as a call tracer does) reaches every dispatch.
+PROPERTIES = {
+    "column_w": lambda t, a: check_column_w(t, exhaustive=a.exhaustive, force=a.force),
+    "column_w0": lambda t, a: check_column_w0(t, force=a.force),
+    "column_ndw": lambda t, a: check_column_ndw_det(t, force=a.force),
+    "column_ndw_def": lambda t, a: check_column_ndw_def(t),
+    "csw": lambda t, a: check_csw(t),
+    "cone_csw": lambda t, a: check_cone_csw(t),
+    "x_col_suff": lambda t, a: {
+        f"pair_{i}_{i + 1}": check_x_column_sufficiency(t.mats[i], t.mats[i + 1])
+        for i in range(t.k)
+    },
+    "z": lambda t, a: _per_matrix(is_z, t),
+    "m": lambda t, a: _per_matrix(is_m, t),
+    "p": lambda t, a: _per_matrix(is_p, t),
+    "nondegenerate": lambda t, a: _per_matrix(is_nondegenerate, t),
+    "column_sufficient": lambda t, a: _per_matrix(is_column_sufficient, t),
+}
+ALL_PROPS = tuple(PROPERTIES)
 
 
-def _csw_json(name: str, v) -> dict:
-    witness = None
-    if v.witness is not None:
-        pattern, xs = v.witness
-        witness = {
-            "pattern": [list(row) for row in pattern.signs],
-            "x": [[str(e) for e in x] for x in xs],
-        }
-    return {
-        "property": name,
-        "holds": v.holds,
-        "decided_by": v.decided_by,
-        "witness": witness,
-    }
-
-
-def _check_verdicts(inst, props, exhaustive: bool, force: bool) -> dict:
-    t = inst.matrix_tuple
+def _check_verdicts(inst, props, args) -> dict:
     out: dict = {}
     for prop in props:
-        if prop == "column_w":
-            out[prop] = _verdict_json(check_column_w(t, exhaustive=exhaustive, force=force))
-        elif prop == "column_w0":
-            out[prop] = _verdict_json(check_column_w0(t, force=force))
-        elif prop == "column_ndw":
-            out[prop] = _verdict_json(check_column_ndw_det(t, force=force))
-        elif prop == "column_ndw_def":
-            out[prop] = _verdict_json(check_column_ndw_def(t))
-        elif prop == "csw":
-            out[prop] = _csw_json(prop, check_csw(t))
-        elif prop == "cone_csw":
-            out[prop] = _csw_json(prop, check_cone_csw(t))
-        elif prop == "x_col_suff":
-            out[prop] = {
-                f"pair_{i}_{i + 1}": _verdict_json(
-                    check_x_column_sufficiency(t.mats[i], t.mats[i + 1])
-                )
-                for i in range(t.k)
-            }
+        result = PROPERTIES[prop](inst.matrix_tuple, args)
+        if isinstance(result, dict):
+            out[prop] = {name: verdict_to_json(v) for name, v in result.items()}
         else:
-            oracle = {
-                "z": is_z,
-                "m": is_m,
-                "p": is_p,
-                "nondegenerate": is_nondegenerate,
-                "column_sufficient": is_column_sufficient,
-            }[prop]
-            out[prop] = {
-                f"C{i}": _verdict_json(oracle(m)) for i, m in enumerate(t.mats)
-            }
+            out[prop] = verdict_to_json(result)
     return out
 
 
@@ -110,7 +88,7 @@ def cmd_check(args) -> int:
         if p not in ALL_PROPS:
             raise InputError(f"unknown property {p!r}; known: {', '.join(ALL_PROPS)}")
     started = time.monotonic()
-    verdicts = _check_verdicts(inst, props, args.exhaustive, args.force)
+    verdicts = _check_verdicts(inst, props, args)
     report = {
         "command": "check",
         "version": __version__,
@@ -118,7 +96,7 @@ def cmd_check(args) -> int:
         "timing_seconds": round(time.monotonic() - started, 6),
     }
     if args.recheck:
-        again = _check_verdicts(inst, props, args.exhaustive, args.force)
+        again = _check_verdicts(inst, props, args)
         if again != verdicts:
             print("recheck mismatch: verdicts are not reproducible", file=sys.stderr)
             return 4

@@ -10,14 +10,13 @@ sound because the hypothesis system is a cone (strict solutions scale).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
 from .errors import InputError, UndecidedSize
 from .linprog import lp_solve
-from .rational import Mat, Vec, identity, zeros
+from .rational import Mat, rat_str, zeros
 from .representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -30,23 +29,6 @@ PATTERN_CAP_DEFAULT = 12
 PATTERN_CAP_ENV = "EHLCP_MAX_PATTERN_COMPONENTS"
 
 SYMBOLS = (-1, 0, 1)  # canonical symbol order (-, 0, +)
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """(k+1) x n sign assignment; row i is the pattern of x_i."""
-
-    signs: tuple  # tuple[tuple[int, ...], ...] over {-1, 0, 1}
-
-    def sign(self, i: int, r: int) -> int:
-        return self.signs[i][r]
-
-
-@dataclass(frozen=True)
-class CswVerdict:
-    holds: bool
-    decided_by: str  # fast_path_column_w | fast_path_ndw_not_w | pattern_enumeration
-    witness: Optional[tuple] = None  # (SignPattern, tuple of vectors)
 
 
 def pattern_cap(explicit: Optional[int] = None) -> int:
@@ -71,15 +53,16 @@ def _require_within_cap(t: MatrixTuple, cap: Optional[int]) -> None:
         )
 
 
-def pattern_realizable(t: MatrixTuple, p: SignPattern) -> Optional[tuple]:
-    """Vector tuple realizing the pattern exactly, or None.
+def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
+    """Vector tuple realizing the (k+1) x n sign pattern exactly, or None.
 
-    Zero components are eliminated from the system; each nonzero component
-    (i, r) becomes a variable constrained by sign(i, r) * x_{i,r} >= t.
+    Row i of signs is the pattern of x_i over {-1, 0, 1}.  Zero components
+    are eliminated from the system; each nonzero component (i, r) becomes a
+    variable constrained by signs[i][r] * x_{i,r} >= t.
     Realizable iff the maximum of t (capped at 1) equals 1.
     """
     support = [
-        (i, r) for i in range(t.k + 1) for r in range(t.n) if p.sign(i, r) != 0
+        (i, r) for i in range(t.k + 1) for r in range(t.n) if signs[i][r] != 0
     ]
     n_vars = len(support) + 1  # support components plus t
     t_col = len(support)
@@ -94,7 +77,7 @@ def pattern_realizable(t: MatrixTuple, p: SignPattern) -> Optional[tuple]:
     ineq = []
     for col, (i, r) in enumerate(support):
         row = [Fraction(0)] * n_vars
-        row[col] = Fraction(p.sign(i, r))
+        row[col] = Fraction(signs[i][r])
         row[t_col] = Fraction(-1)
         ineq.append((tuple(row), Fraction(0)))  # sign * x - t >= 0
     cap_row = [Fraction(0)] * n_vars
@@ -111,7 +94,7 @@ def pattern_realizable(t: MatrixTuple, p: SignPattern) -> Optional[tuple]:
     return tuple(tuple(x) for x in xs)
 
 
-def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[SignPattern]:
+def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
     """Hypothesis-satisfying, conclusion-violating patterns in canonical order.
 
     Enumeration is row-major over components (i, r) with symbol order
@@ -153,14 +136,18 @@ def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[SignPattern]:
                 for r in range(n)
             ):
                 continue
-        yield SignPattern(signs)
+        yield signs
 
 
-def _first_violation(t: MatrixTuple, mode: str) -> Optional[tuple]:
-    for p in _violating_patterns(t, mode):
-        xs = pattern_realizable(t, p)
+def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
+    """JSON-ready witness {"pattern", "x"} of the first realizable pattern."""
+    for signs in _violating_patterns(t, mode):
+        xs = pattern_realizable(t, signs)
         if xs is not None:
-            return p, xs
+            return {
+                "pattern": [list(row) for row in signs],
+                "x": [[rat_str(v) for v in x] for x in xs],
+            }
     return None
 
 
@@ -168,40 +155,42 @@ def check_csw(
     t: MatrixTuple,
     cap: Optional[int] = None,
     use_fast_paths: bool = True,
-) -> CswVerdict:
+) -> PropertyVerdict:
     """Column sufficient-W property of the tuple.
 
     Fast path 1: the column W-property implies cS-W.  Fast path 2: all
     representative determinants nonzero but not column W implies not cS-W;
     the witness is still located by pattern enumeration when the size cap
-    allows it.
+    allows it.  decided_by names the rule that decided.
     """
     if use_fast_paths:
         if check_column_w(t).holds:
-            return CswVerdict(True, "fast_path_column_w")
+            return PropertyVerdict("csw", True, decided_by="fast_path_column_w")
         if check_column_ndw_det(t).holds:
             witness = None
             if (t.k + 1) * t.n <= pattern_cap(cap):
                 witness = _first_violation(t, "csw")
-            return CswVerdict(False, "fast_path_ndw_not_w", witness)
+            return PropertyVerdict("csw", False, witness, decided_by="fast_path_ndw_not_w")
     _require_within_cap(t, cap)
     witness = _first_violation(t, "csw")
-    return CswVerdict(witness is None, "pattern_enumeration", witness)
+    return PropertyVerdict("csw", witness is None, witness, decided_by="pattern_enumeration")
 
 
 def check_cone_csw(
     t: MatrixTuple,
     cap: Optional[int] = None,
     use_fast_paths: bool = True,
-) -> CswVerdict:
+) -> PropertyVerdict:
     """Cone variant: quantified x_1, ..., x_k restricted to the nonnegative
     orthant.  Only the column W fast path is sound here; failing cS-W does
     not in general fail the cone property."""
     if use_fast_paths and check_column_w(t).holds:
-        return CswVerdict(True, "fast_path_column_w")
+        return PropertyVerdict("cone_csw", True, decided_by="fast_path_column_w")
     _require_within_cap(t, cap)
     witness = _first_violation(t, "cone")
-    return CswVerdict(witness is None, "pattern_enumeration", witness)
+    return PropertyVerdict(
+        "cone_csw", witness is None, witness, decided_by="pattern_enumeration"
+    )
 
 
 def check_column_ndw_def(t: MatrixTuple, cap: Optional[int] = None) -> PropertyVerdict:
@@ -211,35 +200,20 @@ def check_column_ndw_def(t: MatrixTuple, cap: Optional[int] = None) -> PropertyV
     """
     _require_within_cap(t, cap)
     witness = _first_violation(t, "ndw")
-    if witness is None:
-        return PropertyVerdict(
-            "column_ndw_def", True, None,
-            "no nonzero disjoint-support kernel pattern is realizable",
-        )
-    p, xs = witness
-    return PropertyVerdict(
-        "column_ndw_def", False,
-        {"pattern": [list(row) for row in p.signs],
-         "x": [[str(v) for v in x] for x in xs]},
-        "a nonzero disjoint-support kernel tuple exists",
+    certificate = (
+        "no nonzero disjoint-support kernel pattern is realizable" if witness is None
+        else "a nonzero disjoint-support kernel tuple exists"
     )
+    return PropertyVerdict("column_ndw_def", witness is None, witness, certificate)
 
 
 def check_x_column_sufficiency(a: Mat, b: Mat, cap: Optional[int] = None) -> PropertyVerdict:
     """X-column-sufficiency of the pair (a, b): C_0 x_0 - C_1 x_1 = 0 and
     x_0 * x_1 <= 0 force x_0 * x_1 = 0.  This is the k = 1 specialization of
     the cS-W decision."""
-    t = make_tuple([a, b])
-    verdict = check_csw(t, cap=cap)
-    witness = None
-    if verdict.witness is not None:
-        p, xs = verdict.witness
-        witness = {
-            "pattern": [list(row) for row in p.signs],
-            "x": [[str(v) for v in x] for x in xs],
-        }
+    verdict = check_csw(make_tuple([a, b]), cap=cap)
     certificate = (
         "decided by " + verdict.decided_by
         + ("" if verdict.holds else "; witness violates x_0 * x_1 = 0")
     )
-    return PropertyVerdict("x_column_sufficiency", verdict.holds, witness, certificate)
+    return PropertyVerdict("x_column_sufficiency", verdict.holds, verdict.witness, certificate)

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .classes import is_m, is_z
-from .csw import check_cone_csw, check_csw, check_x_column_sufficiency
+from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_sufficiency
 from .errors import InputError, InvariantError
 from .io import instance_to_json, tuple_to_json
 from .rational import (
@@ -34,7 +34,6 @@ from .representatives import (
     make_tuple,
     representative_matrix,
 )
-from .csw import check_column_ndw_def
 from .solver import EhlcpInstance, SolutionTuple, is_solution, solve_all, solve_m_fast
 
 _MASK = (1 << 64) - 1
@@ -324,17 +323,33 @@ def combine(a: SolutionTuple, b: SolutionTuple, weight: Fraction) -> SolutionTup
     )
 
 
-def _convexity_violations(inst: EhlcpInstance, where: Callable[[str], dict]) -> list:
+def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) -> list:
+    """Convex combinations of solution points that are not solutions, on a
+    segment instance when t has a nonzero disjoint-support kernel tuple and
+    on a random instance drawn at subseed(seed, salt + index) otherwise."""
+    kernel = kernel_tuple_from_singular_representative(t)
+    if kernel is not None and any(v != 0 for x in kernel for v in x):
+        inst, _, _ = instance_with_segment(t, kernel)
+    else:
+        inst = gen_instance(t, subseed(spec.seed, salt + index), spec.entry_range)
     out = []
     points = solution_points(inst)
     weights = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             for w in weights:
-                mix = combine(points[i], points[j], w)
-                if not is_solution(inst, mix):
-                    out.append(where(f"convex combination at t={w} is not a solution"))
+                if not is_solution(inst, combine(points[i], points[j], w)):
+                    out.append(_violation(spec, index, t,
+                                          f"convex combination at t={w} is not a solution",
+                                          instance=instance_to_json(inst)))
     return out
+
+
+def _z_normalized(t: MatrixTuple) -> bool:
+    """Hypothesis of T4.4 and C4.1: C_0 is invertible and every
+    C_0^{-1} C_i is a Z-matrix."""
+    c0_inv = inverse(t.mats[0])
+    return c0_inv is not None and all(is_z(mat_mul(c0_inv, m)).holds for m in t.mats[1:])
 
 
 def _check_t21(spec, index, t, rng) -> list:
@@ -400,13 +415,7 @@ def _check_t22(spec, index, t, rng) -> list:
 def _check_t31(spec, index, t, rng) -> list:
     if not check_csw(t).holds:
         return []
-    kernel = kernel_tuple_from_singular_representative(t)
-    if kernel is not None and any(v != 0 for x in kernel for v in x):
-        inst, _, _ = instance_with_segment(t, kernel)
-    else:
-        inst = gen_instance(t, subseed(spec.seed, 3000 + index), spec.entry_range)
-    where = lambda detail: _violation(spec, index, t, detail, instance=instance_to_json(inst))
-    return _convexity_violations(inst, where)
+    return _convexity_violations(spec, index, t, 3000)
 
 
 def _m_matrix(rng: SplitMix64, n: int, b: int) -> Mat:
@@ -495,31 +504,17 @@ def _check_t43(spec, index, t, rng) -> list:
 
 
 def _check_t44(spec, index, t, rng) -> list:
-    c0_inv = inverse(t.mats[0])
-    if c0_inv is None or not all(
-        is_z(mat_mul(c0_inv, m)).holds for m in t.mats[1:]
-    ):
-        return []  # hypothesis of the equivalence not met
+    if not _z_normalized(t):
+        return []
     if check_cone_csw(t).holds != check_csw(t).holds:
         return [_violation(spec, index, t, "cone cS-W and cS-W disagree on Z-structure")]
     return []
 
 
 def _check_c41(spec, index, t, rng) -> list:
-    c0_inv = inverse(t.mats[0])
-    if c0_inv is None or not all(
-        is_z(mat_mul(c0_inv, m)).holds for m in t.mats[1:]
-    ):
+    if not _z_normalized(t) or not check_cone_csw(t).holds:
         return []
-    if not check_cone_csw(t).holds:
-        return []
-    kernel = kernel_tuple_from_singular_representative(t)
-    if kernel is not None and any(v != 0 for x in kernel for v in x):
-        inst, _, _ = instance_with_segment(t, kernel)
-    else:
-        inst = gen_instance(t, subseed(spec.seed, 4000 + index), spec.entry_range)
-    where = lambda detail: _violation(spec, index, t, detail, instance=instance_to_json(inst))
-    return _convexity_violations(inst, where)
+    return _convexity_violations(spec, index, t, 4000)
 
 
 _SUITES: dict = {

@@ -13,7 +13,7 @@ from typing import Any
 
 from .errors import InputError
 from .rational import Mat, Vec, rat, rat_str, zeros
-from .representatives import MatrixTuple, make_tuple
+from .representatives import MatrixTuple, PropertyVerdict, make_tuple
 from .solver import EhlcpInstance, SolutionPiece, SolutionTuple, branch_label
 
 
@@ -117,6 +117,17 @@ def piece_to_json(piece: SolutionPiece) -> dict:
         "dimension": piece.piece_dimension,
         "kernel_basis": [vec_to_json(v) for v in piece.kernel_basis],
     }
+
+
+def verdict_to_json(v: PropertyVerdict) -> dict:
+    """Report entry of a verdict: the rule that decided it when it names one,
+    its certificate otherwise."""
+    doc = {"property": v.property_name, "holds": v.holds, "witness": v.witness}
+    if v.decided_by is None:
+        doc["certificate"] = v.certificate
+    else:
+        doc["decided_by"] = v.decided_by
+    return doc
 
 
 def dump_json(doc: Any) -> str:

@@ -30,8 +30,9 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        # exact decimal reading of the shortest repr, not the binary float
-        return Fraction(repr(x))
+        # exact decimal reading of the shortest repr, not the binary float;
+        # inf and nan have no rational reading and fail to parse below
+        x = repr(x)
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -87,26 +88,17 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionError("vector dimension mismatch")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def pointwise(a: Vec, b: Vec, kind: str = "product") -> Vec:
-    """Componentwise product or minimum of two equal-length vectors."""
+def pointwise(a: Vec, b: Vec) -> Vec:
+    """Componentwise product of two equal-length vectors."""
     if len(a) != len(b):
         raise DimensionError("pointwise on vectors of different dimension")
-    if kind == "product":
-        return tuple(x * y for x, y in zip(a, b))
-    if kind == "min":
-        return tuple(min(x, y) for x, y in zip(a, b))
-    raise InputError(f"unknown pointwise kind {kind!r}")
+    return tuple(x * y for x, y in zip(a, b))
 
 
-def _require_square(m: Mat) -> int:
+def require_square(m: Mat) -> int:
+    """Order n of a square matrix; every row must have n entries."""
     n = len(m)
-    if len(m[0]) != n:
+    if any(len(row) != n for row in m):
         raise DimensionError("square matrix required")
     return n
 
@@ -117,7 +109,7 @@ def det(m: Mat) -> Fraction:
     Rows are scaled to integers first so all intermediate divisions are
     exact integer divisions; the scale is divided back out at the end.
     """
-    n = _require_square(m)
+    n = require_square(m)
     scale = 1
     a = []
     for row in m:
@@ -214,7 +206,7 @@ def solve_linear(a: Mat, b: Vec) -> LinearSolveResult:
 
 def inverse(m: Mat) -> Optional[Mat]:
     """Exact inverse, or None when the matrix is singular."""
-    n = _require_square(m)
+    n = require_square(m)
     rows = [list(m[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
     pivots = _rref(rows, n)
     if len(pivots) < n:

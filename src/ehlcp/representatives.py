@@ -8,7 +8,6 @@ determinant form of the column ND-W property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
@@ -43,12 +42,16 @@ def make_tuple(mats) -> MatrixTuple:
 
 @dataclass(frozen=True)
 class PropertyVerdict:
-    """Decision of a named property with a re-checkable witness on failure."""
+    """Decision of a named property with a re-checkable, JSON-ready witness
+    on failure.  decided_by names the rule that decided a sign-pattern
+    property (csw, cone_csw); other oracles explain themselves in
+    certificate."""
 
     property_name: str
     holds: bool
     witness: Optional[dict] = None
     certificate: str = ""
+    decided_by: Optional[str] = None
 
 
 def selector_count(n: int, k: int) -> int:

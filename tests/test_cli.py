@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehlcp.cli import main
 
@@ -197,6 +199,74 @@ class TestMalformedInput:
         doc["C"][1] = [[0, 1], 3]
         code, _, err = run_main(["solve", "--file", write_doc(tmp_path, doc)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):
+        # Python's json module accepts these three literals as floats
+        text = json.dumps(worked_triple_doc()).replace('"q": [0, 0]', f'"q": [{literal}, 0]')
+        path = tmp_path / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        for args in (["solve", "--file", str(path)],
+                     ["check", "--file", str(path), "--props", "column_w"]):
+            code, out, err = run_main(args, capsys)
+            assert code == 2 and out == ""
+            assert "input error" in err
+
+
+def json_values():
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+        max_leaves=10,
+    )
+
+
+@st.composite
+def near_instances(draw):
+    """A well-shaped instance (n <= 3) with arbitrary scalar entries, then
+    possibly one field dropped, replaced by any JSON value, or misstated."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    scalar = st.one_of(
+        st.integers(-3, 3), st.floats(),
+        st.sampled_from(["1/2", "-0.25", "1/0", "x", "", True, None]),
+    )
+    vector = st.lists(scalar, min_size=n, max_size=n)
+    doc = {
+        "n": n,
+        "k": k,
+        "C": draw(st.lists(st.lists(vector, min_size=n, max_size=n),
+                           min_size=k + 1, max_size=k + 1)),
+        "d": draw(st.lists(vector, min_size=k - 1, max_size=k - 1)),
+        "q": draw(vector),
+    }
+    key = draw(st.sampled_from(sorted(doc)))
+    change = draw(st.sampled_from(["keep", "drop", "replace", "misstate"]))
+    if change == "drop":
+        del doc[key]
+    elif change == "replace":
+        doc[key] = draw(json_values())
+    elif change == "misstate":
+        wrong = draw(st.sampled_from([0, -1, 4, 2.5, "2", 1e300]))
+        doc[draw(st.sampled_from(["n", "k"]))] = wrong
+    return doc
+
+
+class TestExitCodesFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.one_of(json_values(), near_instances()))
+    def test_any_json_document_gets_a_documented_exit_code(self, tmp_path_factory, doc):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = str(tmp_path / "report.json")
+        for args in (["solve", "--file", str(path), "--out", out],
+                     ["check", "--file", str(path), "--props", "column_w", "--out", out]):
+            assert main(args) in (0, 1, 2, 3, 4)
 
 
 class TestVerify:

@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from ehlcp.csw import (
-    SignPattern,
     _violating_patterns,
     check_column_ndw_def,
     check_cone_csw,
@@ -26,9 +25,10 @@ def identity_pair():
 
 
 def assert_witness_valid(t, witness, conclusion):
-    """The witness must solve the homogeneous system exactly, match its
+    """The JSON witness must solve the homogeneous system exactly, match its
     pattern, and violate the stated conclusion."""
-    pattern, xs = witness
+    pattern = witness["pattern"]
+    xs = [tuple(Fraction(v) for v in x) for x in witness["x"]]
     lhs = mat_vec(t.mats[0], xs[0])
     rhs = [
         sum(mat_vec(t.mats[i], xs[i])[r] for i in range(1, t.k + 1))
@@ -37,7 +37,7 @@ def assert_witness_valid(t, witness, conclusion):
     assert list(lhs) == rhs
     for i in range(t.k + 1):
         for r in range(t.n):
-            s = pattern.sign(i, r)
+            s = pattern[i][r]
             v = xs[i][r]
             assert (s == 0 and v == 0) or (s > 0 and v > 0) or (s < 0 and v < 0)
     if conclusion == "consecutive":
@@ -51,7 +51,7 @@ def assert_witness_valid(t, witness, conclusion):
 class TestPatternRealizable:
     def test_all_zero_pattern_is_the_zero_tuple(self):
         t = identity_pair()
-        p = SignPattern(((0, 0), (0, 0)))
+        p = ((0, 0), (0, 0))
         xs = pattern_realizable(t, p)
         assert xs == (
             (Fraction(0), Fraction(0)),
@@ -60,11 +60,11 @@ class TestPatternRealizable:
 
     def test_forced_equality_contradiction(self):
         t = identity_pair()
-        p = SignPattern(((1, 0), (0, 0)))
+        p = ((1, 0), (0, 0))
         assert pattern_realizable(t, p) is None
 
     def test_zero_column_matrices_leave_later_vectors_free(self, zero_padded_identity):
-        p = SignPattern(((0, 0), (1, 0), (1, 0)))
+        p = ((0, 0), (1, 0), (1, 0))
         xs = pattern_realizable(zero_padded_identity, p)
         assert xs is not None
         assert xs[0] == (Fraction(0), Fraction(0))
@@ -73,7 +73,7 @@ class TestPatternRealizable:
     def test_strictness_is_exact_not_epsilon(self):
         # any realizing vector has every signed component at magnitude >= 1
         t = make_tuple([identity(2), [[0, 1], [-1, 0]]])
-        p = SignPattern(((0, 1), (-1, 0)))
+        p = ((0, 1), (-1, 0))
         xs = pattern_realizable(t, p)
         assert xs is not None
         assert xs[0][1] >= 1 and xs[1][0] <= -1
@@ -131,8 +131,8 @@ class TestConeCsw:
     ):
         verdict = check_cone_csw(zero_padded_identity)
         assert not verdict.holds
-        _, xs = verdict.witness
-        assert all(v >= 0 for x in xs[1:] for v in x)
+        assert_witness_valid(zero_padded_identity, verdict.witness, "consecutive")
+        assert all(Fraction(v) >= 0 for x in verdict.witness["x"][1:] for v in x)
 
     def test_csw_implies_cone_csw(self):
         for i in range(30):
@@ -199,7 +199,7 @@ class TestPruningSoundness:
                 for r in range(n)
             ):
                 continue
-            if pattern_realizable(t, SignPattern(signs)) is not None:
+            if pattern_realizable(t, signs) is not None:
                 return False
         return True
 
@@ -215,4 +215,4 @@ class TestPruningSoundness:
         t = make_tuple([[[1]], [[1]]])
         first = next(iter(_violating_patterns(t, "csw")))
         # first hypothesis-satisfying violating pattern under (-, 0, +) order
-        assert first.signs == ((-1,), (1,))
+        assert first == ((-1,), (1,))

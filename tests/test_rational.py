@@ -18,6 +18,7 @@ from ehlcp.rational import (
     pointwise,
     rat,
     rat_str,
+    require_square,
     solve_linear,
     vec,
 )
@@ -54,7 +55,9 @@ class TestRat:
         # 0.1 is not representable in binary; the decimal reading is exact
         assert rat(0.1) == Fraction(1, 10)
 
-    @pytest.mark.parametrize("raw", ["abc", "1/0", True, None, [1]])
+    @pytest.mark.parametrize(
+        "raw", ["abc", "1/0", True, None, [1], float("inf"), float("-inf"), float("nan")]
+    )
     def test_rejects_garbage(self, raw):
         with pytest.raises(InputError):
             rat(raw)
@@ -98,6 +101,18 @@ class TestDet:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             det(mat([[1, 2, 3], [4, 5, 6]]))
+
+
+class TestRequireSquare:
+    def test_order(self):
+        assert require_square(identity(3)) == 3
+
+    def test_every_row_is_checked(self):
+        # the first row has the right length; a later row is short
+        with pytest.raises(DimensionError):
+            require_square(((Fraction(1), Fraction(2)), (Fraction(3),)))
+        with pytest.raises(DimensionError):
+            det(((Fraction(1), Fraction(2)), (Fraction(3),)))
 
 
 class TestInverse:
@@ -176,12 +191,6 @@ class TestPointwise:
     def test_product(self):
         assert pointwise(vec([1, -2]), vec([3, "0"])) == (Fraction(3), Fraction(0))
 
-    def test_min(self):
-        assert pointwise(vec([1, -2]), vec(["0", 5]), kind="min") == (
-            Fraction(0),
-            Fraction(-2),
-        )
-
     def test_product_with_zero_annihilates(self):
         assert pointwise(vec([7, -3]), (Fraction(0), Fraction(0))) == (
             Fraction(0),
@@ -191,10 +200,6 @@ class TestPointwise:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             pointwise(vec([1]), vec([1, 2]))
-
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            pointwise(vec([1]), vec([1]), kind="max")
 
 
 class TestMatHygiene:
