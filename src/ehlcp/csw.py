@@ -1,22 +1,27 @@
 """Sign-pattern decision procedures for the column sufficient-W family.
 
 Each candidate violation of a property is a {-, 0, +} pattern over the
-components of (x_0, ..., x_k).  A pattern is realizable when the homogeneous
-system C_0 x_0 = sum C_i x_i admits a vector with exactly those component
-signs; strictness is handled by maximizing a scale variable t <= 1, which is
-sound because the hypothesis system is a cone (strict solutions scale).
+components (i, r) of (x_0, ..., x_k).  It is realizable when it is the sign
+vector of some x in ker A, A = [C_0 | -C_1 | ... | -C_k] with column i*n + r
+for component (i, r).  By the vector/covector orthogonality of oriented
+matroids (Bland & Las Vergnas 1978; Björner et al., Oriented Matroids,
+section 3.4) that holds iff the pattern is orthogonal to every cocircuit of
+A, the minimal-support sign vectors of its row space.  The cocircuits are
+computed exactly once per decision, so each pattern test is bit arithmetic;
+only the first realizable pattern goes to pattern_realizable, an exact LP
+that builds the witness vector.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
 from typing import Iterator, Optional
 
-from .errors import InputError, UndecidedSize
+from .errors import InputError, InvariantError, UndecidedSize
 from .linprog import lp_solve
-from .rational import Mat, rat_str, zeros
+from .rational import Mat, _rref, rat_str, solve_linear, zeros
 from .representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -53,31 +58,39 @@ def _require_within_cap(t: MatrixTuple, cap: Optional[int]) -> None:
         )
 
 
+def _stacked_rows(t: MatrixTuple) -> list:
+    """Rows of A = [C_0 | -C_1 | ... | -C_k]; column i*n + r is component (i, r)."""
+    return [
+        [c if i == 0 else -c for i, m in enumerate(t.mats) for c in m[row]]
+        for row in range(t.n)
+    ]
+
+
 def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     """Vector tuple realizing the (k+1) x n sign pattern exactly, or None.
 
-    Row i of signs is the pattern of x_i over {-1, 0, 1}.  Zero components
-    are eliminated from the system; each nonzero component (i, r) becomes a
-    variable constrained by signs[i][r] * x_{i,r} >= t.
-    Realizable iff the maximum of t (capped at 1) equals 1.
+    An exact LP: the deciders call it once, on the first pattern that the
+    cocircuit test accepts, to build the witness vector; the tests use it
+    as the reference decision.  Row i of signs is the pattern of x_i over
+    {-1, 0, 1}.  Zero components are eliminated from the system; each
+    nonzero component (i, r) becomes a variable constrained by
+    signs[i][r] * x_{i,r} >= t, which is sound because the system is a cone
+    (strict solutions scale).  Realizable iff the maximum of t (capped at 1)
+    equals 1.
     """
-    support = [
-        (i, r) for i in range(t.k + 1) for r in range(t.n) if signs[i][r] != 0
-    ]
+    flat = tuple(chain.from_iterable(signs))
+    support = [e for e, s in enumerate(flat) if s != 0]
     n_vars = len(support) + 1  # support components plus t
     t_col = len(support)
 
-    eq = []
-    for row in range(t.n):
-        coeffs = [Fraction(0)] * n_vars
-        for col, (i, r) in enumerate(support):
-            c = t.mats[i][row][r]
-            coeffs[col] = c if i == 0 else -c
-        eq.append((tuple(coeffs), Fraction(0)))
+    eq = [
+        (tuple(row[e] for e in support) + (Fraction(0),), Fraction(0))
+        for row in _stacked_rows(t)
+    ]
     ineq = []
-    for col, (i, r) in enumerate(support):
+    for col, e in enumerate(support):
         row = [Fraction(0)] * n_vars
-        row[col] = Fraction(signs[i][r])
+        row[col] = Fraction(flat[e])
         row[t_col] = Fraction(-1)
         ineq.append((tuple(row), Fraction(0)))  # sign * x - t >= 0
     cap_row = [Fraction(0)] * n_vars
@@ -89,9 +102,65 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     if res.status != "optimal" or res.objective_value != 1:
         return None
     xs = [list(zeros(t.n)) for _ in range(t.k + 1)]
-    for col, (i, r) in enumerate(support):
+    for col, e in enumerate(support):
+        i, r = divmod(e, t.n)
         xs[i][r] = res.point[col]
     return tuple(tuple(x) for x in xs)
+
+
+def _sign_masks(values) -> tuple:
+    """(pos, neg) bitmasks of a sign vector: bit e is set in pos where
+    values[e] > 0 and in neg where values[e] < 0."""
+    pos = neg = 0
+    for e, v in enumerate(values):
+        if v > 0:
+            pos |= 1 << e
+        elif v < 0:
+            neg |= 1 << e
+    return pos, neg
+
+
+def _cocircuits(t: MatrixTuple) -> list:
+    """Cocircuits of A as (pos, neg) bitmasks, bit i*n + r for component
+    (i, r), one of each pair +-Y.
+
+    With B a row basis of A and d its rank, every cocircuit is the sign
+    vector of y^T B for y spanning the left kernel of d - 1 columns of B,
+    when that kernel has dimension 1.
+    """
+    rows = _stacked_rows(t)
+    rank = len(_rref(rows))
+    if rank == 0:
+        return []
+    basis = rows[:rank]
+    width = len(basis[0])
+    found = {}
+    for cols in combinations(range(width), rank - 1):
+        # y . B[:, e] = 0 for e in cols; with no columns, every y qualifies
+        system = [[b[e] for b in basis] for e in cols] or [list(zeros(rank))]
+        kernel = solve_linear(system, zeros(len(system))).kernel_basis
+        if len(kernel) != 1:
+            continue
+        y = kernel[0]
+        pos, neg = _sign_masks(
+            sum(y[a] * basis[a][e] for a in range(rank)) for e in range(width)
+        )
+        lowest = (pos | neg) & -(pos | neg)
+        found[(neg, pos) if neg & lowest else (pos, neg)] = None
+    return list(found)
+
+
+def _is_kernel_sign(signs: tuple, cocircuits: list) -> bool:
+    """True iff the pattern is the sign vector of some x in ker A: for each
+    cocircuit Y the products X_e * Y_e are all zero or include both a + and
+    a -."""
+    pos, neg = _sign_masks(chain.from_iterable(signs))
+    for y_pos, y_neg in cocircuits:
+        agree = (pos & y_pos) | (neg & y_neg)
+        oppose = (pos & y_neg) | (neg & y_pos)
+        if (agree == 0) != (oppose == 0):
+            return False
+    return True
 
 
 def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
@@ -99,55 +168,66 @@ def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
 
     Enumeration is row-major over components (i, r) with symbol order
     (-, 0, +), so the first realizable pattern is schedule-independent.
+    A symbol is placed only if it keeps the hypotheses with the rows above
+    it in its column: (a) x_i * x_j >= 0 for 1 <= i < j (csw), (b)
+    x_0 * x_i <= 0 (csw, cone; cone rows i >= 1 take only 0 and +), and
+    pairwise-disjoint supports (ndw).  A complete pattern must violate the
+    conclusion: (c) some consecutive product x_s * x_{s+1} nonzero (csw,
+    cone), or not identically zero (ndw).
     """
     k, n = t.k, t.n
-    if mode == "cone":
-        domains = [SYMBOLS if i == 0 else (0, 1) for i in range(k + 1) for _ in range(n)]
-    else:
-        domains = [SYMBOLS for _ in range((k + 1) * n)]
-    for flat in product(*domains):
-        signs = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(k + 1))
+
+    def fits(above: tuple, s: int) -> bool:
         if mode == "ndw":
-            # pairwise-disjoint supports, not identically zero
-            if all(s == 0 for row in signs for s in row):
-                continue
-            if any(sum(signs[i][r] != 0 for i in range(k + 1)) > 1 for r in range(n)):
-                continue
-        else:
-            # (a) x_i * x_j >= 0 componentwise for 1 <= i < j <= k
-            if mode == "csw" and any(
-                signs[i][r] * signs[j][r] < 0
-                for i in range(1, k + 1)
-                for j in range(i + 1, k + 1)
-                for r in range(n)
-            ):
-                continue
-            # (b) x_0 * x_i <= 0 componentwise
-            if any(
-                signs[0][r] * signs[i][r] > 0
-                for i in range(1, k + 1)
-                for r in range(n)
-            ):
-                continue
-            # (c) some consecutive product nonzero
-            if not any(
-                signs[s][r] != 0 and signs[s + 1][r] != 0
-                for s in range(k)
-                for r in range(n)
-            ):
-                continue
-        yield signs
+            return s == 0 or not any(above)
+        if above and above[0] * s > 0:
+            return False
+        return mode != "csw" or all(a * s >= 0 for a in above[1:])
+
+    def violates(signs: tuple) -> bool:
+        if mode == "ndw":
+            return any(any(row) for row in signs)
+        return any(
+            signs[s][r] != 0 and signs[s + 1][r] != 0
+            for s in range(k)
+            for r in range(n)
+        )
+
+    def extend(signs: tuple) -> Iterator[tuple]:
+        i = len(signs)
+        if i == k + 1:
+            if violates(signs):
+                yield signs
+            return
+        domain = (0, 1) if mode == "cone" and i > 0 else SYMBOLS
+        choices = [
+            [s for s in domain if fits(tuple(row[r] for row in signs), s)]
+            for r in range(n)
+        ]
+        for row in product(*choices):
+            yield from extend(signs + (row,))
+
+    yield from extend(())
 
 
 def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
-    """JSON-ready witness {"pattern", "x"} of the first realizable pattern."""
+    """JSON-ready witness {"pattern", "x"} of the first realizable pattern.
+
+    The cocircuit test decides; the LP runs only on the pattern it accepts,
+    and an LP that disagrees is a bug, never a verdict."""
+    cocircuits = _cocircuits(t)
     for signs in _violating_patterns(t, mode):
+        if not _is_kernel_sign(signs, cocircuits):
+            continue
         xs = pattern_realizable(t, signs)
-        if xs is not None:
-            return {
-                "pattern": [list(row) for row in signs],
-                "x": [[rat_str(v) for v in x] for x in xs],
-            }
+        if xs is None:
+            raise InvariantError(
+                f"sign pattern {signs} passes the cocircuit test but the LP finds no vector"
+            )
+        return {
+            "pattern": [list(row) for row in signs],
+            "x": [[rat_str(v) for v in x] for x in xs],
+        }
     return None
 
 

@@ -17,11 +17,27 @@ from .errors import DimensionError, InputError
 Vec = tuple  # tuple[Fraction, ...]
 Mat = tuple  # tuple[tuple[Fraction, ...], ...]
 
+# Largest decimal exponent rat accepts: Fraction builds 10**exponent, so an
+# unbounded exponent lets a short string cost unbounded time and memory.
+# Every finite float (1e-324 .. 1.8e308) stays inside it.
+MAX_DECIMAL_EXPONENT = 1000
+
+
+def _exponent_too_large(text: str) -> bool:
+    """True if text has a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
+    _, mark, exponent = text.upper().partition("E")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not mark or not digits.isdecimal():
+        return False  # no exponent, or one that Fraction rejects below
+    return len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+
 
 def rat(x) -> Fraction:
     """Convert int / Fraction / "p/q" / decimal string or literal to Fraction.
 
-    Decimal literals convert exactly: rat("0.25") == Fraction(1, 4).
+    Decimal literals convert exactly: rat("0.25") == Fraction(1, 4).  A
+    decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude is an
+    InputError.
     """
     if isinstance(x, Fraction):
         return x
@@ -34,6 +50,10 @@ def rat(x) -> Fraction:
         # inf and nan have no rational reading and fail to parse below
         x = repr(x)
     if isinstance(x, str):
+        if _exponent_too_large(x):
+            raise InputError(
+                f"decimal exponent of {x[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+            )
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

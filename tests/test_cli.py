@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,16 @@ class TestMalformedInput:
         doc["C"][1] = [[0, 1], 3]
         code, _, err = run_main(["solve", "--file", write_doc(tmp_path, doc)], capsys)
         assert code == 2
+
+    def test_huge_decimal_exponent_exits_2_quickly(self, tmp_path, capsys):
+        doc = worked_triple_doc()
+        doc["C"][1][0][0] = "1e100000000"
+        path = write_doc(tmp_path, doc)
+        started = time.perf_counter()
+        code, out, err = run_main(["check", "--file", path, "--props", "column_w"], capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert "decimal exponent" in err
 
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):

@@ -1,11 +1,16 @@
 """Sign-pattern decision procedures for the column sufficient-W family."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from ehlcp import csw
+from ehlcp.cli import main
 from ehlcp.csw import (
+    _cocircuits,
+    _is_kernel_sign,
     _violating_patterns,
     check_column_ndw_def,
     check_cone_csw,
@@ -14,14 +19,59 @@ from ehlcp.csw import (
     pattern_cap,
     pattern_realizable,
 )
-from ehlcp.errors import UndecidedSize
+from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import identity, mat_vec, pointwise
 from ehlcp.representatives import check_column_ndw_det, make_tuple
 
 
+MODES = ("csw", "cone", "ndw")
+
+
 def identity_pair():
     return make_tuple([identity(2), identity(2)])
+
+
+def reference_patterns(t, mode):
+    """The candidate patterns of a mode by their definition: every product
+    over the symbol domains, filtered, in row-major (-, 0, +) order."""
+    k, n = t.k, t.n
+    if mode == "cone":
+        domains = [(-1, 0, 1) if i == 0 else (0, 1) for i in range(k + 1) for _ in range(n)]
+    else:
+        domains = [(-1, 0, 1)] * ((k + 1) * n)
+    for flat in product(*domains):
+        signs = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(k + 1))
+        if mode == "ndw":
+            # pairwise-disjoint supports, not identically zero
+            if all(s == 0 for row in signs for s in row):
+                continue
+            if any(sum(signs[i][r] != 0 for i in range(k + 1)) > 1 for r in range(n)):
+                continue
+        else:
+            # (a) x_i * x_j >= 0 componentwise for 1 <= i < j <= k
+            if mode == "csw" and any(
+                signs[i][r] * signs[j][r] < 0
+                for i in range(1, k + 1)
+                for j in range(i + 1, k + 1)
+                for r in range(n)
+            ):
+                continue
+            # (b) x_0 * x_i <= 0 componentwise
+            if any(
+                signs[0][r] * signs[i][r] > 0
+                for i in range(1, k + 1)
+                for r in range(n)
+            ):
+                continue
+            # (c) some consecutive product nonzero
+            if not any(
+                signs[s][r] != 0 and signs[s + 1][r] != 0
+                for s in range(k)
+                for r in range(n)
+            ):
+                continue
+        yield signs
 
 
 def assert_witness_valid(t, witness, conclusion):
@@ -77,6 +127,55 @@ class TestPatternRealizable:
         xs = pattern_realizable(t, p)
         assert xs is not None
         assert xs[0][1] >= 1 and xs[1][0] <= -1
+
+
+class TestCocircuitRealizability:
+    @staticmethod
+    def tuples(n, k, seed):
+        """Generic, zero-column, rank-deficient and all-zero tuples."""
+        generic = gen_tuple(GenSpec(n, k, "generic", 2, seed))
+        zero_column = [
+            [[0 if r == i % n else v for r, v in enumerate(row)] for row in m]
+            for i, m in enumerate(generic.mats)
+        ]
+        yield generic
+        yield make_tuple(zero_column)
+        if n > 1:
+            # row n-1 repeats row 0 in every matrix, so A has rank < n
+            yield make_tuple([list(m[:-1]) + [m[0]] for m in generic.mats])
+        yield make_tuple([[[0] * n for _ in range(n)] for _ in range(k + 1)])
+
+    def test_agrees_with_lp_on_every_sampled_pattern(self):
+        rng = random.Random(43)
+        outcomes = {True: 0, False: 0}
+        for n in (1, 2, 3):
+            for k in (1, 2):
+                for t in self.tuples(n, k, subseed(43, 10 * n + k)):
+                    cocircuits = _cocircuits(t)
+                    for mode in MODES:
+                        patterns = list(_violating_patterns(t, mode))
+                        for signs in rng.sample(patterns, min(len(patterns), 12)):
+                            realizable = pattern_realizable(t, signs) is not None
+                            assert _is_kernel_sign(signs, cocircuits) == realizable, (
+                                t, mode, signs)
+                            outcomes[realizable] += 1
+        # both answers occur often enough for the agreement to mean something
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_lp_disagreement_is_an_invariant_error(
+        self, zero_padded_identity, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(csw, "pattern_realizable", lambda t, signs: None)
+        with pytest.raises(InvariantError):
+            check_csw(zero_padded_identity)
+        path = tmp_path / "instance.json"
+        path.write_text(
+            '{"n": 2, "k": 2, "C": [[[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]],'
+            ' "d": [[1, 1]], "q": [0, 0]}',
+            encoding="utf-8",
+        )
+        assert main(["check", "--file", str(path), "--props", "csw"]) == 4
+        assert "cocircuit" in capsys.readouterr().err
 
 
 class TestCheckCsw:
@@ -177,31 +276,7 @@ class TestPruningSoundness:
     def unpruned_verdict(self, t):
         """Re-decide cS-W by enumerating every pattern and filtering with the
         definition directly, bypassing the generator's pruning rules."""
-        k, n = t.k, t.n
-        for flat in product((-1, 0, 1), repeat=(k + 1) * n):
-            signs = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(k + 1))
-            if any(
-                signs[i][r] * signs[j][r] < 0
-                for i in range(1, k + 1)
-                for j in range(i + 1, k + 1)
-                for r in range(n)
-            ):
-                continue
-            if any(
-                signs[0][r] * signs[i][r] > 0
-                for i in range(1, k + 1)
-                for r in range(n)
-            ):
-                continue
-            if not any(
-                signs[s][r] != 0 and signs[s + 1][r] != 0
-                for s in range(k)
-                for r in range(n)
-            ):
-                continue
-            if pattern_realizable(t, signs) is not None:
-                return False
-        return True
+        return all(pattern_realizable(t, signs) is None for signs in reference_patterns(t, "csw"))
 
     def test_matches_pruned_enumeration_on_small_tuples(self):
         for i in range(12):
@@ -210,6 +285,12 @@ class TestPruningSoundness:
         for i in range(12):
             t = gen_tuple(GenSpec(2, 1, "generic", 2, subseed(41, i)))
             assert check_csw(t, use_fast_paths=False).holds == self.unpruned_verdict(t)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (3, 2)])
+    def test_generator_yields_the_filtered_product_in_order(self, mode, n, k):
+        t = make_tuple([identity(n)] * (k + 1))
+        assert list(_violating_patterns(t, mode)) == list(reference_patterns(t, mode))
 
     def test_canonical_pattern_order_is_row_major(self):
         t = make_tuple([[[1]], [[1]]])

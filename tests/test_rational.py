@@ -46,6 +46,7 @@ class TestRat:
             ("-7", Fraction(-7)),
             ("0.25", Fraction(1, 4)),
             (0.5, Fraction(1, 2)),
+            ("1e1000", Fraction(10**1000)),
         ],
     )
     def test_parses(self, raw, expected):
@@ -56,7 +57,11 @@ class TestRat:
         assert rat(0.1) == Fraction(1, 10)
 
     @pytest.mark.parametrize(
-        "raw", ["abc", "1/0", True, None, [1], float("inf"), float("-inf"), float("nan")]
+        "raw",
+        [
+            "abc", "1/0", True, None, [1], float("inf"), float("-inf"), float("nan"),
+            "1e100000000", "-2.5E-1001",
+        ],
     )
     def test_rejects_garbage(self, raw):
         with pytest.raises(InputError):
