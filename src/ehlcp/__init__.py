@@ -31,7 +31,6 @@ from .harness import (
     TheoremReport,
     gen_instance,
     gen_tuple,
-    paper_example_suite,
     verify_theorem,
 )
 from .linprog import LpResult, lp_solve
@@ -64,5 +63,4 @@ from .solver import (
     is_solution,
     solve_all,
     solve_branch,
-    solve_m_fast,
 )

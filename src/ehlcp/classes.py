@@ -46,12 +46,12 @@ def is_m(m: Mat) -> PropertyVerdict:
     return PropertyVerdict("m", True, None, "Z-matrix with nonnegative inverse")
 
 
-def principal_minors(m: Mat, cap: int = MINOR_CAP) -> list:
+def principal_minors(m: Mat) -> list:
     """All 2^n - 1 principal minors as (index_set, value), index sets in
     lexicographic order; indices are 1-based."""
     n = require_square(m)
-    if n > cap:
-        raise CapExceeded(f"principal minor enumeration capped at n <= {cap}")
+    if n > MINOR_CAP:
+        raise CapExceeded(f"principal minor enumeration capped at n <= {MINOR_CAP}")
     out = []
     for subset in _index_subsets(n):
         sub = tuple(tuple(m[i][j] for j in subset) for i in subset)

@@ -32,7 +32,6 @@ from .io import (
     instance_to_json,
     load_instance,
     piece_to_json,
-    solution_to_json,
     verdict_to_json,
 )
 from .representatives import (
@@ -40,7 +39,7 @@ from .representatives import (
     check_column_w,
     check_column_w0,
 )
-from .solver import solve_all, solve_m_fast
+from .solver import solve_all
 
 
 def _per_matrix(oracle, t) -> dict:
@@ -51,9 +50,9 @@ def _per_matrix(oracle, t) -> dict:
 # The lambdas look oracles up when called, so rebinding a module attribute
 # (as a call tracer does) reaches every dispatch.
 PROPERTIES = {
-    "column_w": lambda t, a: check_column_w(t, exhaustive=a.exhaustive, force=a.force),
-    "column_w0": lambda t, a: check_column_w0(t, force=a.force),
-    "column_ndw": lambda t, a: check_column_ndw_det(t, force=a.force),
+    "column_w": lambda t, a: check_column_w(t, exhaustive=a.exhaustive),
+    "column_w0": lambda t, a: check_column_w0(t),
+    "column_ndw": lambda t, a: check_column_ndw_det(t),
     "column_ndw_def": lambda t, a: check_column_ndw_def(t),
     "csw": lambda t, a: check_csw(t),
     "cone_csw": lambda t, a: check_cone_csw(t),
@@ -105,28 +104,14 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _solve_payload(inst, fast_m: bool) -> dict:
-    payload: dict = {}
-    if fast_m:
-        fast = solve_m_fast(inst)
-        if fast is not None:
-            payload["path"] = "m_fast"
-            payload["pieces"] = [
-                {"branch": None, "point": solution_to_json(fast),
-                 "dimension": 0, "kernel_basis": []}
-            ]
-            return payload
-        payload["path"] = "enumeration (fast path hypotheses not met)"
-    else:
-        payload["path"] = "enumeration"
-    payload["pieces"] = [piece_to_json(p) for p in solve_all(inst)]
-    return payload
+def _solve_payload(inst) -> dict:
+    return {"path": "enumeration", "pieces": [piece_to_json(p) for p in solve_all(inst)]}
 
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.file)
     started = time.monotonic()
-    payload = _solve_payload(inst, args.fast_m)
+    payload = _solve_payload(inst)
     report = {
         "command": "solve",
         "version": __version__,
@@ -134,7 +119,7 @@ def cmd_solve(args) -> int:
     }
     report.update(payload)
     if args.recheck:
-        again = _solve_payload(inst, args.fast_m)
+        again = _solve_payload(inst)
         if again != payload:
             print("recheck mismatch: pieces are not reproducible", file=sys.stderr)
             return 4
@@ -166,12 +151,7 @@ def cmd_gen(args) -> int:
     doc = instance_to_json(inst)
     doc["family"] = spec.family
     doc["seed"] = spec.seed
-    text = dump_json(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, args.out)
     return 0
 
 
@@ -198,16 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of: " + ",".join(ALL_PROPS))
     p.add_argument("--exhaustive", action="store_true",
                    help="report every violating selector, not just the first")
-    p.add_argument("--force", action="store_true",
-                   help="override the representative enumeration cap")
     p.add_argument("--recheck", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve an EHLCP instance file")
     p.add_argument("--file", required=True)
-    p.add_argument("--fast-m", dest="fast_m", action="store_true",
-                   help="try the M-matrix closed form first")
     p.add_argument("--recheck", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)

@@ -36,9 +36,9 @@ PATTERN_CAP_ENV = "EHLCP_MAX_PATTERN_COMPONENTS"
 SYMBOLS = (-1, 0, 1)  # canonical symbol order (-, 0, +)
 
 
-def pattern_cap(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return explicit
+def pattern_cap() -> int:
+    """Largest (k+1)*n the sign-pattern deciders accept: the integer in
+    EHLCP_MAX_PATTERN_COMPONENTS, or PATTERN_CAP_DEFAULT when it is unset."""
     env = os.environ.get(PATTERN_CAP_ENV)
     if env is None:
         return PATTERN_CAP_DEFAULT
@@ -48,13 +48,13 @@ def pattern_cap(explicit: Optional[int] = None) -> int:
         raise InputError(f"{PATTERN_CAP_ENV} must be an integer, got {env!r}") from exc
 
 
-def _require_within_cap(t: MatrixTuple, cap: Optional[int]) -> None:
-    limit = pattern_cap(cap)
+def _require_within_cap(t: MatrixTuple) -> None:
+    limit = pattern_cap()
     size = (t.k + 1) * t.n
     if size > limit:
         raise UndecidedSize(
             f"undecided: size ((k+1)*n = {size} exceeds pattern cap {limit}; "
-            f"raise it via {PATTERN_CAP_ENV} or an explicit cap argument)"
+            f"raise it via {PATTERN_CAP_ENV})"
         )
 
 
@@ -136,6 +136,11 @@ def _cocircuits(t: MatrixTuple) -> list:
     width = len(basis[0])
     found = {}
     for cols in combinations(range(width), rank - 1):
+        # columns inside a found cocircuit's zero set span its hyperplane or
+        # are dependent, so they yield that cocircuit again or none
+        mask = sum(1 << e for e in cols)
+        if any(mask & (y_pos | y_neg) == 0 for y_pos, y_neg in found):
+            continue
         # y . B[:, e] = 0 for e in cols; with no columns, every y qualifies
         system = [[b[e] for b in basis] for e in cols] or [list(zeros(rank))]
         kernel = solve_linear(system, zeros(len(system))).kernel_basis
@@ -231,11 +236,7 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
     return None
 
 
-def check_csw(
-    t: MatrixTuple,
-    cap: Optional[int] = None,
-    use_fast_paths: bool = True,
-) -> PropertyVerdict:
+def check_csw(t: MatrixTuple, use_fast_paths: bool = True) -> PropertyVerdict:
     """Column sufficient-W property of the tuple.
 
     Fast path 1: the column W-property implies cS-W.  Fast path 2: all
@@ -248,37 +249,33 @@ def check_csw(
             return PropertyVerdict("csw", True, decided_by="fast_path_column_w")
         if check_column_ndw_det(t).holds:
             witness = None
-            if (t.k + 1) * t.n <= pattern_cap(cap):
+            if (t.k + 1) * t.n <= pattern_cap():
                 witness = _first_violation(t, "csw")
             return PropertyVerdict("csw", False, witness, decided_by="fast_path_ndw_not_w")
-    _require_within_cap(t, cap)
+    _require_within_cap(t)
     witness = _first_violation(t, "csw")
     return PropertyVerdict("csw", witness is None, witness, decided_by="pattern_enumeration")
 
 
-def check_cone_csw(
-    t: MatrixTuple,
-    cap: Optional[int] = None,
-    use_fast_paths: bool = True,
-) -> PropertyVerdict:
+def check_cone_csw(t: MatrixTuple, use_fast_paths: bool = True) -> PropertyVerdict:
     """Cone variant: quantified x_1, ..., x_k restricted to the nonnegative
     orthant.  Only the column W fast path is sound here; failing cS-W does
     not in general fail the cone property."""
     if use_fast_paths and check_column_w(t).holds:
         return PropertyVerdict("cone_csw", True, decided_by="fast_path_column_w")
-    _require_within_cap(t, cap)
+    _require_within_cap(t)
     witness = _first_violation(t, "cone")
     return PropertyVerdict(
         "cone_csw", witness is None, witness, decided_by="pattern_enumeration"
     )
 
 
-def check_column_ndw_def(t: MatrixTuple, cap: Optional[int] = None) -> PropertyVerdict:
+def check_column_ndw_def(t: MatrixTuple) -> PropertyVerdict:
     """Definition-based column ND-W decision via disjoint-support patterns.
 
     Exists to cross-validate the determinant route; the two must agree.
     """
-    _require_within_cap(t, cap)
+    _require_within_cap(t)
     witness = _first_violation(t, "ndw")
     certificate = (
         "no nonzero disjoint-support kernel pattern is realizable" if witness is None
@@ -287,11 +284,11 @@ def check_column_ndw_def(t: MatrixTuple, cap: Optional[int] = None) -> PropertyV
     return PropertyVerdict("column_ndw_def", witness is None, witness, certificate)
 
 
-def check_x_column_sufficiency(a: Mat, b: Mat, cap: Optional[int] = None) -> PropertyVerdict:
+def check_x_column_sufficiency(a: Mat, b: Mat) -> PropertyVerdict:
     """X-column-sufficiency of the pair (a, b): C_0 x_0 - C_1 x_1 = 0 and
     x_0 * x_1 <= 0 force x_0 * x_1 = 0.  This is the k = 1 specialization of
     the cS-W decision."""
-    verdict = check_csw(make_tuple([a, b]), cap=cap)
+    verdict = check_csw(make_tuple([a, b]))
     certificate = (
         "decided by " + verdict.decided_by
         + ("" if verdict.holds else "; witness violates x_0 * x_1 = 0")

@@ -14,7 +14,8 @@ class DimensionError(InputError):
 
 
 class CapExceeded(RuntimeError):
-    """A resource guardrail was hit; the message names the cap and override."""
+    """A resource guardrail was hit; the message names the cap and its limit.
+    No argument or flag overrides a cap; only EHLCP_MAX_PATTERN_COMPONENTS sets one."""
 
 
 class UndecidedSize(CapExceeded):

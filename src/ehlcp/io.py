@@ -62,11 +62,9 @@ def parse_instance(doc: Any) -> EhlcpInstance:
     d_raw = doc.get("d", [])
     if d_raw is None:
         d_raw = []
-    if not isinstance(d_raw, list) or len(d_raw) != k - 1:
+    if not isinstance(d_raw, list):
         raise InputError("d must contain exactly k - 1 vectors")
     d = tuple(_parse_vector(dj, n, "each d_j") for dj in d_raw)
-    if any(x <= 0 for dj in d for x in dj):
-        raise InputError("d must be strictly positive")
     q_raw = doc.get("q")
     q = zeros(n) if q_raw is None else _parse_vector(q_raw, n, "q")
     return EhlcpInstance(t, d, q)

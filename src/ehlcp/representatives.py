@@ -79,32 +79,29 @@ def representative_matrix(t: MatrixTuple, selector: tuple) -> Mat:
     )
 
 
-def _check_selector_cap(t: MatrixTuple, force: bool) -> None:
+def check_selector_cap(t: MatrixTuple) -> None:
+    """Refuse, before any selector is visited, a tuple with more than
+    SELECTOR_CAP column selectors; the cap has no override."""
     count = selector_count(t.n, t.k)
-    if count > SELECTOR_CAP and not force:
-        raise CapExceeded(
-            f"(k+1)^n = {count} exceeds the selector cap {SELECTOR_CAP}; "
-            "pass force=True (CLI: --force) to override"
-        )
+    if count > SELECTOR_CAP:
+        raise CapExceeded(f"(k+1)^n = {count} exceeds the selector cap {SELECTOR_CAP}")
 
 
-def representative_dets(t: MatrixTuple, force: bool = False) -> Iterator[tuple]:
+def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
     """Yield (selector, determinant) over all representatives, in order."""
-    _check_selector_cap(t, force)
+    check_selector_cap(t)
     for sel in selectors(t.n, t.k):
         yield sel, det(representative_matrix(t, sel))
 
 
-def check_column_w(
-    t: MatrixTuple, exhaustive: bool = False, force: bool = False
-) -> PropertyVerdict:
+def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
     """Column W-property: every representative determinant strictly positive,
     or every one strictly negative."""
     name = "column_w"
     sign = 0
     first_sel = None
     violations = []
-    for sel, d in representative_dets(t, force):
+    for sel, d in representative_dets(t):
         if d == 0:
             violations.append({"selector": list(sel), "determinant": "0"})
         elif sign == 0:
@@ -129,12 +126,12 @@ def check_column_w(
     )
 
 
-def check_column_w0(t: MatrixTuple, force: bool = False) -> PropertyVerdict:
+def check_column_w0(t: MatrixTuple) -> PropertyVerdict:
     """Column W0-property: determinants all >= 0 with one > 0, or all <= 0
     with one < 0."""
     name = "column_w0"
     pos = neg = None
-    for sel, d in representative_dets(t, force):
+    for sel, d in representative_dets(t):
         if d > 0 and pos is None:
             pos = {"selector": list(sel), "determinant": rat_str(d)}
         elif d < 0 and neg is None:
@@ -155,11 +152,11 @@ def check_column_w0(t: MatrixTuple, force: bool = False) -> PropertyVerdict:
     )
 
 
-def check_column_ndw_det(t: MatrixTuple, force: bool = False) -> PropertyVerdict:
+def check_column_ndw_det(t: MatrixTuple) -> PropertyVerdict:
     """Determinant form of the column ND-W property: no representative is
     singular."""
     name = "column_ndw"
-    for sel, d in representative_dets(t, force):
+    for sel, d in representative_dets(t):
         if d == 0:
             return PropertyVerdict(
                 name, False, {"selector": list(sel), "determinant": "0"},

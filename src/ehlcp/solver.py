@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .classes import is_m
-from .errors import CapExceeded, DimensionError, InputError, InvariantError
+from .errors import DimensionError, InputError, InvariantError
 from .linprog import lp_solve
-from .rational import Vec, identity, inverse, mat_vec, pointwise, solve_linear, zeros
-from .representatives import SELECTOR_CAP, MatrixTuple, selector_count, selectors
+from .rational import Vec, identity, mat_vec, pointwise, solve_linear, zeros
+from .representatives import MatrixTuple, check_selector_cap, selectors
 
 
 @dataclass(frozen=True)
@@ -241,12 +240,7 @@ def solve_all(inst: EhlcpInstance) -> list:
     before right, so the first occurrence of a repeated point is kept.
     """
     t = inst.matrix_tuple
-    count = selector_count(t.n, t.k)
-    if count > SELECTOR_CAP:
-        raise CapExceeded(
-            f"(k+1)^n = {count} exceeds the selector cap {SELECTOR_CAP}; "
-            "solve has no override"
-        )
+    check_selector_cap(t)
     pieces = []
     seen_points = set()
     for s in sorted(selectors(t.n, t.k), key=lambda s: branch_label(s, t.k)):
@@ -260,19 +254,3 @@ def solve_all(inst: EhlcpInstance) -> list:
             seen_points.add(key)
         pieces.append(piece)
     return pieces
-
-
-def solve_m_fast(inst: EhlcpInstance) -> Optional[SolutionTuple]:
-    """Closed-form solution (C_0^{-1} q, 0, ..., 0) when C_0 is an M-matrix
-    and q is strictly positive; None when the hypotheses fail."""
-    t = inst.matrix_tuple
-    if any(x <= 0 for x in inst.q):
-        return None
-    if not is_m(t.mats[0]).holds:
-        return None
-    inv = inverse(t.mats[0])
-    x0 = mat_vec(inv, inst.q)
-    candidate = SolutionTuple((tuple(x0),) + tuple(zeros(t.n) for _ in range(t.k)))
-    if not is_solution(inst, candidate):
-        return None
-    return candidate

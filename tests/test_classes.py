@@ -95,8 +95,9 @@ class TestPrincipalMinors:
         assert len(principal_minors(identity(3))) == 7
 
     def test_cap(self):
+        # MINOR_CAP is 16: a 17 x 17 matrix would need 2^17 - 1 minors
         with pytest.raises(CapExceeded):
-            principal_minors(identity(2), cap=1)
+            principal_minors(identity(17))
 
 
 class TestPAndNondegenerate:

@@ -100,6 +100,17 @@ class TestCheck:
         assert code == 3
         assert "undecided: size" in err
 
+    def test_check_selector_cap_exits_3(self, tmp_path, capsys):
+        # 2^20 = 1 048 576 representatives exceed the same cap solve uses
+        n = 20
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        doc = {"n": n, "k": 1, "C": [eye, eye], "q": [0] * n}
+        path = write_doc(tmp_path, doc)
+        code, out, err = run_main(["check", "--file", path, "--props", "column_w"], capsys)
+        assert code == 3 and out == ""
+        assert "selector cap" in err
+        assert "--force" not in err
+
 
 class TestSolve:
     def test_split_instance(self, tmp_path, capsys):
@@ -120,14 +131,21 @@ class TestSolve:
         dims = [p["dimension"] for p in json.loads(out)["pieces"]]
         assert 1 in dims
 
-    def test_fast_m_path(self, tmp_path, capsys):
-        doc = {"n": 2, "k": 1, "C": [[[2, -1], [-1, 2]], [[0, 1], [-1, 0]]], "q": [1, 1]}
+    def test_m_matrix_without_csw_has_four_points(self, tmp_path, capsys):
+        # C_0 = I is an M-matrix and q > 0, but (I, -I) is not cS-W, so the
+        # closed form (q, 0) is one of four solutions
+        doc = {"n": 2, "k": 1, "C": [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]], "q": [1, 1]}
         path = write_doc(tmp_path, doc)
-        code, out, _ = run_main(["solve", "--file", path, "--fast-m"], capsys)
+        code, out, _ = run_main(["solve", "--file", path], capsys)
         assert code == 0
-        report = json.loads(out)
-        assert report["path"] == "m_fast"
-        assert report["pieces"][0]["point"] == [["1", "1"], ["0", "0"]]
+        pieces = json.loads(out)["pieces"]
+        assert [p["dimension"] for p in pieces] == [0, 0, 0, 0]
+        assert sorted(p["point"] for p in pieces) == [
+            [["0", "0"], ["1", "1"]],
+            [["0", "1"], ["1", "0"]],
+            [["1", "0"], ["0", "1"]],
+            [["1", "1"], ["0", "0"]],
+        ]
 
     def test_out_file(self, tmp_path, capsys):
         doc = {"n": 1, "k": 1, "C": [[[1]], [[1]]], "q": [1]}

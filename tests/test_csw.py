@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -21,7 +21,7 @@ from ehlcp.csw import (
 )
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
-from ehlcp.rational import identity, mat_vec, pointwise
+from ehlcp.rational import _rref, identity, mat_vec, pointwise, solve_linear, zeros
 from ehlcp.representatives import check_column_ndw_det, make_tuple
 
 
@@ -129,6 +129,27 @@ class TestPatternRealizable:
         assert xs[0][1] >= 1 and xs[1][0] <= -1
 
 
+def reference_cocircuits(t):
+    """_cocircuits without the zero-set skip: one solve per (rank-1)-subset."""
+    rows = csw._stacked_rows(t)
+    rank = len(_rref(rows))
+    if rank == 0:
+        return []
+    basis = rows[:rank]
+    width = len(basis[0])
+    found = {}
+    for cols in combinations(range(width), rank - 1):
+        system = [[b[e] for b in basis] for e in cols] or [list(zeros(rank))]
+        kernel = solve_linear(system, zeros(len(system))).kernel_basis
+        if len(kernel) == 1:
+            values = [sum(y * b[e] for y, b in zip(kernel[0], basis)) for e in range(width)]
+            pos = sum(1 << e for e, v in enumerate(values) if v > 0)
+            neg = sum(1 << e for e, v in enumerate(values) if v < 0)
+            lowest = (pos | neg) & -(pos | neg)
+            found[(neg, pos) if neg & lowest else (pos, neg)] = None
+    return list(found)
+
+
 class TestCocircuitRealizability:
     @staticmethod
     def tuples(n, k, seed):
@@ -161,6 +182,25 @@ class TestCocircuitRealizability:
                             outcomes[realizable] += 1
         # both answers occur often enough for the agreement to mean something
         assert min(outcomes.values()) >= 100, outcomes
+
+    def test_cocircuits_match_the_unskipped_reference(self):
+        shapes = [(n, k, "generic") for n in (1, 2, 3) for k in (1, 2)]
+        shapes += [(4, 2, "generic"), (4, 2, "column_w_constructive")]
+        for n, k, family in shapes:
+            for seed in range(3):
+                for t in self.tuples(n, k, subseed(47, seed)):
+                    assert _cocircuits(t) == reference_cocircuits(t), (t, family)
+                t = gen_tuple(GenSpec(n, k, family, 2, seed))
+                assert _cocircuits(t) == reference_cocircuits(t), (t, family)
+
+    def test_zero_set_skip_bounds_linear_solves(self, monkeypatch):
+        # 1 365 subsets of 4 of the 15 columns span only 5 hyperplanes
+        calls = []
+        real = csw.solve_linear
+        monkeypatch.setattr(csw, "solve_linear", lambda *a: calls.append(a) or real(*a))
+        t = gen_tuple(GenSpec(5, 2, "column_w_constructive", 2, 0))
+        assert len(_cocircuits(t)) == 5
+        assert len(calls) == 5
 
     def test_lp_disagreement_is_an_invariant_error(
         self, zero_padded_identity, tmp_path, capsys, monkeypatch
@@ -210,9 +250,14 @@ class TestCheckCsw:
         assert verdict.decided_by == "fast_path_ndw_not_w"
         assert_witness_valid(t, verdict.witness, "consecutive")
 
-    def test_cap_raises_undecided(self, worked_triple):
-        with pytest.raises(UndecidedSize):
-            check_csw(worked_triple, cap=5, use_fast_paths=False)
+    def test_cap_raises_undecided(self, worked_triple, monkeypatch):
+        # (k+1)*n = 6 exceeds a cap of 5 for every sign-pattern decider
+        monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "5")
+        with pytest.raises(UndecidedSize, match="EHLCP_MAX_PATTERN_COMPONENTS"):
+            check_csw(worked_triple, use_fast_paths=False)
+        for decide in (check_cone_csw, check_column_ndw_def):
+            with pytest.raises(UndecidedSize, match="EHLCP_MAX_PATTERN_COMPONENTS"):
+                decide(worked_triple)
 
     def test_env_cap_override(self, worked_triple, monkeypatch):
         monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "5")

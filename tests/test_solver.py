@@ -1,4 +1,4 @@
-"""Column-selector solver: validity checks, pieces, golden output, fast path."""
+"""Column-selector solver: validity checks, pieces, golden output, closed form."""
 
 import hashlib
 from fractions import Fraction
@@ -26,7 +26,6 @@ from ehlcp.solver import (
     is_solution,
     solve_all,
     solve_branch,
-    solve_m_fast,
 )
 
 
@@ -334,33 +333,20 @@ class TestGoldenOutput:
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[label]
 
 
-class TestSolveMFast:
+class TestClosedFormSolution:
+    """C_0 an M-matrix and q > 0 on a cS-W tuple: the only solution is
+    (C_0^{-1} q, 0, ..., 0)."""
+
     def test_tridiagonal_closed_form(self):
         t = make_tuple([[[2, -1], [-1, 2]], [[0, 1], [-1, 0]]])
-        inst = EhlcpInstance(t, (), (F(1), F(1)))
-        fast = solve_m_fast(inst)
-        assert fast is not None
-        assert fast.xs == ((F(1), F(1)), (F(0), F(0)))
+        pieces = solve_all(EhlcpInstance(t, (), (F(1), F(1))))
+        assert [(p.piece_dimension, p.point.xs) for p in pieces] == [
+            (0, ((F(1), F(1)), (F(0), F(0))))
+        ]
 
     def test_identity_k2(self):
         t = make_tuple([identity(2), identity(2), identity(2)])
-        inst = EhlcpInstance(t, ((F(1), F(1)),), (F(3), F(4)))
-        fast = solve_m_fast(inst)
-        assert fast.xs == ((F(3), F(4)), (F(0), F(0)), (F(0), F(0)))
-
-    def test_nonpositive_q_rejected(self):
-        t = make_tuple([identity(2), identity(2)])
-        inst = EhlcpInstance(t, (), (F(1), F(-1)))
-        assert solve_m_fast(inst) is None
-
-    def test_non_m_rejected(self):
-        t = make_tuple([[[0, 1], [-1, 0]], identity(2)])
-        inst = EhlcpInstance(t, (), (F(1), F(1)))
-        assert solve_m_fast(inst) is None
-
-    def test_fast_point_appears_in_solve_all(self):
-        t = make_tuple([[[2, -1], [-1, 2]], identity(2)])
-        inst = EhlcpInstance(t, (), (F(1), F(1)))
-        fast = solve_m_fast(inst)
-        points = {p.point.xs for p in solve_all(inst) if p.piece_dimension == 0}
-        assert fast.xs in points
+        pieces = solve_all(EhlcpInstance(t, ((F(1), F(1)),), (F(3), F(4))))
+        assert [(p.piece_dimension, p.point.xs) for p in pieces] == [
+            (0, ((F(3), F(4)), (F(0), F(0)), (F(0), F(0))))
+        ]
