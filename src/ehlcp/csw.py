@@ -236,7 +236,7 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
     return None
 
 
-def check_csw(t: MatrixTuple, use_fast_paths: bool = True) -> PropertyVerdict:
+def check_csw(t: MatrixTuple) -> PropertyVerdict:
     """Column sufficient-W property of the tuple.
 
     Fast path 1: the column W-property implies cS-W.  Fast path 2: all
@@ -244,24 +244,23 @@ def check_csw(t: MatrixTuple, use_fast_paths: bool = True) -> PropertyVerdict:
     the witness is still located by pattern enumeration when the size cap
     allows it.  decided_by names the rule that decided.
     """
-    if use_fast_paths:
-        if check_column_w(t).holds:
-            return PropertyVerdict("csw", True, decided_by="fast_path_column_w")
-        if check_column_ndw_det(t).holds:
-            witness = None
-            if (t.k + 1) * t.n <= pattern_cap():
-                witness = _first_violation(t, "csw")
-            return PropertyVerdict("csw", False, witness, decided_by="fast_path_ndw_not_w")
+    if check_column_w(t).holds:
+        return PropertyVerdict("csw", True, decided_by="fast_path_column_w")
+    if check_column_ndw_det(t).holds:
+        witness = None
+        if (t.k + 1) * t.n <= pattern_cap():
+            witness = _first_violation(t, "csw")
+        return PropertyVerdict("csw", False, witness, decided_by="fast_path_ndw_not_w")
     _require_within_cap(t)
     witness = _first_violation(t, "csw")
     return PropertyVerdict("csw", witness is None, witness, decided_by="pattern_enumeration")
 
 
-def check_cone_csw(t: MatrixTuple, use_fast_paths: bool = True) -> PropertyVerdict:
+def check_cone_csw(t: MatrixTuple) -> PropertyVerdict:
     """Cone variant: quantified x_1, ..., x_k restricted to the nonnegative
     orthant.  Only the column W fast path is sound here; failing cS-W does
     not in general fail the cone property."""
-    if use_fast_paths and check_column_w(t).holds:
+    if check_column_w(t).holds:
         return PropertyVerdict("cone_csw", True, decided_by="fast_path_column_w")
     _require_within_cap(t)
     witness = _first_violation(t, "cone")

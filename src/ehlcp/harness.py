@@ -537,6 +537,8 @@ def verify_theorem(theorem_id: str, trials: int, spec: GenSpec) -> TheoremReport
     injected golden tuples; every violation payload is replayable."""
     if theorem_id not in _SUITES:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
+    if trials < 0:
+        raise InputError(f"trials must be nonnegative, got {trials}")
     check, default_family = _SUITES[theorem_id]
     if default_family is not None and spec.family == "generic":
         spec = GenSpec(spec.n, spec.k, default_family, spec.entry_range, spec.seed)

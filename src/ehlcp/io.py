@@ -8,7 +8,6 @@ are serialized back as exact strings, never floats.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .errors import InputError
@@ -71,12 +70,14 @@ def parse_instance(doc: Any) -> EhlcpInstance:
 
 
 def load_instance(path: str) -> EhlcpInstance:
+    """Read and validate an instance file.  Number literals go through rat,
+    so they meet the same guards as numbers written as strings."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=Fraction)
+            doc = json.load(fh, parse_float=rat, parse_int=rat)
     except OSError as exc:
         raise InputError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"invalid JSON in instance file: {exc}") from exc
     return parse_instance(doc)
 

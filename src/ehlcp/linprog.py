@@ -2,18 +2,23 @@
 
 Variables are free; constraints are equalities (row . x = rhs) and
 inequalities (row . x >= rhs); the objective is maximized.  Bland's
-least-index rule guarantees termination.  Everything is Fraction-exact,
-which is what makes the downstream sign-pattern decisions trustworthy.
+least-index rule guarantees termination.  Everything is exact, which is
+what makes the downstream sign-pattern decisions trustworthy: the tableau,
+with the reduced-cost row as its last row, is held in integers as the
+rational tableau times a positive scale, and each pivot is
+rational.pivot_step, so every sign test, ratio and tie-break is the
+rational tableau's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionError
-from .rational import Vec, rat
+from .rational import Vec, int_row, pivot_step, rat
 
 Constraint = tuple  # (row: Vec, rhs: Fraction)
 
@@ -25,55 +30,45 @@ class LpResult:
     objective_value: Optional[Fraction] = None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int, prev: int) -> int:
+    """One simplex pivot on the integer tableau tab = prev * (rational
+    tableau); returns the new scale, kept positive so that every sign test
+    reads the rational tableau's sign."""
+    pivot_step(tab, row, col, prev)
     basis[row] = col
+    piv = tab[row][col]
+    if piv < 0:
+        tab[:] = [[-x for x in r] for r in tab]
+    return abs(piv)
 
 
-def _run_simplex(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
-    """Maximize cost over the tableau rows [A | b]; Bland's rule throughout.
-
-    A reduced-cost row is maintained alongside the constraint rows so the
-    entering-column scan is a lookup instead of an m-term dot product.
-    """
-    m = len(tab)
-    n_vars = len(cost)
-    zero = Fraction(0)
-    reduced = [
-        cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m) if tab[i][j])
-        for j in range(n_vars)
-    ]
+def _run_simplex(tab: list[list[int]], basis: list[int], cost: list,
+                 prev: int) -> tuple[str, int]:
+    """Maximize cost over the tableau rows [A | b] with Bland's rule; returns
+    the status and the tableau's new scale.  The reduced-cost row, scaled to
+    integers, is pivoted as the tableau's last row during the run."""
+    cost_int = int_row(cost, lcm(*(c.denominator for c in cost))) + [0]
+    tab.append([
+        cost_int[j] * prev - sum(cost_int[b] * row[j] for b, row in zip(basis, tab) if row[j])
+        for j in range(len(cost_int))
+    ])
+    m = len(basis)
     while True:
-        enter = -1
-        for j in range(n_vars):
-            if reduced[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(len(cost)) if tab[-1][j] > 0), -1)
         if enter < 0:
-            return "optimal"
+            break
         leave = -1
-        best: Optional[Fraction] = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            # Bland: least ratio tab[i][-1] / tab[i][enter], then least basic index
+            a = tab[i][enter]
+            if a > 0 and (leave < 0 or (tab[i][-1] * tab[leave][enter], basis[i])
+                          < (tab[leave][-1] * a, basis[leave])):
+                leave = i
         if leave < 0:
-            return "unbounded"
-        _pivot(tab, basis, leave, enter)
-        f = reduced[enter]
-        if f:
-            pivot_row = tab[leave]
-            for j in range(n_vars):
-                if pivot_row[j]:
-                    reduced[j] -= f * pivot_row[j]
-            reduced[enter] = zero
+            break
+        prev = _pivot(tab, basis, leave, enter, prev)
+    tab.pop()
+    return ("optimal" if enter < 0 else "unbounded"), prev
 
 
 def lp_solve(
@@ -82,59 +77,50 @@ def lp_solve(
     ineq: Sequence[Constraint] = (),
 ) -> LpResult:
     """Maximize objective . x subject to eq rows (= rhs) and ineq rows (>= rhs)."""
-    dim = len(objective)
-    for row, _ in list(eq) + list(ineq):
+    dim, n_eq, n_ineq = len(objective), len(eq), len(ineq)
+    # standard form: x = u - v with u, v >= 0, plus one surplus per inequality,
+    # each row negated where needed so that its right-hand side is >= 0
+    n_std = 2 * dim + n_ineq
+    rows = []
+    for idx, (row, rhs) in enumerate([*eq, *ineq]):
         if len(row) != dim:
             raise DimensionError("constraint row dimension mismatch")
-
-    # standard form: x = u - v with u, v >= 0, plus one surplus per inequality
-    n_ineq = len(ineq)
-    n_std = 2 * dim + n_ineq
-    rows: list[list[Fraction]] = []
-    for row, rhs in eq:
-        rows.append([rat(x) for x in row] + [-rat(x) for x in row]
-                    + [Fraction(0)] * n_ineq + [rat(rhs)])
-    for idx, (row, rhs) in enumerate(ineq):
-        surplus = [Fraction(0)] * n_ineq
-        surplus[idx] = Fraction(-1)
-        rows.append([rat(x) for x in row] + [-rat(x) for x in row]
-                    + surplus + [rat(rhs)])
-    for row in rows:
-        if row[-1] < 0:
-            row[:] = [-x for x in row]
+        x = [rat(v) for v in row]
+        std = x + [-v for v in x] + [-int(s == idx - n_eq) for s in range(n_ineq)] + [rat(rhs)]
+        rows.append(std if std[-1] >= 0 else [-v for v in std])
 
     m = len(rows)
-    # phase 1: artificial basis, maximize -(sum of artificials)
-    tab = [row[:-1] + [Fraction(1 if j == i else 0) for j in range(m)] + [row[-1]]
+    # phase 1: artificial basis, maximize -(sum of artificials).  One common
+    # integer scale over [A | b] and an unscaled artificial identity keep the
+    # phase-1 objective a positive multiple of the rational one.
+    mult = lcm(*(v.denominator for row in rows for v in row))
+    tab = [int_row(row[:-1], mult) + [int(j == i) for j in range(m)] + int_row(row[-1:], mult)
            for i, row in enumerate(rows)]
     basis = [n_std + i for i in range(m)]
-    cost1 = [Fraction(0)] * n_std + [Fraction(-1)] * m
-    _run_simplex(tab, basis, cost1)
+    cost1 = [0] * n_std + [-1] * m
+    _, prev = _run_simplex(tab, basis, cost1, 1)
     if sum(tab[i][-1] for i in range(m) if basis[i] >= n_std) != 0:
         return LpResult("infeasible")
-    # drive remaining (zero-valued) artificials out of the basis
-    drop_rows = []
+    # drive the remaining (zero-valued) artificials out of the basis; a row
+    # with no nonzero original column is redundant and is dropped
     for i in range(m):
         if basis[i] >= n_std:
-            col = next((j for j in range(n_std) if tab[i][j] != 0), None)
-            if col is None:
-                drop_rows.append(i)
-            else:
-                _pivot(tab, basis, i, col)
-    for i in sorted(drop_rows, reverse=True):
-        del tab[i]
-        del basis[i]
+            col = next((j for j in range(n_std) if tab[i][j]), None)
+            if col is not None:
+                prev = _pivot(tab, basis, i, col, prev)
+    keep = [i for i in range(m) if basis[i] < n_std]
 
     # phase 2 on the original columns
-    tab = [row[:n_std] + [row[-1]] for row in tab]
+    tab = [tab[i][:n_std] + tab[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
     obj = [rat(x) for x in objective]
-    cost2 = obj + [-x for x in obj] + [Fraction(0)] * n_ineq
-    status = _run_simplex(tab, basis, cost2)
+    cost2 = obj + [-x for x in obj] + [0] * n_ineq
+    status, prev = _run_simplex(tab, basis, cost2, prev)
     if status == "unbounded":
         return LpResult("unbounded")
     values = [Fraction(0)] * n_std
     for i, b in enumerate(basis):
-        values[b] = tab[i][-1]
+        values[b] = Fraction(tab[i][-1], prev)
     point = tuple(values[j] - values[dim + j] for j in range(dim))
     value = sum(o * p for o, p in zip(obj, point))
     return LpResult("optimal", point, value)

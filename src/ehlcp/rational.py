@@ -3,16 +3,23 @@
 Scalars are ``fractions.Fraction`` throughout; vectors are tuples of
 Fractions and matrices are tuples of row tuples.  Nothing in this module
 ever rounds, so every sign test downstream is reliable.
+
+The package has one elimination step, pivot_step: a fraction-free
+Gauss-Jordan pivot (Bareiss 1968) on rows scaled to integers, which keeps
+every entry an integer minor.  The determinant is the last pivot, the RREF
+behind solve_linear and inverse is the rows divided by it, and linprog's
+simplex tableau is the rational tableau times it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Optional
 
-from .errors import DimensionError, InputError
+from .errors import CapExceeded, DimensionError, InputError
 
 Vec = tuple  # tuple[Fraction, ...]
 Mat = tuple  # tuple[tuple[Fraction, ...], ...]
@@ -57,13 +64,18 @@ def rat(x) -> Fraction:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {x!r}") from exc
+            raise InputError(f"cannot parse rational {x[:40]!r}") from exc
     raise InputError(f"not a rational scalar: {x!r}")
 
 
 def rat_str(x: Fraction) -> str:
-    """Serialize exactly; integers drop the "/1"."""
-    return str(x)
+    """Serialize exactly; integers drop the "/1".  A numerator or denominator
+    longer than Python's int-to-string digit limit is CapExceeded."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise CapExceeded(f"a result exceeds Python's int-to-string limit of "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def vec(entries: Iterable) -> Vec:
@@ -123,36 +135,51 @@ def require_square(m: Mat) -> int:
     return n
 
 
-def det(m: Mat) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def int_row(row, mult: int) -> list[int]:
+    """row times mult as ints; mult must be a multiple of every denominator."""
+    return [x.numerator * (mult // x.denominator) for x in row]
 
-    Rows are scaled to integers first so all intermediate divisions are
-    exact integer divisions; the scale is divided back out at the end.
-    """
+
+def pivot_step(a: list[list[int]], r: int, c: int, prev: int) -> None:
+    """One fraction-free Gauss-Jordan pivot (Bareiss 1968) on a[r][c]: every
+    other row becomes (row * a[r][c] - row[c] * a[r]) // prev, an exact
+    division.  If a was prev times a rational tableau, it becomes a[r][c]
+    times that tableau pivoted on (r, c)."""
+    piv, top = a[r][c], a[r]
+    for i, row in enumerate(a):
+        f = row[c]
+        if i != r and (f or piv != prev):
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(row, top)]
+
+
+def _echelon(a: list[list[int]], pivot_cols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on integer rows in place, pivoting in the
+    first pivot_cols columns only.  Returns the pivot columns, the last
+    pivot and the sign of the row permutation: the RREF is a divided by
+    the last pivot, which for square nonsingular a is sign * det(a)."""
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(pivot_cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_step(a, r, c, prev)
+        prev = a[r][c]
+        pivots.append(c)
+    return pivots, prev, sign
+
+
+def det(m: Mat) -> Fraction:
+    """Exact determinant: the last fraction-free pivot of the rows scaled to
+    integers, divided by the row scales and the permutation sign."""
     n = require_square(m)
-    scale = 1
-    a = []
-    for row in m:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        a.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    mults = [lcm(*(x.denominator for x in row)) for row in m]
+    pivots, last, sign = _echelon([int_row(row, k) for row, k in zip(m, mults)], n)
+    return Fraction(sign * last, prod(mults)) if len(pivots) == n else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -174,27 +201,11 @@ def _rref(rows: list[list[Fraction]], pivot_cols: int | None = None) -> list[int
     Pivoting is restricted to the first pivot_cols columns so augmented
     right-hand sides are eliminated but never chosen as pivots.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
     if pivot_cols is None:
-        pivot_cols = n_cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(pivot_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        pivot_cols = len(rows[0]) if rows else 0
+    a = [int_row(row, lcm(*(x.denominator for x in row))) for row in rows]
+    pivots, last, _ = _echelon(a, pivot_cols)
+    rows[:] = [[Fraction(x, last) for x in row] for row in a]
     return pivots
 
 
@@ -206,9 +217,8 @@ def solve_linear(a: Mat, b: Vec) -> LinearSolveResult:
     rows = [list(a[i]) + [b[i]] for i in range(len(a))]
     pivots = _rref(rows, n_cols)
     rank = len(pivots)
-    for i in range(rank, len(rows)):
-        if rows[i][n_cols] != 0:
-            return LinearSolveResult("inconsistent")
+    if any(row[n_cols] for row in rows[rank:]):
+        return LinearSolveResult("inconsistent")
     particular = [Fraction(0)] * n_cols
     for r, c in enumerate(pivots):
         particular[c] = rows[r][n_cols]

@@ -38,6 +38,10 @@ def run_main(args, capsys):
     return code, out.out, out.err
 
 
+# Python's int-to-string digit limit (3.11+ and late 3.10 releases), 0 if none
+INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class TestCheck:
     def test_worked_triple_verdicts(self, tmp_path, capsys):
         path = write_doc(tmp_path, worked_triple_doc())
@@ -99,6 +103,23 @@ class TestCheck:
         code, _, err = run_main(["check", "--file", path, "--props", "csw"], capsys)
         assert code == 3
         assert "undecided: size" in err
+
+    def test_result_over_int_str_digit_limit_exits_3(self, tmp_path, capsys):
+        # every entry is 901 digits, but each representative determinant is
+        # (10**900)**5, 4501 digits long
+        n = 5
+
+        def diagonal(entry):
+            return [[entry if i == j else "0" for j in range(n)] for i in range(n)]
+
+        doc = {"n": n, "k": 1, "C": [diagonal("1e900"), diagonal("-1e900")]}
+        path = write_doc(tmp_path, doc)
+        code, out, err = run_main(["check", "--file", path, "--props", "column_w"], capsys)
+        if 0 < INT_STR_DIGITS < 4501:
+            assert code == 3 and out == ""
+            assert f"int-to-string limit of {INT_STR_DIGITS} digits" in err
+        else:
+            assert code == 0
 
     def test_check_selector_cap_exits_3(self, tmp_path, capsys):
         # 2^20 = 1 048 576 representatives exceed the same cap solve uses
@@ -229,6 +250,33 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert "decimal exponent" in err
 
+    @pytest.mark.parametrize("literal", ["1e1001", "1e1000000"])
+    def test_exponent_number_literal_exits_2(self, tmp_path, capsys, literal):
+        # a number literal meets the same exponent guard as a string
+        text = json.dumps(worked_triple_doc()).replace('"q": [0, 0]', f'"q": [{literal}, 0]')
+        path = tmp_path / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_main(["solve", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "decimal exponent" in err
+
+    @pytest.mark.skipif(INT_STR_DIGITS == 0, reason="no int-to-string digit limit")
+    def test_integer_literal_over_digit_limit_exits_2(self, tmp_path, capsys):
+        digits = "7" * (INT_STR_DIGITS + 1)
+        text = json.dumps(worked_triple_doc()).replace('"q": [0, 0]', f'"q": [{digits}, 0]')
+        path = tmp_path / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_main(["solve", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "input error" in err
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run_main(["solve", "--file", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "invalid JSON" in err
+
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):
         # Python's json module accepts these three literals as floats
@@ -312,6 +360,11 @@ class TestVerify:
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, err = run_main(["verify", "--theorem", "T0.0", "--trials", "1"], capsys)
         assert code == 2
+
+    def test_negative_trials_exits_2(self, capsys):
+        code, out, err = run_main(["verify", "--theorem", "T4.3-chain", "--trials", "-3"], capsys)
+        assert code == 2 and out == ""
+        assert "trials" in err
 
     def test_same_seed_byte_identical(self, tmp_path):
         args = [

@@ -238,9 +238,7 @@ class TestCheckCsw:
         for i in range(40):
             k = 1 + i % 2
             t = gen_tuple(GenSpec(2, k, "generic", 2, subseed(23, i)))
-            fast = check_csw(t)
-            slow = check_csw(t, use_fast_paths=False)
-            assert fast.holds == slow.holds
+            assert check_csw(t).holds == (csw._first_violation(t, "csw") is None)
 
     def test_ndw_not_w_fast_path_failure_has_witness(self):
         # diag(1,-1) against I: nondegenerate but mixed determinant signs
@@ -253,9 +251,7 @@ class TestCheckCsw:
     def test_cap_raises_undecided(self, worked_triple, monkeypatch):
         # (k+1)*n = 6 exceeds a cap of 5 for every sign-pattern decider
         monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "5")
-        with pytest.raises(UndecidedSize, match="EHLCP_MAX_PATTERN_COMPONENTS"):
-            check_csw(worked_triple, use_fast_paths=False)
-        for decide in (check_cone_csw, check_column_ndw_def):
+        for decide in (check_csw, check_cone_csw, check_column_ndw_def):
             with pytest.raises(UndecidedSize, match="EHLCP_MAX_PATTERN_COMPONENTS"):
                 decide(worked_triple)
 
@@ -263,7 +259,7 @@ class TestCheckCsw:
         monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "5")
         assert pattern_cap() == 5
         with pytest.raises(UndecidedSize):
-            check_csw(worked_triple, use_fast_paths=False)
+            check_csw(worked_triple)
 
 
 class TestConeCsw:
@@ -326,10 +322,10 @@ class TestPruningSoundness:
     def test_matches_pruned_enumeration_on_small_tuples(self):
         for i in range(12):
             t = gen_tuple(GenSpec(1, 2, "generic", 2, subseed(37, i)))
-            assert check_csw(t, use_fast_paths=False).holds == self.unpruned_verdict(t)
+            assert (csw._first_violation(t, "csw") is None) == self.unpruned_verdict(t)
         for i in range(12):
             t = gen_tuple(GenSpec(2, 1, "generic", 2, subseed(41, i)))
-            assert check_csw(t, use_fast_paths=False).holds == self.unpruned_verdict(t)
+            assert (csw._first_violation(t, "csw") is None) == self.unpruned_verdict(t)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (3, 2)])

@@ -1,0 +1,279 @@
+"""The one fraction-free pivot step against Fraction references.
+
+The references below are the Fraction Gauss-Jordan RREF, the forward-only
+Bareiss determinant and the Fraction two-phase simplex that the integer
+step replaced.  The RREF is canonical and the integer tableau is the
+rational one times a positive scale, so pivots, determinants, LP results
+and pivot counts must agree exactly.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from ehlcp import linprog
+from ehlcp.linprog import lp_solve
+from ehlcp.rational import _rref, det, rat
+
+
+def ref_rref(rows, pivot_cols=None):
+    """Fraction Gauss-Jordan: in-place RREF, returns the pivot columns."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    if pivot_cols is None:
+        pivot_cols = n_cols
+    pivots = []
+    r = 0
+    for c in range(pivot_cols):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def ref_det(m):
+    """Forward-only Bareiss elimination on rows scaled to integers."""
+    n = len(m)
+    scale = 1
+    a = []
+    for row in m:
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        a.append([int(x * mult) for x in row])
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for r in range(i + 1, n):
+                if a[r][i] != 0:
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return Fraction(sign * a[n - 1][n - 1], scale)
+
+
+def _ref_pivot(tab, basis, row, col, counter):
+    counter[0] += 1
+    piv = tab[row][col]
+    tab[row] = [x / piv for x in tab[row]]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+    basis[row] = col
+
+
+def _ref_run_simplex(tab, basis, cost, counter):
+    m = len(tab)
+    n_vars = len(cost)
+    reduced = [
+        cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m) if tab[i][j])
+        for j in range(n_vars)
+    ]
+    while True:
+        enter = next((j for j in range(n_vars) if reduced[j] > 0), -1)
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _ref_pivot(tab, basis, leave, enter, counter)
+        f = reduced[enter]
+        if f:
+            for j in range(n_vars):
+                if tab[leave][j]:
+                    reduced[j] -= f * tab[leave][j]
+            reduced[enter] = Fraction(0)
+
+
+def ref_lp_solve(objective, eq=(), ineq=()):
+    """Fraction two-phase simplex with Bland's rule: (status, point, value,
+    number of pivots)."""
+    counter = [0]
+    dim = len(objective)
+    n_ineq = len(ineq)
+    n_std = 2 * dim + n_ineq
+    rows = []
+    for row, rhs in eq:
+        rows.append([rat(x) for x in row] + [-rat(x) for x in row]
+                    + [Fraction(0)] * n_ineq + [rat(rhs)])
+    for idx, (row, rhs) in enumerate(ineq):
+        surplus = [Fraction(0)] * n_ineq
+        surplus[idx] = Fraction(-1)
+        rows.append([rat(x) for x in row] + [-rat(x) for x in row] + surplus + [rat(rhs)])
+    for row in rows:
+        if row[-1] < 0:
+            row[:] = [-x for x in row]
+    m = len(rows)
+    tab = [row[:-1] + [Fraction(1 if j == i else 0) for j in range(m)] + [row[-1]]
+           for i, row in enumerate(rows)]
+    basis = [n_std + i for i in range(m)]
+    _ref_run_simplex(tab, basis, [Fraction(0)] * n_std + [Fraction(-1)] * m, counter)
+    if sum(tab[i][-1] for i in range(m) if basis[i] >= n_std) != 0:
+        return "infeasible", None, None, counter[0]
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= n_std:
+            col = next((j for j in range(n_std) if tab[i][j] != 0), None)
+            if col is None:
+                drop_rows.append(i)
+            else:
+                _ref_pivot(tab, basis, i, col, counter)
+    for i in sorted(drop_rows, reverse=True):
+        del tab[i]
+        del basis[i]
+    tab = [row[:n_std] + [row[-1]] for row in tab]
+    obj = [rat(x) for x in objective]
+    cost2 = obj + [-x for x in obj] + [Fraction(0)] * n_ineq
+    if _ref_run_simplex(tab, basis, cost2, counter) == "unbounded":
+        return "unbounded", None, None, counter[0]
+    values = [Fraction(0)] * n_std
+    for i, b in enumerate(basis):
+        values[b] = tab[i][-1]
+    point = tuple(values[j] - values[dim + j] for j in range(dim))
+    return "optimal", point, sum(o * p for o, p in zip(obj, point)), counter[0]
+
+
+def rand_rational(rng):
+    """Mostly non-integer rationals, with zeros so that pivots are skipped."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6, 7)))
+
+
+def combination(rng, rows):
+    """A random rational combination of rows: a dependent row."""
+    coeffs = [rand_rational(rng) for _ in rows]
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+
+
+def rand_matrix(rng, n_rows, n_cols, rank_deficient):
+    rows = [[rand_rational(rng) for _ in range(n_cols)] for _ in range(n_rows)]
+    if rank_deficient and n_rows > 1:
+        for i in rng.sample(range(n_rows), rng.randint(1, n_rows - 1)):
+            others = [row for j, row in enumerate(rows) if j != i]
+            rows[i] = combination(rng, rng.sample(others, rng.randint(1, len(others))))
+    return rows
+
+
+def matrix_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = rand_matrix(rng, n_rows, n_cols, rng.random() < 0.5)
+        pivot_cols = rng.choice((None, n_cols, rng.randint(0, n_cols)))
+        yield rows, pivot_cols
+
+
+class TestRref:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_fraction_reference(self, seed):
+        for rows, pivot_cols in matrix_cases(seed, 150):
+            ours = [row[:] for row in rows]
+            ref = [row[:] for row in rows]
+            pivots = _rref(ours, pivot_cols)
+            assert pivots == ref_rref(ref, pivot_cols)
+            rank = len(pivots)
+            assert ours[:rank] == ref[:rank]
+            assert [any(row) for row in ours[rank:]] == [any(row) for row in ref[rank:]]
+
+    def test_augmented_rows_below_the_rank_keep_their_zero_status(self):
+        # [A | b] with a dependent row of A: the row below the rank is zero
+        # exactly when b is consistent
+        for rhs, consistent in ((Fraction(3), True), (Fraction(5, 2), False)):
+            rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(1)],
+                    [Fraction(3, 2), Fraction(1), rhs]]
+            assert _rref(rows, 2) == [0]
+            assert (not any(rows[1])) is consistent
+
+    def test_empty_rows(self):
+        rows = []
+        assert _rref(rows) == []
+        assert rows == []
+
+
+class TestDet:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_bareiss_reference(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            m = tuple(map(tuple, rand_matrix(rng, n, n, rng.random() < 0.3)))
+            assert det(m) == ref_det(m)
+
+
+def rand_lp(rng):
+    """A random LP with rational data; half of them get redundant
+    equalities (rational combinations of the others), which leave
+    zero-valued artificials for phase 1 to drive out."""
+    dim = rng.randint(1, 4)
+    eq = [([rand_rational(rng) for _ in range(dim)], rand_rational(rng))
+          for _ in range(rng.randint(0, 3))]
+    if eq and rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            combined = combination(rng, [row + [rhs] for row, rhs in eq])
+            eq.append((combined[:-1], combined[-1]))
+        rng.shuffle(eq)
+    ineq = [([rand_rational(rng) for _ in range(dim)], rand_rational(rng))
+            for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.6:  # a box keeps most of them bounded
+        for j in range(dim):
+            for sign in (1, -1):
+                row = [Fraction(0)] * dim
+                row[j] = Fraction(sign)
+                ineq.append((row, Fraction(-rng.randint(1, 6), rng.randint(1, 3))))
+    objective = tuple(rand_rational(rng) for _ in range(dim))
+    return objective, [(tuple(r), b) for r, b in eq], [(tuple(r), b) for r, b in ineq]
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_fraction_reference(self, seed, monkeypatch):
+        pivots = []
+        original = linprog._pivot
+
+        def counting_pivot(tab, basis, row, col, prev):
+            pivots.append(tab[row][col] < 0)
+            return original(tab, basis, row, col, prev)
+
+        monkeypatch.setattr(linprog, "_pivot", counting_pivot)
+        rng = random.Random(200 + seed)
+        statuses = set()
+        for _ in range(250):
+            objective, eq, ineq = rand_lp(rng)
+            before = len(pivots)
+            res = lp_solve(objective, eq, ineq)
+            status, point, value, ref_pivots = ref_lp_solve(objective, eq, ineq)
+            assert (res.status, res.point, res.objective_value) == (status, point, value)
+            assert len(pivots) - before == ref_pivots
+            statuses.add(status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        # negative drive-out pivots occurred, so the scale normalisation ran
+        assert any(pivots)
