@@ -15,7 +15,6 @@ from .classes import (
     is_nondegenerate,
     is_p,
     is_z,
-    principal_minors,
 )
 from .csw import (
     check_column_ndw_def,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
 
 from .csw import check_csw
 from .errors import CapExceeded
@@ -46,32 +45,21 @@ def is_m(m: Mat) -> PropertyVerdict:
     return PropertyVerdict("m", True, None, "Z-matrix with nonnegative inverse")
 
 
-def principal_minors(m: Mat) -> list:
-    """All 2^n - 1 principal minors as (index_set, value), index sets in
-    lexicographic order; indices are 1-based."""
+def _minor_verdict(m: Mat, name: str, bad, certificate_ok: str, certificate_bad: str) -> PropertyVerdict:
+    """Scan the principal minors by size, then lexicographically by 1-based
+    index set, and report the first one that is bad."""
     n = require_square(m)
     if n > MINOR_CAP:
         raise CapExceeded(f"principal minor enumeration capped at n <= {MINOR_CAP}")
-    out = []
-    for subset in _index_subsets(n):
-        sub = tuple(tuple(m[i][j] for j in subset) for i in subset)
-        out.append((tuple(i + 1 for i in subset), det(sub)))
-    return out
-
-
-def _index_subsets(n: int) -> Iterator[tuple]:
     for size in range(1, n + 1):
-        yield from combinations(range(n), size)
-
-
-def _minor_verdict(m: Mat, name: str, bad, certificate_ok: str, certificate_bad: str) -> PropertyVerdict:
-    for index_set, value in principal_minors(m):
-        if bad(value):
-            return PropertyVerdict(
-                name, False,
-                {"index_set": list(index_set), "minor": rat_str(value)},
-                certificate_bad,
-            )
+        for subset in combinations(range(n), size):
+            value = det(tuple(tuple(m[i][j] for j in subset) for i in subset))
+            if bad(value):
+                return PropertyVerdict(
+                    name, False,
+                    {"index_set": [i + 1 for i in subset], "minor": rat_str(value)},
+                    certificate_bad,
+                )
     return PropertyVerdict(name, True, None, certificate_ok)
 
 

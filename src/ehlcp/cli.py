@@ -158,8 +158,11 @@ def cmd_gen(args) -> int:
 def _emit(report: dict, out: str | None) -> None:
     text = dump_json(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write report file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -2,14 +2,13 @@
 
 Each candidate violation of a property is a {-, 0, +} pattern over the
 components (i, r) of (x_0, ..., x_k).  It is realizable when it is the sign
-vector of some x in ker A, A = [C_0 | -C_1 | ... | -C_k] with column i*n + r
-for component (i, r).  By the vector/covector orthogonality of oriented
-matroids (Bland & Las Vergnas 1978; Björner et al., Oriented Matroids,
-section 3.4) that holds iff the pattern is orthogonal to every cocircuit of
-A, the minimal-support sign vectors of its row space.  The cocircuits are
-computed exactly once per decision, so each pattern test is bit arithmetic;
-only the first realizable pattern goes to pattern_realizable, an exact LP
-that builds the witness vector.
+vector of some x in ker A, A = MatrixTuple.stacked.  By the vector/covector
+orthogonality of oriented matroids (Bland & Las Vergnas 1978; Björner et
+al., Oriented Matroids, section 3.4) that holds iff the pattern is
+orthogonal to every cocircuit of A, the minimal-support sign vectors of its
+row space.  The cocircuits are computed exactly once per decision, so each
+pattern test is bit arithmetic; only the first realizable pattern goes to
+pattern_realizable, an exact LP that builds the witness vector.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .representatives import (
     check_column_ndw_det,
     check_column_w,
     make_tuple,
+    unstack,
 )
 
 PATTERN_CAP_DEFAULT = 12
@@ -58,14 +58,6 @@ def _require_within_cap(t: MatrixTuple) -> None:
         )
 
 
-def _stacked_rows(t: MatrixTuple) -> list:
-    """Rows of A = [C_0 | -C_1 | ... | -C_k]; column i*n + r is component (i, r)."""
-    return [
-        [c if i == 0 else -c for i, m in enumerate(t.mats) for c in m[row]]
-        for row in range(t.n)
-    ]
-
-
 def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     """Vector tuple realizing the (k+1) x n sign pattern exactly, or None.
 
@@ -85,7 +77,7 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
 
     eq = [
         (tuple(row[e] for e in support) + (Fraction(0),), Fraction(0))
-        for row in _stacked_rows(t)
+        for row in t.stacked
     ]
     ineq = []
     for col, e in enumerate(support):
@@ -101,11 +93,10 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     res = lp_solve(objective, eq, ineq)
     if res.status != "optimal" or res.objective_value != 1:
         return None
-    xs = [list(zeros(t.n)) for _ in range(t.k + 1)]
+    x = list(zeros(len(flat)))
     for col, e in enumerate(support):
-        i, r = divmod(e, t.n)
-        xs[i][r] = res.point[col]
-    return tuple(tuple(x) for x in xs)
+        x[e] = res.point[col]
+    return unstack(x, t.n)
 
 
 def _sign_masks(values) -> tuple:
@@ -128,7 +119,7 @@ def _cocircuits(t: MatrixTuple) -> list:
     vector of y^T B for y spanning the left kernel of d - 1 columns of B,
     when that kernel has dimension 1.
     """
-    rows = _stacked_rows(t)
+    rows = [list(row) for row in t.stacked]
     rank = len(_rref(rows))
     if rank == 0:
         return []

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .classes import is_m, is_z
@@ -33,6 +34,7 @@ from .representatives import (
     check_column_w0,
     make_tuple,
     representative_matrix,
+    unstack,
 )
 from .solver import EhlcpInstance, SolutionTuple, is_solution, solve_all
 
@@ -222,17 +224,7 @@ def instance_with_segment(t: MatrixTuple, kernel: tuple) -> tuple:
                 xs[j][r] = Fraction(2)  # saturate d_j so x_{j+1} may be positive
             xs[m][r] = Fraction(1)
     base = SolutionTuple(tuple(tuple(x) for x in xs))
-    q = tuple(
-        a - b
-        for a, b in zip(
-            mat_vec(t.mats[0], base.xs[0]),
-            [
-                sum(mat_vec(t.mats[i], base.xs[i])[r] for i in range(1, k + 1))
-                for r in range(n)
-            ],
-        )
-    )
-    inst = EhlcpInstance(t, d, q)
+    inst = EhlcpInstance(t, d, mat_vec(t.stacked, tuple(chain.from_iterable(xs))))
     other = SolutionTuple(
         tuple(tuple(a + b for a, b in zip(x, wx)) for x, wx in zip(base.xs, w))
     )
@@ -291,26 +283,24 @@ def solution_points(inst: EhlcpInstance) -> list:
 
 def _step(inst: EhlcpInstance, point: SolutionTuple, direction: Vec) -> Optional[SolutionTuple]:
     """point + (half the largest feasible step) along a stacked direction."""
-    t = inst.matrix_tuple
-    n, k = t.n, t.k
-    flat_point = [v for x in point.xs for v in x]
+    blocks = unstack(direction, inst.matrix_tuple.n)
+    # x_0 and x_k are only bounded below by 0; x_j, 0 < j < k, also above by d_j
+    uppers = (None, *inst.d, None)
     limit: Optional[Fraction] = None
-    for idx, dv in enumerate(direction):
-        i, r = divmod(idx, n)
-        lo = Fraction(0)
-        hi = inst.d[i - 1][r] if 1 <= i <= k - 1 else None
-        if dv > 0 and hi is not None:
-            room = (hi - flat_point[idx]) / dv
-            limit = room if limit is None else min(limit, room)
-        elif dv < 0:
-            room = (lo - flat_point[idx]) / dv
-            limit = room if limit is None else min(limit, room)
+    for x, dx, hi in zip(point.xs, blocks, uppers):
+        for r, dv in enumerate(dx):
+            if dv > 0 and hi is not None:
+                room = (hi[r] - x[r]) / dv
+                limit = room if limit is None else min(limit, room)
+            elif dv < 0:
+                room = -x[r] / dv
+                limit = room if limit is None else min(limit, room)
     step = Fraction(1) if limit is None else limit / 2
     if step == 0:
         return None
-    moved = [v + step * dv for v, dv in zip(flat_point, direction)]
-    xs = tuple(tuple(moved[i * n : (i + 1) * n]) for i in range(k + 1))
-    candidate = SolutionTuple(xs)
+    candidate = SolutionTuple(tuple(
+        tuple(v + step * dv for v, dv in zip(x, dx)) for x, dx in zip(point.xs, blocks)
+    ))
     return candidate if is_solution(inst, candidate) else None
 
 
@@ -345,24 +335,27 @@ def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) 
     return out
 
 
+def _normalized(t: MatrixTuple) -> Optional[tuple]:
+    """The matrices C_0^{-1} C_i for i = 1..k, or None when C_0 is singular."""
+    c0_inv = inverse(t.mats[0])
+    return None if c0_inv is None else tuple(mat_mul(c0_inv, m) for m in t.mats[1:])
+
+
 def _z_normalized(t: MatrixTuple) -> bool:
     """Hypothesis of T4.4 and C4.1: C_0 is invertible and every
     C_0^{-1} C_i is a Z-matrix."""
-    c0_inv = inverse(t.mats[0])
-    return c0_inv is not None and all(is_z(mat_mul(c0_inv, m)).holds for m in t.mats[1:])
+    normalized = _normalized(t)
+    return normalized is not None and all(is_z(m).holds for m in normalized)
 
 
 def _check_t21(spec, index, t, rng) -> list:
     out = []
     w = check_column_w(t).holds
-    c0_inv = inverse(t.mats[0])
-    if c0_inv is None:
-        normalized_w = False
-    else:
-        normalized_w = check_column_w(
-            make_tuple([identity(t.n)] + [mat_mul(c0_inv, m) for m in t.mats[1:]])
-        ).holds
-    if w != (c0_inv is not None and normalized_w):
+    normalized = _normalized(t)
+    normalized_w = normalized is not None and check_column_w(
+        make_tuple([identity(t.n), *normalized])
+    ).holds
+    if w != normalized_w:
         out.append(_violation(spec, index, t, "W-property disagrees with the normalized tuple"))
     if w:
         b = spec.entry_range

@@ -95,11 +95,8 @@ def tuple_to_json(t: MatrixTuple) -> dict:
 
 
 def instance_to_json(inst: EhlcpInstance) -> dict:
-    t = inst.matrix_tuple
     return {
-        "n": t.n,
-        "k": t.k,
-        "C": [mat_to_json(m) for m in t.mats],
+        **tuple_to_json(inst.matrix_tuple),
         "d": [vec_to_json(dj) for dj in inst.d],
         "q": vec_to_json(inst.q),
     }

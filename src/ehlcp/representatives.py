@@ -8,6 +8,7 @@ determinant form of the column ND-W property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
@@ -33,6 +34,22 @@ class MatrixTuple:
         for m in self.mats:
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise DimensionError("all matrices must be n x n")
+
+    @cached_property
+    def stacked(self) -> Mat:
+        """A = [C_0 | -C_1 | ... | -C_k], so the EHLCP equation is A x = q for
+        the stacked vector x = (x_0, ..., x_k): column i*n + r of A belongs to
+        component (i, r).  Built once per tuple; not a dataclass field, so
+        == and hash ignore it."""
+        return tuple(
+            tuple(c if i == 0 else -c for i, m in enumerate(self.mats) for c in m[row])
+            for row in range(self.n)
+        )
+
+
+def unstack(flat, n: int) -> tuple:
+    """The blocks (x_0, ..., x_k) of a stacked vector of length (k+1)n."""
+    return tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
 
 
 def make_tuple(mats) -> MatrixTuple:

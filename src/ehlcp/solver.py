@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .errors import DimensionError, InputError, InvariantError
 from .linprog import lp_solve
 from .rational import Vec, identity, mat_vec, pointwise, solve_linear, zeros
-from .representatives import MatrixTuple, check_selector_cap, selectors
+from .representatives import MatrixTuple, check_selector_cap, selectors, unstack
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,13 @@ def _wedge_ok(u: Vec, v: Vec) -> bool:
 
 
 def is_solution(inst: EhlcpInstance, x: SolutionTuple) -> bool:
-    """Exact validity check of the EHLCP system."""
+    """Exact validity check of the EHLCP system: A x = q for A = t.stacked
+    and x = (x_0, ..., x_k) stacked, then the wedge conditions."""
     t = inst.matrix_tuple
     if len(x.xs) != t.k + 1 or any(len(v) != t.n for v in x.xs):
         raise DimensionError("solution tuple shape mismatch")
-    lhs = mat_vec(t.mats[0], x.xs[0])
-    rhs = list(inst.q)
-    for i in range(1, t.k + 1):
-        contrib = mat_vec(t.mats[i], x.xs[i])
-        rhs = [a + b for a, b in zip(rhs, contrib)]
-    if any(a != b for a, b in zip(lhs, rhs)):
+    ax = mat_vec(t.stacked, tuple(chain.from_iterable(x.xs)))
+    if any(a != b for a, b in zip(ax, inst.q)):
         return False
     if not _wedge_ok(x.xs[0], x.xs[1]):
         return False
@@ -104,27 +102,23 @@ def _selector_system(inst: EhlcpInstance, selector: tuple):
     """
     t = inst.matrix_tuple
     n = t.n
-    free = sorted(m * n + r for r, m in enumerate(selector))
-    a = tuple(
-        tuple(
-            t.mats[0][row][i % n] if i < n else -t.mats[i // n][row][i % n]
-            for i in free
-        )
-        for row in range(n)
-    )
+    # (m, r) in lexicographic order is m * n + r in increasing order
+    blocks = sorted((m, r) for r, m in enumerate(selector))
+    free = [m * n + r for m, r in blocks]
+    a = tuple(tuple(row[i] for i in free) for row in t.stacked)
     pinned = [Fraction(0)] * ((t.k + 1) * n)
     for r, m in enumerate(selector):
         for j in range(1, m):
             pinned[j * n + r] = inst.d[j - 1][r]
     # the pinned d terms move to the right-hand side
     rhs = tuple(
-        inst.q[row] + sum(t.mats[i // n][row][i % n] * v for i, v in enumerate(pinned) if v)
-        for row in range(n)
+        q - sum(row[i] * v for i, v in enumerate(pinned) if v)
+        for q, row in zip(inst.q, t.stacked)
     )
     box = [(c, 1, Fraction(0)) for c in range(n)] + [
-        (c, -1, -inst.d[i // n - 1][i % n])
-        for c, i in enumerate(free)
-        if 0 < i // n < t.k
+        (c, -1, -inst.d[m - 1][r])
+        for c, (m, r) in enumerate(blocks)
+        if 0 < m < t.k
     ]
     return free, a, rhs, pinned, box
 
@@ -154,12 +148,9 @@ def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece
             out[i] = v
         return tuple(out)
 
-    n = t.n
-    point = stacked(y, pinned)
-    xs = tuple(point[i * n : (i + 1) * n] for i in range(t.k + 1))
     zero = (Fraction(0),) * len(pinned)
     return SolutionPiece(
-        tuple(selector), SolutionTuple(xs), len(basis),
+        tuple(selector), SolutionTuple(unstack(stacked(y, pinned), t.n)), len(basis),
         tuple(stacked(v, zero) for v in basis),
     )
 

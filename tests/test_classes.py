@@ -1,20 +1,22 @@
 """Single-matrix class oracles: Z, M, P, nondegenerate, column sufficient."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from ehlcp import classes
 from ehlcp.classes import (
+    MINOR_CAP,
     is_column_sufficient,
     is_m,
     is_nondegenerate,
     is_p,
     is_z,
-    principal_minors,
 )
 from ehlcp.errors import CapExceeded, DimensionError
 from ehlcp.harness import SplitMix64
-from ehlcp.rational import identity, inverse, mat, mat_vec
+from ehlcp.rational import det, identity, inverse, mat, mat_vec, rat_str
 from ehlcp.representatives import check_column_w, check_column_w0, make_tuple
 
 SKEW = [[0, 1], [-1, 0]]
@@ -75,6 +77,20 @@ class TestM:
             assert all(v > 0 for v in mat_vec(inverse(m), q))
 
 
+def principal_minors(m):
+    """Reference: all 2^n - 1 principal minors as (index_set, value), index
+    sets 1-based, by size and then lexicographically."""
+    n = len(m)
+    if n > MINOR_CAP:
+        raise CapExceeded(f"principal minor enumeration capped at n <= {MINOR_CAP}")
+    out = []
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            sub = tuple(tuple(m[i][j] for j in subset) for i in subset)
+            out.append((tuple(i + 1 for i in subset), det(sub)))
+    return out
+
+
 class TestPrincipalMinors:
     def test_identity(self):
         assert principal_minors(identity(2)) == [
@@ -98,6 +114,58 @@ class TestPrincipalMinors:
         # MINOR_CAP is 16: a 17 x 17 matrix would need 2^17 - 1 minors
         with pytest.raises(CapExceeded):
             principal_minors(identity(17))
+
+
+class TestMinorScan:
+    @staticmethod
+    def matrices():
+        """Seeded n x n matrices, n = 1..6, entries in -2..2; every other one
+        has a zero diagonal entry."""
+        rng = SplitMix64(41)
+        for n in range(1, 7):
+            for trial in range(40):
+                rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                if trial % 2:
+                    r = rng.randint(0, n - 1)
+                    rows[r][r] = 0
+                yield mat(rows)
+            yield identity(n)
+
+    @pytest.mark.parametrize("oracle, bad", [
+        (is_p, lambda v: v <= 0),
+        (is_nondegenerate, lambda v: v == 0),
+    ])
+    def test_witness_is_the_first_bad_minor_of_the_reference(self, oracle, bad):
+        outcomes = {True: 0, False: 0}
+        for m in self.matrices():
+            first = next(((s, v) for s, v in principal_minors(m) if bad(v)), None)
+            verdict = oracle(m)
+            assert verdict.holds == (first is None)
+            if first is None:
+                assert verdict.witness is None
+            else:
+                assert verdict.witness == {"index_set": list(first[0]), "minor": rat_str(first[1])}
+            outcomes[verdict.holds] += 1
+        assert outcomes[True] > 5 and outcomes[False] > 5
+
+    def test_stops_at_the_first_bad_minor(self, monkeypatch):
+        calls = []
+
+        def counting_det(m):
+            calls.append(len(m))
+            return det(m)
+
+        monkeypatch.setattr(classes, "det", counting_det)
+        m = [[1] * 6 for _ in range(6)]
+        m[0][0] = 0
+        verdict = is_p(mat(m))
+        assert verdict.witness == {"index_set": [1], "minor": "0"}
+        assert calls == [1]
+
+    @pytest.mark.parametrize("oracle", [is_p, is_nondegenerate])
+    def test_cap(self, oracle):
+        with pytest.raises(CapExceeded):
+            oracle(identity(MINOR_CAP + 1))
 
 
 class TestPAndNondegenerate:

@@ -346,6 +346,24 @@ class TestExitCodesFuzz:
             assert main(args) in (0, 1, 2, 3, 4)
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["check", "verify", "gen"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, command, target):
+        out = tmp_path / "missing" / "report.json" if target == "missing_dir" else tmp_path
+        args = {
+            "check": ["check", "--file", write_doc(tmp_path, worked_triple_doc()),
+                      "--props", "column_w"],
+            "verify": ["verify", "--theorem", "T4.3-chain", "--trials", "1"],
+            "gen": ["gen", "--family", "generic", "--n", "2", "--k", "1", "--seed", "0"],
+        }[command]
+        res = subprocess.run([sys.executable, "-m", "ehlcp", *args, "--out", str(out)],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("input error: cannot write report file")
+
+
 class TestVerify:
     def test_pass_exits_0(self, tmp_path, capsys):
         code, out, _ = run_main(

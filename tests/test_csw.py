@@ -131,7 +131,7 @@ class TestPatternRealizable:
 
 def reference_cocircuits(t):
     """_cocircuits without the zero-set skip: one solve per (rank-1)-subset."""
-    rows = csw._stacked_rows(t)
+    rows = [list(row) for row in t.stacked]
     rank = len(_rref(rows))
     if rank == 0:
         return []

@@ -15,6 +15,7 @@ from ehlcp.representatives import (
     representative_matrix,
     selector_count,
     selectors,
+    unstack,
 )
 
 
@@ -198,3 +199,29 @@ class TestTupleValidation:
     def test_all_matrices_square_same_size(self):
         with pytest.raises(DimensionError):
             make_tuple([identity(2), [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+
+
+class TestStacked:
+    def test_stacked_is_the_signed_block_row(self):
+        for k in (1, 2, 3):
+            for n in (1, 2, 3):
+                t = gen_tuple(GenSpec(n, k, "generic", 3, subseed(71, 10 * n + k)))
+                expected = [[None] * ((k + 1) * n) for _ in range(n)]
+                for i in range(k + 1):
+                    for row in range(n):
+                        for r in range(n):
+                            value = t.mats[i][row][r]
+                            expected[row][i * n + r] = value if i == 0 else -value
+                twin = gen_tuple(GenSpec(n, k, "generic", 3, subseed(71, 10 * n + k)))
+                assert t == twin and hash(t) == hash(twin)
+                assert t.stacked == tuple(tuple(row) for row in expected)
+                assert t.stacked is t.stacked  # computed once per tuple
+                # the cached attribute is not a field: equality and hash ignore it
+                assert t == twin and hash(t) == hash(twin)
+                assert "stacked" in vars(t) and "stacked" not in vars(twin)
+
+    def test_unstack_splits_into_blocks(self):
+        flat = tuple(Fraction(v) for v in range(6))
+        assert unstack(flat, 2) == ((0, 1), (2, 3), (4, 5))
+        assert unstack(flat, 3) == ((0, 1, 2), (3, 4, 5))
+        assert unstack(flat, 6) == (flat,)

@@ -216,6 +216,52 @@ class TestIsSolution:
         with pytest.raises(DimensionError):
             is_solution(split_instance(), SolutionTuple((vec([1, 0]),)))
 
+    @staticmethod
+    def per_matrix_reference(inst, x):
+        """is_solution before the stacked matrix: C_0 x_0 against
+        q + sum C_i x_i, matrix by matrix, then the wedge conditions."""
+        t = inst.matrix_tuple
+        lhs = mat_vec(t.mats[0], x.xs[0])
+        rhs = list(inst.q)
+        for i in range(1, t.k + 1):
+            rhs = [a + b for a, b in zip(rhs, mat_vec(t.mats[i], x.xs[i]))]
+        if any(a != b for a, b in zip(lhs, rhs)):
+            return False
+
+        def wedge(u, v):
+            return all(a >= 0 for a in u + v) and not any(pointwise(u, v))
+
+        if not wedge(x.xs[0], x.xs[1]):
+            return False
+        return all(
+            wedge(tuple(dj - xj for dj, xj in zip(inst.d[j - 1], x.xs[j])), x.xs[j + 1])
+            for j in range(1, t.k)
+        )
+
+    def test_agrees_with_the_per_matrix_equation(self):
+        # solution points and perturbed points; q given as a list or a tuple
+        rng = SplitMix64(29)
+        verdicts = {True: 0, False: 0}
+        for n in (1, 2, 3):
+            for k in (1, 2, 3):
+                for trial in range(4):
+                    t = gen_tuple(GenSpec(n, k, "generic", 2, subseed(29, 100 * n + 10 * k + trial)))
+                    inst = instance_through_point(t, subseed(31, 100 * n + 10 * k + trial))
+                    if trial % 2:
+                        inst = EhlcpInstance(t, inst.d, list(inst.q))
+                    for piece in solve_all(inst):
+                        candidates = [piece.point]
+                        for _ in range(3):
+                            i, r = rng.randint(0, k), rng.randint(0, n - 1)
+                            xs = [list(x) for x in piece.point.xs]
+                            xs[i][r] += F(rng.randint(-2, 2)) / 2
+                            candidates.append(SolutionTuple(tuple(tuple(x) for x in xs)))
+                        for x in candidates:
+                            expected = self.per_matrix_reference(inst, x)
+                            assert is_solution(inst, x) == expected
+                            verdicts[expected] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
 
 class TestSelectorOrder:
     @pytest.mark.parametrize("n, k, expected", [(1, 1, 2), (2, 1, 4), (2, 2, 9)])
