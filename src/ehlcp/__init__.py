@@ -39,7 +39,6 @@ from .rational import (
     identity,
     inverse,
     mat,
-    pointwise,
     rat,
     solve_linear,
     vec,
@@ -58,7 +57,6 @@ from .representatives import (
 from .solver import (
     EhlcpInstance,
     SolutionPiece,
-    SolutionTuple,
     is_solution,
     solve_all,
     solve_branch,

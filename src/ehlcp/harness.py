@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
+from . import csw
 from .classes import is_m, is_z
 from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_sufficiency
 from .errors import InputError, InvariantError
@@ -34,9 +34,8 @@ from .representatives import (
     check_column_w0,
     make_tuple,
     representative_matrix,
-    unstack,
 )
-from .solver import EhlcpInstance, SolutionTuple, is_solution, solve_all
+from .solver import EhlcpInstance, is_solution, solve_all
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -167,11 +166,6 @@ def skew_pair_tuple() -> MatrixTuple:
     return make_tuple([identity(2), [[0, 1], [-1, 0]]])
 
 
-def segment_instance() -> EhlcpInstance:
-    """HLCP instance whose solution set contains a whole segment."""
-    return EhlcpInstance(skew_pair_tuple(), (), (Fraction(0), Fraction(1)))
-
-
 def w0_not_csw_tuple() -> MatrixTuple:
     """(I, 0, 0): column W0 holds but cS-W fails."""
     z = [[0, 0], [0, 0]]
@@ -180,54 +174,46 @@ def w0_not_csw_tuple() -> MatrixTuple:
 
 # --- constructed multi-solution instances -----------------------------------
 
-def kernel_tuple_from_singular_representative(t: MatrixTuple) -> Optional[tuple]:
-    """Nonzero (x_0..x_k) with disjoint supports solving the homogeneous
-    system, built from a singular representative's kernel; None when the
-    tuple has the determinant ND-W property."""
+def kernel_tuple_from_singular_representative(t: MatrixTuple) -> Optional[Vec]:
+    """Nonzero stacked (x_0, ..., x_k) with disjoint supports solving the
+    homogeneous system, built from a singular representative's kernel; None
+    when the tuple has the determinant ND-W property."""
     verdict = check_column_ndw_det(t)
     if verdict.holds:
         return None
     selector = tuple(verdict.witness["selector"])
     rep = representative_matrix(t, selector)
     res = solve_linear(rep, zeros(t.n))
-    y = res.kernel_basis[0]
-    xs = [list(zeros(t.n)) for _ in range(t.k + 1)]
-    for r in range(t.n):
-        if y[r] == 0:
-            continue
-        i = selector[r]
-        xs[i][r] = -y[r] if i == 0 else y[r]
-    return tuple(tuple(x) for x in xs)
+    x = list(zeros((t.k + 1) * t.n))
+    for r, (i, v) in enumerate(zip(selector, res.kernel_basis[0])):
+        x[i * t.n + r] = -v if i == 0 else v
+    return tuple(x)
 
 
-def instance_with_segment(t: MatrixTuple, kernel: tuple) -> tuple:
+def instance_with_segment(t: MatrixTuple, kernel: Vec) -> tuple:
     """Instance whose solution set contains the segment [x, x + w].
 
-    kernel must be a nonzero disjoint-support solution of the homogeneous
-    system.  Returns (instance, endpoint_a, endpoint_b).
+    kernel must be a nonzero disjoint-support stacked solution of the
+    homogeneous system.  Returns (instance, endpoint_a, endpoint_b), the
+    endpoints stacked.
     """
     n, k = t.n, t.k
-    scale = max(abs(v) for x in kernel for v in x)
+    scale = max(abs(v) for v in kernel)
     if scale == 0:
         raise InputError("kernel tuple must be nonzero")
-    w = [tuple(v / scale for v in x) for x in kernel]  # all |entries| <= 1
+    w = tuple(v / scale for v in kernel)  # all |entries| <= 1
     d = tuple((Fraction(2),) * n for _ in range(k - 1))
-    xs = [list(zeros(n)) for _ in range(k + 1)]
+    x = list(zeros((k + 1) * n))
     for r in range(n):
-        m = next((i for i in range(k + 1) if w[i][r] != 0), None)
+        m = next((i for i in range(k + 1) if w[i * n + r] != 0), None)
         if m is None:
             continue
-        if m == 0:
-            xs[0][r] = Fraction(1)
-        else:
-            for j in range(1, m):
-                xs[j][r] = Fraction(2)  # saturate d_j so x_{j+1} may be positive
-            xs[m][r] = Fraction(1)
-    base = SolutionTuple(tuple(tuple(x) for x in xs))
-    inst = EhlcpInstance(t, d, mat_vec(t.stacked, tuple(chain.from_iterable(xs))))
-    other = SolutionTuple(
-        tuple(tuple(a + b for a, b in zip(x, wx)) for x, wx in zip(base.xs, w))
-    )
+        for j in range(1, m):
+            x[j * n + r] = Fraction(2)  # saturate d_j so x_{j+1} may be positive
+        x[m * n + r] = Fraction(1)
+    base = tuple(x)
+    inst = EhlcpInstance(t, d, mat_vec(t.stacked, base))
+    other = tuple(a + b for a, b in zip(base, w))
     if not (is_solution(inst, base) and is_solution(inst, other)):
         raise InvariantError("constructed segment endpoints do not solve the instance")
     return inst, base, other
@@ -272,45 +258,28 @@ def solution_points(inst: EhlcpInstance) -> list:
             stepped = _step(inst, piece.point, direction)
             if stepped is not None:
                 points.append(stepped)
-    unique = []
-    seen = set()
-    for p in points:
-        if p.xs not in seen:
-            seen.add(p.xs)
-            unique.append(p)
-    return unique
+    return list(dict.fromkeys(points))
 
 
-def _step(inst: EhlcpInstance, point: SolutionTuple, direction: Vec) -> Optional[SolutionTuple]:
+def _step(inst: EhlcpInstance, point: Vec, direction: Vec) -> Optional[Vec]:
     """point + (half the largest feasible step) along a stacked direction."""
-    blocks = unstack(direction, inst.matrix_tuple.n)
-    # x_0 and x_k are only bounded below by 0; x_j, 0 < j < k, also above by d_j
-    uppers = (None, *inst.d, None)
     limit: Optional[Fraction] = None
-    for x, dx, hi in zip(point.xs, blocks, uppers):
-        for r, dv in enumerate(dx):
-            if dv > 0 and hi is not None:
-                room = (hi[r] - x[r]) / dv
-                limit = room if limit is None else min(limit, room)
-            elif dv < 0:
-                room = -x[r] / dv
-                limit = room if limit is None else min(limit, room)
+    for x, dx, hi in zip(point, direction, inst.upper):
+        if dx > 0 and hi is not None:
+            room = (hi - x) / dx
+            limit = room if limit is None else min(limit, room)
+        elif dx < 0:
+            room = -x / dx
+            limit = room if limit is None else min(limit, room)
     step = Fraction(1) if limit is None else limit / 2
     if step == 0:
         return None
-    candidate = SolutionTuple(tuple(
-        tuple(v + step * dv for v, dv in zip(x, dx)) for x, dx in zip(point.xs, blocks)
-    ))
+    candidate = tuple(x + step * dx for x, dx in zip(point, direction))
     return candidate if is_solution(inst, candidate) else None
 
 
-def combine(a: SolutionTuple, b: SolutionTuple, weight: Fraction) -> SolutionTuple:
-    return SolutionTuple(
-        tuple(
-            tuple(weight * xa + (1 - weight) * xb for xa, xb in zip(va, vb))
-            for va, vb in zip(a.xs, b.xs)
-        )
-    )
+def combine(a: Vec, b: Vec, weight: Fraction) -> Vec:
+    return tuple(weight * xa + (1 - weight) * xb for xa, xb in zip(a, b))
 
 
 def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) -> list:
@@ -318,7 +287,7 @@ def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) 
     segment instance when t has a nonzero disjoint-support kernel tuple and
     on a random instance drawn at subseed(seed, salt + index) otherwise."""
     kernel = kernel_tuple_from_singular_representative(t)
-    if kernel is not None and any(v != 0 for x in kernel for v in x):
+    if kernel is not None and any(kernel):
         inst, _, _ = instance_with_segment(t, kernel)
     else:
         inst = gen_instance(t, subseed(spec.seed, salt + index), spec.entry_range)
@@ -440,14 +409,12 @@ def _check_t32(spec, index, t_ignored, rng) -> list:
     )
     q = tuple(Fraction(rng.randint(1, b)) for _ in range(n))
     inst = EhlcpInstance(t, d, q)
-    expected = SolutionTuple(
-        (mat_vec(inverse(c0), q),) + tuple(zeros(n) for _ in range(k))
-    )
+    expected = mat_vec(inverse(c0), q) + zeros(k * n)
     pieces = solve_all(inst)
     if (
         len(pieces) != 1
         or pieces[0].piece_dimension != 0
-        or pieces[0].point.xs != expected.xs
+        or pieces[0].point != expected
     ):
         out.append(_violation(spec, index, t, "solution not unique under M + cS-W + q > 0",
                               instance=instance_to_json(inst)))
@@ -478,7 +445,12 @@ def _check_t42(spec, index, t, rng) -> list:
     w = check_column_w(t).holds
     w0 = check_column_w0(t).holds
     nd = check_column_ndw_det(t).holds
-    cs = check_csw(t).holds
+    csw._require_within_cap(t)
+    # check_csw's fast paths assume this theorem, so it is tested against
+    # the pattern enumeration
+    cs = csw._first_violation(t, "csw") is None
+    if check_csw(t).holds != cs:
+        out.append(_violation(spec, index, t, "cS-W fast path disagrees with enumeration"))
     if w != (cs and nd):
         out.append(_violation(spec, index, t, "W <=> (cS-W and ND-W) violated"))
     if w != (w0 and nd):

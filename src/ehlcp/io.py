@@ -12,8 +12,8 @@ from typing import Any
 
 from .errors import InputError
 from .rational import Mat, Vec, rat, rat_str, zeros
-from .representatives import MatrixTuple, PropertyVerdict, make_tuple
-from .solver import EhlcpInstance, SolutionPiece, SolutionTuple, branch_label
+from .representatives import MatrixTuple, PropertyVerdict, make_tuple, unstack
+from .solver import EhlcpInstance, SolutionPiece, branch_label
 
 
 def _parse_matrix(obj: Any, n: int) -> list:
@@ -102,14 +102,16 @@ def instance_to_json(inst: EhlcpInstance) -> dict:
     }
 
 
-def solution_to_json(x: SolutionTuple) -> list:
-    return [vec_to_json(v) for v in x.xs]
+def solution_to_json(x: Vec, n: int) -> list:
+    """The blocks (x_0, ..., x_k) of a stacked vector, each as exact strings."""
+    return [vec_to_json(v) for v in unstack(x, n)]
 
 
 def piece_to_json(piece: SolutionPiece) -> dict:
+    n = len(piece.selector)
     return {
-        "branch": branch_label(piece.selector, len(piece.point.xs) - 1),
-        "point": solution_to_json(piece.point),
+        "branch": branch_label(piece.selector, len(piece.point) // n - 1),
+        "point": solution_to_json(piece.point, n),
         "dimension": piece.piece_dimension,
         "kernel_basis": [vec_to_json(v) for v in piece.kernel_basis],
     }

@@ -120,13 +120,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def pointwise(a: Vec, b: Vec) -> Vec:
-    """Componentwise product of two equal-length vectors."""
-    if len(a) != len(b):
-        raise DimensionError("pointwise on vectors of different dimension")
-    return tuple(x * y for x, y in zip(a, b))
-
-
 def require_square(m: Mat) -> int:
     """Order n of a square matrix; every row must have n entries."""
     n = len(m)

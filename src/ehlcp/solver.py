@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Optional
 
 from .errors import DimensionError, InputError, InvariantError
 from .linprog import lp_solve
-from .rational import Vec, identity, mat_vec, pointwise, solve_linear, zeros
-from .representatives import MatrixTuple, check_selector_cap, selectors, unstack
+from .rational import Vec, identity, mat_vec, solve_linear, zeros
+from .representatives import MatrixTuple, check_selector_cap, selectors
 
 
 @dataclass(frozen=True)
@@ -41,51 +42,42 @@ class EhlcpInstance:
         if len(self.q) != t.n:
             raise DimensionError("q must have dimension n")
 
-
-@dataclass(frozen=True)
-class SolutionTuple:
-    """Candidate solution vectors (x_0, ..., x_k)."""
-
-    xs: tuple  # k+1 vectors of dimension n
+    @cached_property
+    def upper(self) -> tuple:
+        """Upper bounds of the stacked x = (x_0, ..., x_k): d_{j,r} at index
+        j*n + r for 0 < j < k, None (unbounded) in blocks 0 and k.  Not a
+        dataclass field, so == and hash ignore it."""
+        unbounded = (None,) * self.matrix_tuple.n
+        return unbounded + tuple(chain.from_iterable(self.d)) + unbounded
 
 
 @dataclass(frozen=True)
 class SolutionPiece:
     """One selector's contribution: a point, the piece dimension, and a basis
-    of directions spanning the piece's affine hull, as stacked vectors
+    of directions spanning the piece's affine hull, all stacked vectors
     (x_0, ..., x_k) of length (k+1)n."""
 
     selector: tuple
-    point: SolutionTuple
+    point: Vec
     piece_dimension: int
     kernel_basis: tuple = field(default_factory=tuple)
 
 
-def _wedge_ok(u: Vec, v: Vec) -> bool:
-    # u ^ v = 0 via the equivalent form: both nonnegative, product zero
-    return (
-        all(x >= 0 for x in u)
-        and all(x >= 0 for x in v)
-        and all(p == 0 for p in pointwise(u, v))
-    )
-
-
-def is_solution(inst: EhlcpInstance, x: SolutionTuple) -> bool:
-    """Exact validity check of the EHLCP system: A x = q for A = t.stacked
-    and x = (x_0, ..., x_k) stacked, then the wedge conditions."""
+def is_solution(inst: EhlcpInstance, x: Vec) -> bool:
+    """Exact validity check of the EHLCP system for a stacked x = (x_0, ...,
+    x_k): A x = q for A = t.stacked, 0 <= x <= inst.upper, and every wedge
+    product x_{0,r} x_{1,r} and (d_{j,r} - x_{j,r}) x_{j+1,r} zero.  A
+    vector whose length is not (k+1)n raises DimensionError."""
     t = inst.matrix_tuple
-    if len(x.xs) != t.k + 1 or any(len(v) != t.n for v in x.xs):
-        raise DimensionError("solution tuple shape mismatch")
-    ax = mat_vec(t.stacked, tuple(chain.from_iterable(x.xs)))
-    if any(a != b for a, b in zip(ax, inst.q)):
+    if any(a != b for a, b in zip(mat_vec(t.stacked, x), inst.q)):
         return False
-    if not _wedge_ok(x.xs[0], x.xs[1]):
+    if any(v < 0 or (hi is not None and v > hi) for v, hi in zip(x, inst.upper)):
         return False
-    for j in range(1, t.k):
-        slack = tuple(inst.d[j - 1][r] - x.xs[j][r] for r in range(t.n))
-        if not _wedge_ok(slack, x.xs[j + 1]):
-            return False
-    return True
+    # wedge j pairs x_0 (j = 0) or the slack d_j - x_j with x_{j+1}
+    return not any(
+        (x[i] if hi is None else hi - x[i]) * x[i + t.n]
+        for i, hi in enumerate(inst.upper[: t.k * t.n])
+    )
 
 
 def _selector_system(inst: EhlcpInstance, selector: tuple):
@@ -102,23 +94,20 @@ def _selector_system(inst: EhlcpInstance, selector: tuple):
     """
     t = inst.matrix_tuple
     n = t.n
-    # (m, r) in lexicographic order is m * n + r in increasing order
-    blocks = sorted((m, r) for r, m in enumerate(selector))
-    free = [m * n + r for m, r in blocks]
+    upper = inst.upper
+    free = sorted(m * n + r for r, m in enumerate(selector))
     a = tuple(tuple(row[i] for i in free) for row in t.stacked)
-    pinned = [Fraction(0)] * ((t.k + 1) * n)
+    pinned = [Fraction(0)] * len(upper)
     for r, m in enumerate(selector):
         for j in range(1, m):
-            pinned[j * n + r] = inst.d[j - 1][r]
+            pinned[j * n + r] = upper[j * n + r]
     # the pinned d terms move to the right-hand side
     rhs = tuple(
         q - sum(row[i] * v for i, v in enumerate(pinned) if v)
         for q, row in zip(inst.q, t.stacked)
     )
     box = [(c, 1, Fraction(0)) for c in range(n)] + [
-        (c, -1, -inst.d[m - 1][r])
-        for c, (m, r) in enumerate(blocks)
-        if 0 < m < t.k
+        (c, -1, -upper[i]) for c, i in enumerate(free) if upper[i] is not None
     ]
     return free, a, rhs, pinned, box
 
@@ -150,7 +139,7 @@ def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece
 
     zero = (Fraction(0),) * len(pinned)
     return SolutionPiece(
-        tuple(selector), SolutionTuple(unstack(stacked(y, pinned), t.n)), len(basis),
+        tuple(selector), stacked(y, pinned), len(basis),
         tuple(stacked(v, zero) for v in basis),
     )
 
@@ -239,9 +228,8 @@ def solve_all(inst: EhlcpInstance) -> list:
         if piece is None:
             continue
         if piece.piece_dimension == 0:
-            key = piece.point.xs
-            if key in seen_points:
+            if piece.point in seen_points:
                 continue
-            seen_points.add(key)
+            seen_points.add(piece.point)
         pieces.append(piece)
     return pieces

@@ -15,6 +15,7 @@ import sympy
 
 from ehlcp.classes import is_m
 from ehlcp.csw import (
+    _first_violation,
     check_column_ndw_def,
     check_cone_csw,
     check_csw,
@@ -28,7 +29,7 @@ from ehlcp.harness import (
     instance_with_segment,
     kernel_tuple_from_singular_representative,
     paper_example_tuple,
-    segment_instance,
+    skew_pair_tuple,
     solution_points,
     subseed,
     w0_not_csw_tuple,
@@ -41,10 +42,15 @@ from ehlcp.representatives import (
     make_tuple,
     representative_matrix,
 )
-from ehlcp.solver import EhlcpInstance, SolutionTuple, is_solution, solve_all
+from ehlcp.solver import EhlcpInstance, is_solution, solve_all
 
 SAMPLE_SEED = 2024
 SAMPLE_SIZE = 500
+
+
+def segment_instance():
+    """HLCP instance whose solution set contains a whole segment."""
+    return EhlcpInstance(skew_pair_tuple(), (), (Fraction(0), Fraction(1)))
 
 
 def report(criterion, ok):
@@ -55,7 +61,8 @@ def report(criterion, ok):
 @pytest.fixture(scope="module")
 def generic_sample():
     """500 seeded generic tuples (n=2, k in {1,2}, entries in -2..2) with all
-    five tuple verdicts precomputed; shared across criteria 2, 3, 4, 6, 9."""
+    five tuple verdicts, and cS-W by pattern enumeration alone, precomputed;
+    shared across criteria 2, 3, 4, 6, 9."""
     records = []
     for i in range(SAMPLE_SIZE):
         k = 1 + i % 2
@@ -69,6 +76,7 @@ def generic_sample():
                 "ndw_det": check_column_ndw_det(t).holds,
                 "ndw_def": check_column_ndw_def(t).holds,
                 "csw": check_csw(t).holds,
+                "csw_enumerated": _first_violation(t, "csw") is None,
             }
         )
     return records
@@ -112,6 +120,11 @@ class TestCriterion03:
                 }
             )
         ok = True
+        # check_csw's fast paths are the first equivalence, so it is tested
+        # on the enumeration, and check_csw is held to agree with that
+        for r in generic_sample:
+            ok = ok and r["w"] == (r["csw_enumerated"] and r["ndw_det"])
+            ok = ok and r["csw"] == r["csw_enumerated"]
         for r in list(generic_sample) + extra:
             ok = ok and r["w"] == (r["csw"] and r["ndw_det"])
             ok = ok and r["w"] == (r["w0"] and r["ndw_det"])
@@ -196,7 +209,7 @@ class TestCriterion07:
             if check_column_ndw_det(t).holds:
                 continue
             kernel = kernel_tuple_from_singular_representative(t)
-            if kernel is None or all(v == 0 for x in kernel for v in x):
+            if kernel is None or not any(kernel):
                 continue
             if not check_csw(t).holds:
                 continue
@@ -246,14 +259,11 @@ class TestCriterion08:
             ok = ok and is_m(t.mats[0]).holds
             ok = ok and check_csw(t).holds
             ok = ok and all(v > 0 for v in inst.q)
-            expected = SolutionTuple(
-                (mat_vec(inverse(t.mats[0]), inst.q),)
-                + tuple(zeros(t.n) for _ in range(t.k))
-            )
+            expected = mat_vec(inverse(t.mats[0]), inst.q) + zeros(t.k * t.n)
             pieces = solve_all(inst)
             ok = ok and len(pieces) == 1
             ok = ok and pieces[0].piece_dimension == 0
-            ok = ok and pieces[0].point.xs == expected.xs
+            ok = ok and pieces[0].point == expected
             if not ok:
                 break
         report(8, ok)
@@ -289,7 +299,7 @@ class TestCriterion10:
             kernel = None
             if not check_column_ndw_det(t).holds:
                 kernel = kernel_tuple_from_singular_representative(t)
-            if kernel is not None and any(v != 0 for x in kernel for v in x):
+            if kernel is not None and any(kernel):
                 inst, _, _ = instance_with_segment(t, kernel)
             else:
                 inst = gen_instance(t, subseed(1020, i))
@@ -392,7 +402,7 @@ class TestCriterion11:
             q = tuple(Fraction(rng.randint(-2, 2)) for _ in range(2))
             inst = EhlcpInstance(make_tuple([identity(2), c1]), (), q)
             solver_points = {
-                (p.point.xs[0], p.point.xs[1])
+                (p.point[:2], p.point[2:])
                 for p in solve_all(inst)
                 if p.piece_dimension == 0
             }

@@ -21,7 +21,7 @@ from ehlcp.csw import (
 )
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
-from ehlcp.rational import _rref, identity, mat_vec, pointwise, solve_linear, zeros
+from ehlcp.rational import _rref, identity, mat_vec, solve_linear, zeros
 from ehlcp.representatives import check_column_ndw_det, make_tuple
 
 
@@ -92,7 +92,7 @@ def assert_witness_valid(t, witness, conclusion):
             assert (s == 0 and v == 0) or (s > 0 and v > 0) or (s < 0 and v < 0)
     if conclusion == "consecutive":
         assert any(
-            any(v != 0 for v in pointwise(xs[s], xs[s + 1])) for s in range(t.k)
+            any(a * b for a, b in zip(xs[s], xs[s + 1])) for s in range(t.k)
         )
     else:
         assert any(v != 0 for x in xs for v in x)

@@ -86,10 +86,12 @@ class TestSegmentConstruction:
         kernel = kernel_tuple_from_singular_representative(t)
         assert kernel is not None
         from ehlcp.rational import mat_vec
+        from ehlcp.representatives import unstack
 
-        lhs = mat_vec(t.mats[0], kernel[0])
+        xs = unstack(kernel, t.n)
+        lhs = mat_vec(t.mats[0], xs[0])
         rhs = [
-            sum(mat_vec(t.mats[i], kernel[i])[r] for i in range(1, t.k + 1))
+            sum(mat_vec(t.mats[i], xs[i])[r] for i in range(1, t.k + 1))
             for r in range(t.n)
         ]
         assert list(lhs) == rhs
@@ -106,7 +108,7 @@ class TestSegmentConstruction:
         t = paper_example_tuple()
         kernel = kernel_tuple_from_singular_representative(t)
         inst, base, other = instance_with_segment(t, kernel)
-        assert base.xs != other.xs
+        assert base != other
         assert is_solution(inst, base)
         assert is_solution(inst, other)
 
@@ -132,6 +134,17 @@ class TestVerifyTheorem:
         report = verify_theorem("T4.1-ndw", 20, GenSpec(2, 2, "generic", 2, 8))
         assert not report.passed
         assert all("seed" in v and "tuple" in v for v in report.violations)
+
+    def test_t42_checks_the_csw_fast_paths_against_enumeration(self, monkeypatch):
+        # check_csw's fast paths are T4.2 itself, so an enumeration that
+        # finds a violation in every tuple must show up as violations
+        import ehlcp.csw as csw
+
+        monkeypatch.setattr(csw, "_first_violation", lambda t, mode: {"pattern": [], "x": []})
+        spec = GenSpec(2, 2, "column_w_constructive", 2, 8)
+        details = {v["detail"] for v in verify_theorem("T4.2-equiv", 10, spec).violations}
+        assert "cS-W fast path disagrees with enumeration" in details
+        assert "W <=> (cS-W and ND-W) violated" in details
 
     def test_reports_are_seed_deterministic(self):
         spec = GenSpec(2, 1, "generic", 2, 33)

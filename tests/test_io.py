@@ -14,7 +14,7 @@ from ehlcp.io import (
     solution_to_json,
     tuple_to_json,
 )
-from ehlcp.solver import SolutionTuple, solve_all
+from ehlcp.solver import solve_all
 
 
 def sample_doc():
@@ -104,7 +104,7 @@ class TestRoundTrip:
         doc = piece_to_json(pieces[0])
         assert doc["point"] == [["1", "0"], ["0", "2"]]
         assert doc["dimension"] == 0
-        assert solution_to_json(SolutionTuple(pieces[0].point.xs)) == doc["point"]
+        assert solution_to_json(pieces[0].point, 2) == doc["point"]
 
     def test_dump_json_is_canonical(self):
         text = dump_json({"b": 1, "a": 2})

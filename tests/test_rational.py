@@ -15,7 +15,6 @@ from ehlcp.rational import (
     mat,
     mat_mul,
     mat_vec,
-    pointwise,
     rat,
     rat_str,
     require_square,
@@ -190,21 +189,6 @@ class TestSolveLinear:
         res = solve_linear(mat([[1, 2, 3], [2, 4, 6]]), vec([1, 2]))
         assert res.kind == "affine"
         assert len(res.kernel_basis) == 2
-
-
-class TestPointwise:
-    def test_product(self):
-        assert pointwise(vec([1, -2]), vec([3, "0"])) == (Fraction(3), Fraction(0))
-
-    def test_product_with_zero_annihilates(self):
-        assert pointwise(vec([7, -3]), (Fraction(0), Fraction(0))) == (
-            Fraction(0),
-            Fraction(0),
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            pointwise(vec([1]), vec([1, 2]))
 
 
 class TestMatHygiene:

@@ -17,11 +17,10 @@ from ehlcp.harness import (
     subseed,
 )
 from ehlcp.io import dump_json, piece_to_json
-from ehlcp.rational import identity, mat_vec, pointwise, vec
-from ehlcp.representatives import make_tuple, selectors
+from ehlcp.rational import identity, mat_vec, vec
+from ehlcp.representatives import make_tuple, selectors, unstack
 from ehlcp.solver import (
     EhlcpInstance,
-    SolutionTuple,
     branch_label,
     is_solution,
     solve_all,
@@ -194,49 +193,113 @@ class TestInstanceValidation:
             EhlcpInstance(t, (), (F(0),))
 
 
+class TestUpper:
+    def test_upper_is_the_stacked_bound_vector(self):
+        for k in (1, 2, 3):
+            for n in (1, 2, 3):
+                t = gen_tuple(GenSpec(n, k, "generic", 2, subseed(73, 10 * n + k)))
+                inst = gen_instance(t, subseed(74, 10 * n + k), 3)
+                twin = gen_instance(t, subseed(74, 10 * n + k), 3)
+                expected = [None] * ((k + 1) * n)
+                for j in range(1, k):
+                    for r in range(n):
+                        expected[j * n + r] = inst.d[j - 1][r]
+                assert inst.upper == tuple(expected)
+                assert inst.upper is inst.upper  # computed once per instance
+                # the cached attribute is not a field: equality and hash ignore it
+                assert inst == twin and hash(inst) == hash(twin)
+                assert "upper" in vars(inst) and "upper" not in vars(twin)
+
+
 class TestIsSolution:
     def test_split_solution(self):
-        x = SolutionTuple((vec([1, 0]), vec([0, 2])))
+        x = vec([1, 0, 0, 2])
         assert is_solution(split_instance(), x)
 
     def test_violated_complementarity(self):
-        x = SolutionTuple((vec([1, 0]), (F(1), F(2))))
+        x = vec([1, 0, 1, 2])
         assert not is_solution(split_instance(), x)
 
     def test_chain_solution(self):
-        x = SolutionTuple((vec([2, 0]), vec([0, 1]), (F(0), F(0))))
+        x = vec([2, 0, 0, 1, 0, 0])
         assert is_solution(chain_instance(), x)
 
     def test_negative_component_rejected(self):
         inst = split_instance()
-        x = SolutionTuple(((F(0), F(-2)), (F(-1), F(0))))
+        x = vec([0, -2, -1, 0])
         assert not is_solution(inst, x)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            is_solution(split_instance(), SolutionTuple((vec([1, 0]),)))
+            is_solution(split_instance(), vec([1, 0]))
 
     @staticmethod
     def per_matrix_reference(inst, x):
         """is_solution before the stacked matrix: C_0 x_0 against
-        q + sum C_i x_i, matrix by matrix, then the wedge conditions."""
+        q + sum C_i x_i, matrix by matrix, then the wedge conditions on the
+        blocks of x."""
         t = inst.matrix_tuple
-        lhs = mat_vec(t.mats[0], x.xs[0])
+        xs = unstack(x, t.n)
+        lhs = mat_vec(t.mats[0], xs[0])
         rhs = list(inst.q)
         for i in range(1, t.k + 1):
-            rhs = [a + b for a, b in zip(rhs, mat_vec(t.mats[i], x.xs[i]))]
+            rhs = [a + b for a, b in zip(rhs, mat_vec(t.mats[i], xs[i]))]
         if any(a != b for a, b in zip(lhs, rhs)):
             return False
 
         def wedge(u, v):
-            return all(a >= 0 for a in u + v) and not any(pointwise(u, v))
+            return all(a >= 0 for a in u + v) and not any(a * b for a, b in zip(u, v))
 
-        if not wedge(x.xs[0], x.xs[1]):
+        if not wedge(xs[0], xs[1]):
             return False
         return all(
-            wedge(tuple(dj - xj for dj, xj in zip(inst.d[j - 1], x.xs[j])), x.xs[j + 1])
+            wedge(tuple(dj - xj for dj, xj in zip(inst.d[j - 1], xs[j])), xs[j + 1])
             for j in range(1, t.k)
         )
+
+    @staticmethod
+    def column_point(n, k, d, m, value):
+        """Stacked x whose column 0 follows selector entry m (x_{0,0} = 0
+        for m > 0, x_{j,0} = d_{j,0} for 0 < j < m) with x_{m,0} = value and
+        every other entry 0, so every wedge product is zero."""
+        x = [F(0)] * ((k + 1) * n)
+        for j in range(1, m):
+            x[j * n] = d[j - 1][0]
+        x[m * n] = value
+        return x
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_points_breaking_one_condition(self, k):
+        n = 2
+        half = Fraction(1, 2)
+        t = gen_tuple(GenSpec(n, k, "generic", 2, subseed(53, k)))
+        d = tuple((F(j + 1), F(j + 2)) for j in range(1, k))
+
+        def verdict(x):
+            # q = A x, so the equation holds and bounds and wedges decide
+            x = tuple(x)
+            inst = EhlcpInstance(t, d, mat_vec(t.stacked, x))
+            assert is_solution(inst, x) == self.per_matrix_reference(inst, x)
+            return is_solution(inst, x)
+
+        for m in range(k + 1):
+            assert verdict(self.column_point(n, k, d, m, half))
+            # a negative entry in block m
+            assert not verdict(self.column_point(n, k, d, m, F(-1)))
+        for j in range(1, k):
+            # x_{j,0} above its bound d_{j,0}
+            assert not verdict(self.column_point(n, k, d, j, d[j - 1][0] + half))
+        for j in range(k):
+            # a nonzero product at wedge j: x_{j,0} below its bound (or x_{0,0}
+            # positive) and x_{j+1,0} positive
+            x = self.column_point(n, k, d, j, half)
+            x[(j + 1) * n] = half
+            assert not verdict(x)
+        x = tuple(self.column_point(n, k, d, 0, half))
+        inst = EhlcpInstance(t, d, mat_vec(t.stacked, x))
+        for wrong in (x[:-1], x + (F(0),)):
+            with pytest.raises(DimensionError):
+                is_solution(inst, wrong)
 
     def test_agrees_with_the_per_matrix_equation(self):
         # solution points and perturbed points; q given as a list or a tuple
@@ -253,9 +316,9 @@ class TestIsSolution:
                         candidates = [piece.point]
                         for _ in range(3):
                             i, r = rng.randint(0, k), rng.randint(0, n - 1)
-                            xs = [list(x) for x in piece.point.xs]
-                            xs[i][r] += F(rng.randint(-2, 2)) / 2
-                            candidates.append(SolutionTuple(tuple(tuple(x) for x in xs)))
+                            x = list(piece.point)
+                            x[i * n + r] += F(rng.randint(-2, 2)) / 2
+                            candidates.append(tuple(x))
                         for x in candidates:
                             expected = self.per_matrix_reference(inst, x)
                             assert is_solution(inst, x) == expected
@@ -301,7 +364,7 @@ class TestSolveBranch:
         piece = solve_branch(split_instance(), (0, 1))
         assert piece is not None
         assert piece.piece_dimension == 0
-        assert piece.point.xs == ((F(1), F(0)), (F(0), F(2)))
+        assert piece.point == vec([1, 0, 0, 2])
 
     def test_infeasible_branch(self):
         # pinning x0 = 0 forces x1 = -q with a negative component
@@ -314,7 +377,7 @@ class TestSolveBranch:
         assert len(piece.kernel_basis) == 1
         # piece is {((0, b), (1-b, 0)) : 0 <= b <= 1}; the reported point is
         # the relative-interior midpoint
-        assert piece.point.xs == ((F(0), Fraction(1, 2)), (Fraction(1, 2), F(0)))
+        assert piece.point == vec([0, "1/2", "1/2", 0])
 
     @pytest.mark.parametrize("selector", [(0,), (0, 2), (0, -1)])
     def test_invalid_selector_rejected(self, selector):
@@ -326,22 +389,19 @@ class TestSolveAll:
     def test_split_unique(self):
         pieces = solve_all(split_instance())
         assert len(pieces) == 1
-        assert pieces[0].point.xs == ((F(1), F(0)), (F(0), F(2)))
+        assert pieces[0].point == vec([1, 0, 0, 2])
 
     def test_chain_unique(self):
         pieces = solve_all(chain_instance())
         assert len(pieces) == 1
-        assert pieces[0].point.xs == ((F(2), F(0)), (F(0), F(1)), (F(0), F(0)))
+        assert pieces[0].point == vec([2, 0, 0, 1, 0, 0])
 
     def test_segment_recovered(self):
         pieces = solve_all(segment_instance())
         dims = sorted(p.piece_dimension for p in pieces)
         assert dims == [0, 0, 1]
-        endpoints = {p.point.xs for p in pieces if p.piece_dimension == 0}
-        assert endpoints == {
-            ((F(0), F(0)), (F(1), F(0))),
-            ((F(0), F(1)), (F(0), F(0))),
-        }
+        endpoints = {p.point for p in pieces if p.piece_dimension == 0}
+        assert endpoints == {vec([0, 0, 1, 0]), vec([0, 1, 0, 0])}
 
     def test_every_piece_point_is_a_solution(self):
         for i in range(30):
@@ -358,9 +418,10 @@ class TestSolveAll:
             t = gen_tuple(GenSpec(2, 2, "generic", 2, subseed(47, i)))
             inst = gen_instance(t, subseed(48, i))
             for piece in solve_all(inst):
-                x0 = piece.point.xs[0]
+                x0 = piece.point[: t.n]
                 for j in range(1, t.k + 1):
-                    assert all(v == 0 for v in pointwise(x0, piece.point.xs[j]))
+                    xj = piece.point[j * t.n : (j + 1) * t.n]
+                    assert not any(a * b for a, b in zip(x0, xj))
 
     def test_duplicate_points_deduplicated(self):
         # q = 0 makes the zero tuple appear in every feasible branch
@@ -368,7 +429,7 @@ class TestSolveAll:
         inst = EhlcpInstance(t, (), (F(0), F(0)))
         pieces = solve_all(inst)
         assert len(pieces) == 1
-        assert pieces[0].point.xs == ((F(0), F(0)), (F(0), F(0)))
+        assert pieces[0].point == vec([0, 0, 0, 0])
 
 
 class TestGoldenOutput:
@@ -386,13 +447,11 @@ class TestClosedFormSolution:
     def test_tridiagonal_closed_form(self):
         t = make_tuple([[[2, -1], [-1, 2]], [[0, 1], [-1, 0]]])
         pieces = solve_all(EhlcpInstance(t, (), (F(1), F(1))))
-        assert [(p.piece_dimension, p.point.xs) for p in pieces] == [
-            (0, ((F(1), F(1)), (F(0), F(0))))
-        ]
+        assert [(p.piece_dimension, p.point) for p in pieces] == [(0, vec([1, 1, 0, 0]))]
 
     def test_identity_k2(self):
         t = make_tuple([identity(2), identity(2), identity(2)])
         pieces = solve_all(EhlcpInstance(t, ((F(1), F(1)),), (F(3), F(4))))
-        assert [(p.piece_dimension, p.point.xs) for p in pieces] == [
-            (0, ((F(3), F(4)), (F(0), F(0)), (F(0), F(0))))
+        assert [(p.piece_dimension, p.point) for p in pieces] == [
+            (0, vec([3, 4, 0, 0, 0, 0]))
         ]
