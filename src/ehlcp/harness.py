@@ -447,9 +447,14 @@ def _check_t42(spec, index, t, rng) -> list:
     nd = check_column_ndw_det(t).holds
     csw._require_within_cap(t)
     # check_csw's fast paths assume this theorem, so it is tested against
-    # the pattern enumeration
-    cs = csw._first_violation(t, "csw") is None
-    if check_csw(t).holds != cs:
+    # the pattern enumeration; below the column W fast path check_csw has
+    # already enumerated, and its witness is the enumeration's verdict
+    verdict = check_csw(t)
+    if verdict.decided_by == "fast_path_column_w":
+        cs = csw._first_violation(t, "csw") is None
+    else:
+        cs = verdict.witness is None
+    if verdict.holds != cs:
         out.append(_violation(spec, index, t, "cS-W fast path disagrees with enumeration"))
     if w != (cs and nd):
         out.append(_violation(spec, index, t, "W <=> (cS-W and ND-W) violated"))

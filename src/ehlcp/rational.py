@@ -7,8 +7,10 @@ ever rounds, so every sign test downstream is reliable.
 The package has one elimination step, pivot_step: a fraction-free
 Gauss-Jordan pivot (Bareiss 1968) on rows scaled to integers, which keeps
 every entry an integer minor.  The determinant is the last pivot, the RREF
-behind solve_linear and inverse is the rows divided by it, and linprog's
-simplex tableau is the rational tableau times it.
+behind solve_linear and inverse is the rows divided by it, linprog's
+simplex tableau is the rational tableau times it, and
+representatives.representative_dets pivots once per node of its tree over
+the column selectors.
 """
 
 from __future__ import annotations

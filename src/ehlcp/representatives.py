@@ -3,17 +3,29 @@
 A tuple (C_0, ..., C_k) of n x n matrices has (k+1)^n column representative
 matrices; their determinant signs decide the column W, column W0 and the
 determinant form of the column ND-W property.
+
+representative_dets computes every determinant in one elimination tree over
+the selectors.  Row i of every C_s is scaled to integers by one L_i.  A
+node at depth j holds the unused rows times the k+1 candidate columns of
+each position j..n-1; choosing s_j pivots (rational.pivot_step) on the
+first unused row nonzero in candidate column s_j, then drops that row and
+position j's columns.  Siblings share their parent's elimination, so each
+selector costs its path's pivots below the shared prefix, not a full n x n
+determinant.  A candidate column that is zero on every unused row makes
+every completion of the prefix singular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
-from .rational import Mat, det, mat, rat_str
+from .rational import Mat, int_row, mat, pivot_step, rat_str
 
 SELECTOR_CAP = 10**6
 
@@ -105,10 +117,40 @@ def check_selector_cap(t: MatrixTuple) -> None:
 
 
 def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
-    """Yield (selector, determinant) over all representatives, in order."""
+    """Yield (selector, determinant) over all representatives, in selectors
+    order, lazily: the first determinant costs at most n pivots.
+
+    The determinant of a representative is sign * last_pivot / prod(L_i),
+    with sign the parity of the order in which its rows were pivoted."""
     check_selector_cap(t)
-    for sel in selectors(t.n, t.k):
-        yield sel, det(representative_matrix(t, sel))
+    n, width = t.n, t.k + 1
+    scales = [lcm(*(m[i][j].denominator for m in t.mats for j in range(n)))
+              for i in range(n)]
+    # column j * width + s of the root holds column j of C_s
+    root = [int_row([m[i][j] for j in range(n) for m in t.mats], scale)
+            for i, scale in enumerate(scales)]
+    yield from _subtree(root, (), 1, 1, n, width, prod(scales))
+
+
+def _subtree(rows, prefix, prev, sign, n, width, denom):
+    """Determinants of the completions of prefix, given rows: the unused
+    rows over the candidate columns of positions len(prefix)..n-1, after
+    fraction-free pivots whose last pivot is prev and row-order sign."""
+    last = len(prefix) == n - 1
+    for s in range(width):
+        sel = prefix + (s,)
+        p = next((i for i, row in enumerate(rows) if row[s]), None)
+        if p is None:
+            for rest in product(range(width), repeat=n - len(sel)):
+                yield sel + rest, Fraction(0)
+        elif last:
+            yield sel, Fraction(sign * rows[p][s], denom)
+        else:
+            a = list(rows)
+            pivot_step(a, p, s, prev)
+            pivot = a.pop(p)[s]
+            yield from _subtree([row[width:] for row in a], sel, pivot,
+                                -sign if p % 2 else sign, n, width, denom)
 
 
 def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:

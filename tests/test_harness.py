@@ -146,6 +146,24 @@ class TestVerifyTheorem:
         assert "cS-W fast path disagrees with enumeration" in details
         assert "W <=> (cS-W and ND-W) violated" in details
 
+    def test_t42_enumerates_once_below_the_column_w_fast_path(self, monkeypatch):
+        # the paper example is cS-W without column W, so check_csw decides it
+        # by enumeration and the suite takes that verdict instead of a rerun
+        import ehlcp.csw as csw
+        from ehlcp.harness import _check_t42
+
+        calls = []
+        first_violation = csw._first_violation
+
+        def counted(t, mode):
+            calls.append(mode)
+            return first_violation(t, mode)
+
+        monkeypatch.setattr(csw, "_first_violation", counted)
+        spec = GenSpec(2, 2, "generic", 2, 0)
+        assert _check_t42(spec, 0, paper_example_tuple(), None) == []
+        assert calls == ["csw"]
+
     def test_reports_are_seed_deterministic(self):
         spec = GenSpec(2, 1, "generic", 2, 33)
         a = verify_theorem("T4.3-chain", 15, spec)

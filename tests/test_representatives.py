@@ -1,10 +1,12 @@
 """Column representative enumeration and determinant-sign properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from ehlcp.errors import DimensionError, InputError
+import ehlcp.representatives as representatives
+from ehlcp.errors import CapExceeded, DimensionError, InputError
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import det, identity, mat
 from ehlcp.representatives import (
@@ -12,6 +14,7 @@ from ehlcp.representatives import (
     check_column_w,
     check_column_w0,
     make_tuple,
+    representative_dets,
     representative_matrix,
     selector_count,
     selectors,
@@ -225,3 +228,123 @@ class TestStacked:
         assert unstack(flat, 2) == ((0, 1), (2, 3), (4, 5))
         assert unstack(flat, 3) == ((0, 1, 2), (3, 4, 5))
         assert unstack(flat, 6) == (flat,)
+
+
+def _per_selector_dets(t):
+    """Reference route: a full determinant of every representative."""
+    return [(sel, det(representative_matrix(t, sel))) for sel in selectors(t.n, t.k)]
+
+
+def _tuple_of_kind(kind, n, k, rng):
+    """A random tuple of n x n matrices; kind picks the structure that
+    exercises one branch of the elimination tree."""
+    def ints(low, high):
+        return [[[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+                for _ in range(k + 1)]
+
+    if kind == "integer":
+        mats = ints(-3, 3)
+    elif kind == "rational":
+        # one base denominator per (matrix, row), varied per entry, so every
+        # row scale L_i is the lcm of different denominators across matrices
+        mats = [
+            [[Fraction(rng.randint(-5, 5), base * rng.choice((1, 2, 3))) for _ in range(n)]
+             for base in (rng.randint(1, 7) for _ in range(n))]
+            for _ in range(k + 1)
+        ]
+    elif kind == "zero_columns":
+        # sparse entries, so pivots often sit below the first unused row,
+        # plus whole candidate columns that are zero
+        mats = ints(-1, 1)
+        for _ in range(1 + n // 2):
+            m, col = rng.randrange(k + 1), rng.randrange(n)
+            for row in mats[m]:
+                row[col] = 0
+    elif kind == "dependent":
+        # column j of C_s is a combination of earlier columns of other
+        # matrices: singular exactly when the prefix picks those columns
+        mats = ints(-3, 3)
+        for j in range(1, n):
+            s = rng.randrange(k + 1)
+            picks = [(rng.randrange(k + 1), rng.randrange(j)) for _ in range(rng.randint(1, 2))]
+            coeffs = [rng.choice((-2, -1, 1, 2)) for _ in picks]
+            for r in range(n):
+                mats[s][r][j] = sum(c * mats[m][r][col] for c, (m, col) in zip(coeffs, picks))
+    elif kind == "all_zero":
+        # every matrix zero, or all but one
+        mats = [[[0] * n for _ in range(n)] for _ in range(k + 1)]
+        if rng.random() < 0.5:
+            mats[rng.randrange(k + 1)] = ints(-2, 2)[0]
+    else:
+        raise ValueError(kind)
+    return make_tuple(mats)
+
+
+_TREE_KINDS = ("integer", "rational", "zero_columns", "dependent", "all_zero")
+
+
+class TestEliminationTree:
+    @pytest.mark.parametrize("kind", _TREE_KINDS)
+    def test_matches_the_per_selector_determinants(self, kind):
+        tested = 0
+        for n in range(1, 7):
+            for k in range(1, 4):
+                repeats = 4 if (k + 1) ** n <= 256 else 1
+                for i in range(repeats):
+                    rng = random.Random(f"{kind}-{n}-{k}-{i}")
+                    t = _tuple_of_kind(kind, n, k, rng)
+                    assert list(representative_dets(t)) == _per_selector_dets(t), (n, k, i)
+                    tested += 1
+        assert tested == 63  # 315 tuples over the five kinds
+
+    def test_worked_triple(self, worked_triple):
+        assert list(representative_dets(worked_triple)) == _per_selector_dets(worked_triple)
+
+    def test_cap_is_checked_before_any_selector(self, monkeypatch):
+        t = make_tuple([identity(2), identity(2)])
+        monkeypatch.setattr(representatives, "SELECTOR_CAP", 3)
+        with pytest.raises(CapExceeded):
+            next(representative_dets(t))
+
+
+def _count_pivots(monkeypatch):
+    calls = []
+    pivot_step = representatives.pivot_step
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return pivot_step(*args)
+
+    monkeypatch.setattr(representatives, "pivot_step", counted)
+    return calls
+
+
+class TestTreeIsLazy:
+    n = 19  # 2^19 selectors, inside SELECTOR_CAP
+
+    def _mats(self, seed):
+        rng = random.Random(seed)
+        return [[[rng.randint(-3, 3) for _ in range(self.n)] for _ in range(self.n)]
+                for _ in range(2)]
+
+    def test_first_determinant_takes_at_most_n_pivots(self, monkeypatch):
+        mats = self._mats(19)
+        t = make_tuple(mats)
+        calls = _count_pivots(monkeypatch)
+        sel, d = next(representative_dets(t))
+        assert sel == (0,) * self.n
+        assert len(calls) <= self.n
+        assert d == det(t.mats[0])
+
+    def test_column_w_stops_at_a_singular_first_selector(self, monkeypatch):
+        mats = self._mats(20)
+        # the last column of C_0 is the sum of its others: the zero shows
+        # only at the deepest level of the first path
+        for row in mats[0]:
+            row[-1] = sum(row[:-1])
+        t = make_tuple(mats)
+        calls = _count_pivots(monkeypatch)
+        verdict = check_column_w(t)
+        assert not verdict.holds
+        assert verdict.witness["violations"] == [{"selector": [0] * self.n, "determinant": "0"}]
+        assert len(calls) <= self.n
