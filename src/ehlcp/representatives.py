@@ -129,28 +129,30 @@ def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
     # column j * width + s of the root holds column j of C_s
     root = [int_row([m[i][j] for j in range(n) for m in t.mats], scale)
             for i, scale in enumerate(scales)]
-    yield from _subtree(root, (), 1, 1, n, width, prod(scales))
+    denom = prod(scales)
 
+    def subtree(rows, prefix, prev, sign):
+        """Determinants of the completions of prefix, given rows: the
+        unused rows over the candidate columns of positions
+        len(prefix)..n-1, after fraction-free pivots whose last pivot is
+        prev and whose row order has the given sign."""
+        last = len(prefix) == n - 1
+        for s in range(width):
+            sel = prefix + (s,)
+            p = next((i for i, row in enumerate(rows) if row[s]), None)
+            if p is None:
+                for rest in product(range(width), repeat=n - len(sel)):
+                    yield sel + rest, Fraction(0)
+            elif last:
+                yield sel, Fraction(sign * rows[p][s], denom)
+            else:
+                a = list(rows)
+                pivot_step(a, p, s, prev)
+                pivot = a.pop(p)[s]
+                yield from subtree([row[width:] for row in a], sel, pivot,
+                                   -sign if p % 2 else sign)
 
-def _subtree(rows, prefix, prev, sign, n, width, denom):
-    """Determinants of the completions of prefix, given rows: the unused
-    rows over the candidate columns of positions len(prefix)..n-1, after
-    fraction-free pivots whose last pivot is prev and row-order sign."""
-    last = len(prefix) == n - 1
-    for s in range(width):
-        sel = prefix + (s,)
-        p = next((i for i, row in enumerate(rows) if row[s]), None)
-        if p is None:
-            for rest in product(range(width), repeat=n - len(sel)):
-                yield sel + rest, Fraction(0)
-        elif last:
-            yield sel, Fraction(sign * rows[p][s], denom)
-        else:
-            a = list(rows)
-            pivot_step(a, p, s, prev)
-            pivot = a.pop(p)[s]
-            yield from _subtree([row[width:] for row in a], sel, pivot,
-                                -sign if p % 2 else sign, n, width, denom)
+    yield from subtree(root, (), 1, 1)
 
 
 def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
