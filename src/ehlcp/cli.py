@@ -8,6 +8,7 @@ disagreed with the report).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -95,7 +96,9 @@ def cmd_check(args) -> int:
         "timing_seconds": round(time.monotonic() - started, 6),
     }
     if args.recheck:
-        again = _check_verdicts(inst, props, args)
+        # a fresh instance: the cached determinant scan and cocircuits of
+        # the first pass are recomputed, not read back
+        again = _check_verdicts(load_instance(args.file), props, args)
         if again != verdicts:
             print("recheck mismatch: verdicts are not reproducible", file=sys.stderr)
             return 4
@@ -167,7 +170,10 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="ehlcp",
         description="Exact matrix-tuple property checks and EHLCP solving",

@@ -6,24 +6,26 @@ vector of some x in ker A, A = MatrixTuple.stacked.  By the vector/covector
 orthogonality of oriented matroids (Bland & Las Vergnas 1978; Björner et
 al., Oriented Matroids, section 3.4) that holds iff the pattern is
 orthogonal to every cocircuit of A, the minimal-support sign vectors of its
-row space.  The cocircuits are computed exactly once per decision, so each
-pattern test is bit arithmetic; only the first realizable pattern goes to
-pattern_realizable, an exact LP that builds the witness vector.
+row space.  The cocircuits are computed exactly once per tuple
+(MatrixTuple.cocircuits), so each pattern test is bit arithmetic; only the
+first realizable pattern goes to pattern_realizable, an exact LP that
+builds the witness vector.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, product
 from typing import Iterator, Optional
 
 from .errors import InputError, InvariantError, UndecidedSize
 from .linprog import lp_solve
-from .rational import Mat, _rref, rat_str, solve_linear, zeros
+from .rational import Mat, rat_str, zeros
 from .representatives import (
     MatrixTuple,
     PropertyVerdict,
+    _sign_masks,
     check_column_ndw_det,
     check_column_w,
     make_tuple,
@@ -99,54 +101,7 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     return unstack(x, t.n)
 
 
-def _sign_masks(values) -> tuple:
-    """(pos, neg) bitmasks of a sign vector: bit e is set in pos where
-    values[e] > 0 and in neg where values[e] < 0."""
-    pos = neg = 0
-    for e, v in enumerate(values):
-        if v > 0:
-            pos |= 1 << e
-        elif v < 0:
-            neg |= 1 << e
-    return pos, neg
-
-
-def _cocircuits(t: MatrixTuple) -> list:
-    """Cocircuits of A as (pos, neg) bitmasks, bit i*n + r for component
-    (i, r), one of each pair +-Y.
-
-    With B a row basis of A and d its rank, every cocircuit is the sign
-    vector of y^T B for y spanning the left kernel of d - 1 columns of B,
-    when that kernel has dimension 1.
-    """
-    rows = [list(row) for row in t.stacked]
-    rank = len(_rref(rows))
-    if rank == 0:
-        return []
-    basis = rows[:rank]
-    width = len(basis[0])
-    found = {}
-    for cols in combinations(range(width), rank - 1):
-        # columns inside a found cocircuit's zero set span its hyperplane or
-        # are dependent, so they yield that cocircuit again or none
-        mask = sum(1 << e for e in cols)
-        if any(mask & (y_pos | y_neg) == 0 for y_pos, y_neg in found):
-            continue
-        # y . B[:, e] = 0 for e in cols; with no columns, every y qualifies
-        system = [[b[e] for b in basis] for e in cols] or [list(zeros(rank))]
-        kernel = solve_linear(system, zeros(len(system))).kernel_basis
-        if len(kernel) != 1:
-            continue
-        y = kernel[0]
-        pos, neg = _sign_masks(
-            sum(y[a] * basis[a][e] for a in range(rank)) for e in range(width)
-        )
-        lowest = (pos | neg) & -(pos | neg)
-        found[(neg, pos) if neg & lowest else (pos, neg)] = None
-    return list(found)
-
-
-def _is_kernel_sign(signs: tuple, cocircuits: list) -> bool:
+def _is_kernel_sign(signs: tuple, cocircuits) -> bool:
     """True iff the pattern is the sign vector of some x in ker A: for each
     cocircuit Y the products X_e * Y_e are all zero or include both a + and
     a -."""
@@ -211,7 +166,7 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
 
     The cocircuit test decides; the LP runs only on the pattern it accepts,
     and an LP that disagrees is a bug, never a verdict."""
-    cocircuits = _cocircuits(t)
+    cocircuits = t.cocircuits
     for signs in _violating_patterns(t, mode):
         if not _is_kernel_sign(signs, cocircuits):
             continue

@@ -8,6 +8,8 @@ are serialized back as exact strings, never floats.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import InputError
@@ -129,5 +131,57 @@ def verdict_to_json(v: PropertyVerdict) -> dict:
 
 
 def dump_json(doc: Any) -> str:
-    """Canonical serialization: sorted keys, stable separators, newline end."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, newline end.
+
+    The bytes are exactly json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    built in one recursive pass: with an indent, json.dumps runs its
+    pure-Python encoder."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as json writes it: a scalar key becomes its JSON text in
+    quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encode(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(o: Any, newline: str) -> str:
+    """JSON text of o; newline is "\n" plus the indent of the line o starts on."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_encode(v, inner) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [f"{_json_key(k)}: {_encode(v, inner)}" for k, v in sorted(o.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

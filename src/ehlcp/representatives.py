@@ -13,6 +13,18 @@ position j's columns.  Siblings share their parent's elimination, so each
 selector costs its path's pivots below the shared prefix, not a full n x n
 determinant.  A candidate column that is zero on every unused row makes
 every completion of the prefix singular.
+
+Each tuple walks that tree at most once for its non-exhaustive verdicts.
+MatrixTuple.det_scan is a resumable walk that keeps only the first
+(selector, determinant) of each sign -, 0, +, so its extra memory does not
+grow with (k+1)^n.  Because selectors compare in walk order, column W,
+column W0 and the determinant form of column ND-W are functions of those
+three first occurrences, and each verdict advances the walk only as far as
+it needs.  An exhaustive column W check keeps its own full walk and records
+it into the scan.
+
+MatrixTuple.cocircuits holds the cocircuits of A = [C_0 | -C_1 | ... | -C_k]
+that every sign-pattern decision in csw reads, computed once per tuple.
 """
 
 from __future__ import annotations
@@ -20,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm, prod
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
-from .rational import Mat, int_row, mat, pivot_step, rat_str
+from .rational import Mat, _rref, int_row, mat, pivot_step, rat_str, solve_linear, zeros
 
 SELECTOR_CAP = 10**6
 
@@ -57,6 +69,17 @@ class MatrixTuple:
             tuple(c if i == 0 else -c for i, m in enumerate(self.mats) for c in m[row])
             for row in range(self.n)
         )
+
+    @cached_property
+    def det_scan(self) -> "DetScan":
+        """The shared walk of representative_dets; CapExceeded on every
+        access while the tuple is over SELECTOR_CAP."""
+        return DetScan(self)
+
+    @cached_property
+    def cocircuits(self) -> tuple:
+        """Cocircuits of stacked, as _cocircuits computes them; once per tuple."""
+        return _cocircuits(self)
 
 
 def unstack(flat, n: int) -> tuple:
@@ -117,8 +140,9 @@ def check_selector_cap(t: MatrixTuple) -> None:
 
 
 def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
-    """Yield (selector, determinant) over all representatives, in selectors
-    order, lazily: the first determinant costs at most n pivots.
+    """Iterator of (selector, determinant) over all representatives, in
+    selectors order, lazily: the first determinant costs at most n pivots.
+    The call itself checks the selector cap, before any selector.
 
     The determinant of a representative is sign * last_pivot / prod(L_i),
     with sign the parity of the order in which its rows were pivoted."""
@@ -152,29 +176,78 @@ def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
                 yield from subtree([row[width:] for row in a], sel, pivot,
                                    -sign if p % 2 else sign)
 
-    yield from subtree(root, (), 1, 1)
+    return subtree(root, (), 1, 1)
+
+
+class DetScan:
+    """A resumable walk of representative_dets(t) that keeps only the first
+    (selector, determinant) of each determinant sign in walk order: first
+    maps -1, 0 and 1 to it once it has been seen."""
+
+    def __init__(self, t: MatrixTuple):
+        # the cap is checked here, not inside the walk: a generator that
+        # raised CapExceeded would be closed, and the next reader would
+        # take the empty walk for one without a violation
+        self._dets = representative_dets(t)
+        self.first: dict = {}
+        self.complete = False
+
+    def record(self, sel: tuple, d: Fraction) -> None:
+        self.first.setdefault((d > 0) - (d < 0), (sel, d))
+
+    def advance(self, enough) -> dict:
+        """Walk on until enough(first) is true or every selector has been
+        seen; return first."""
+        first = self.first
+        if not (self.complete or enough(first)):
+            for sel, d in self._dets:
+                self.record(sel, d)
+                if enough(first):
+                    return first
+            self.finish()
+        return first
+
+    def finish(self) -> None:
+        """Mark every selector as recorded and drop the walk."""
+        self.complete = True
+        self._dets = iter(())
+
+
+def _det_json(sel: tuple, d: Fraction) -> dict:
+    return {"selector": list(sel), "determinant": rat_str(d)}
 
 
 def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
     """Column W-property: every representative determinant strictly positive,
-    or every one strictly negative."""
+    or every one strictly negative.
+
+    The first violation is the earlier of the first zero and the first
+    determinant of the second sign.  exhaustive reports every violation,
+    from a full walk of its own that it records into the shared scan."""
     name = "column_w"
-    sign = 0
-    first_sel = None
+    scan = t.det_scan
     violations = []
-    for sel, d in representative_dets(t):
-        if d == 0:
-            violations.append({"selector": list(sel), "determinant": "0"})
-        elif sign == 0:
-            sign = 1 if d > 0 else -1
-            first_sel = {"selector": list(sel), "determinant": rat_str(d)}
-        elif (d > 0) != (sign > 0):
-            violations.append(
-                {"conflict_with": first_sel, "selector": list(sel),
-                 "determinant": rat_str(d)}
-            )
-        if violations and not exhaustive:
-            break
+    if exhaustive:
+        first_sel = None
+        for sel, d in representative_dets(t):
+            scan.record(sel, d)
+            if d == 0:
+                violations.append(_det_json(sel, d))
+            elif first_sel is None:
+                first_sel, positive = _det_json(sel, d), d > 0
+            elif (d > 0) != positive:
+                violations.append({"conflict_with": first_sel, **_det_json(sel, d)})
+        scan.finish()
+    else:
+        first = scan.advance(lambda f: 0 in f or (1 in f and -1 in f))
+        nonzero = sorted(first[s] for s in (-1, 1) if s in first)
+        candidates = nonzero[1:] + ([first[0]] if 0 in first else [])
+        if candidates:
+            earliest = min(candidates)  # selectors are distinct: compared alone
+            violation = _det_json(*earliest)
+            if earliest[1]:
+                violation["conflict_with"] = _det_json(*nonzero[0])
+            violations.append(violation)
     if violations:
         return PropertyVerdict(
             name, False, {"violations": violations},
@@ -183,7 +256,7 @@ def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
     return PropertyVerdict(
         name, True, None,
         f"all {selector_count(t.n, t.k)} representative determinants are "
-        f"strictly {'positive' if sign >= 0 else 'negative'}",
+        f"strictly {'negative' if -1 in scan.first else 'positive'}",
     )
 
 
@@ -191,18 +264,14 @@ def check_column_w0(t: MatrixTuple) -> PropertyVerdict:
     """Column W0-property: determinants all >= 0 with one > 0, or all <= 0
     with one < 0."""
     name = "column_w0"
-    pos = neg = None
-    for sel, d in representative_dets(t):
-        if d > 0 and pos is None:
-            pos = {"selector": list(sel), "determinant": rat_str(d)}
-        elif d < 0 and neg is None:
-            neg = {"selector": list(sel), "determinant": rat_str(d)}
-        if pos is not None and neg is not None:
-            return PropertyVerdict(
-                name, False, {"positive": pos, "negative": neg},
-                "representative determinants of both strict signs exist",
-            )
-    if pos is None and neg is None:
+    first = t.det_scan.advance(lambda f: 1 in f and -1 in f)
+    if 1 in first and -1 in first:
+        return PropertyVerdict(
+            name, False,
+            {"positive": _det_json(*first[1]), "negative": _det_json(*first[-1])},
+            "representative determinants of both strict signs exist",
+        )
+    if 1 not in first and -1 not in first:
         return PropertyVerdict(
             name, False, {"all_determinants_zero": True},
             "every representative determinant is zero",
@@ -217,13 +286,60 @@ def check_column_ndw_det(t: MatrixTuple) -> PropertyVerdict:
     """Determinant form of the column ND-W property: no representative is
     singular."""
     name = "column_ndw"
-    for sel, d in representative_dets(t):
-        if d == 0:
-            return PropertyVerdict(
-                name, False, {"selector": list(sel), "determinant": "0"},
-                "a singular column representative exists",
-            )
+    first = t.det_scan.advance(lambda f: 0 in f)
+    if 0 in first:
+        return PropertyVerdict(
+            name, False, _det_json(*first[0]),
+            "a singular column representative exists",
+        )
     return PropertyVerdict(
         name, True, None,
         f"all {selector_count(t.n, t.k)} representative determinants are nonzero",
     )
+
+
+def _sign_masks(values) -> tuple:
+    """(pos, neg) bitmasks of a sign vector: bit e is set in pos where
+    values[e] > 0 and in neg where values[e] < 0."""
+    pos = neg = 0
+    for e, v in enumerate(values):
+        if v > 0:
+            pos |= 1 << e
+        elif v < 0:
+            neg |= 1 << e
+    return pos, neg
+
+
+def _cocircuits(t: MatrixTuple) -> tuple:
+    """Cocircuits of A = t.stacked as (pos, neg) bitmasks, bit i*n + r for
+    component (i, r), one of each pair +-Y.
+
+    With B a row basis of A and d its rank, every cocircuit is the sign
+    vector of y^T B for y spanning the left kernel of d - 1 columns of B,
+    when that kernel has dimension 1.
+    """
+    rows = [list(row) for row in t.stacked]
+    rank = len(_rref(rows))
+    if rank == 0:
+        return ()
+    basis = rows[:rank]
+    width = len(basis[0])
+    found = {}
+    for cols in combinations(range(width), rank - 1):
+        # columns inside a found cocircuit's zero set span its hyperplane or
+        # are dependent, so they yield that cocircuit again or none
+        mask = sum(1 << e for e in cols)
+        if any(mask & (y_pos | y_neg) == 0 for y_pos, y_neg in found):
+            continue
+        # y . B[:, e] = 0 for e in cols; with no columns, every y qualifies
+        system = [[b[e] for b in basis] for e in cols] or [list(zeros(rank))]
+        kernel = solve_linear(system, zeros(len(system))).kernel_basis
+        if len(kernel) != 1:
+            continue
+        y = kernel[0]
+        pos, neg = _sign_masks(
+            sum(y[a] * basis[a][e] for a in range(rank)) for e in range(width)
+        )
+        lowest = (pos | neg) & -(pos | neg)
+        found[(neg, pos) if neg & lowest else (pos, neg)] = None
+    return tuple(found)

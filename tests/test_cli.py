@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report documents, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehlcp import cli, representatives
 from ehlcp.cli import main
 
 
@@ -94,6 +96,25 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["recheck"] == "ok"
 
+    def test_recheck_recomputes_the_cached_tuple_work(self, tmp_path, capsys, monkeypatch):
+        # the second pass loads the instance again, so it walks the
+        # representative determinants and computes the cocircuits anew
+        # instead of reading back the first pass's cached results
+        counts = {"representative_dets": 0, "_cocircuits": 0}
+        for name in counts:
+            def counted(t, real=getattr(representatives, name), name=name):
+                counts[name] += 1
+                return real(t)
+
+            monkeypatch.setattr(representatives, name, counted)
+        path = write_doc(tmp_path, worked_triple_doc())
+        props = "column_w,column_w0,column_ndw,csw,cone_csw,column_ndw_def"
+        assert run_main(["check", "--file", path, "--props", props], capsys)[0] == 0
+        assert counts == {"representative_dets": 1, "_cocircuits": 1}
+        code, out, _ = run_main(["check", "--file", path, "--props", props, "--recheck"], capsys)
+        assert code == 0 and json.loads(out)["recheck"] == "ok"
+        assert counts == {"representative_dets": 3, "_cocircuits": 3}
+
     def test_cap_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "3")
         doc = worked_triple_doc()
@@ -131,6 +152,38 @@ class TestCheck:
         assert code == 3 and out == ""
         assert "selector cap" in err
         assert "--force" not in err
+
+
+class TestParserReuse:
+    def test_later_calls_behave_as_first_calls(self, tmp_path, capsys):
+        # build_parser is built once per process; a call parsed by the
+        # shared parser gives the bytes and exit code it gives when it is
+        # the process's first call
+        path = write_doc(tmp_path, worked_triple_doc())
+        calls = (
+            ["check", "--exhaustive", "--file", path, "--props", "column_w,column_w0"],
+            ["check", "--file", path, "--props", "column_w,column_w0"],
+            ["check", "--file", path, "--props", "column_w", "--exhaustive=yes"],
+        )
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            # the one field that differs between two runs of the same call
+            return code, re.sub(r'"timing_seconds": [0-9.e+-]+', "", out.out), out.err
+
+        first = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            first.append(run(argv))
+        assert [run(argv) for argv in calls] == first
+        assert cli.build_parser() is cli.build_parser()
+        assert [code for code, _, _ in first] == [0, 0, 2]
+        # the flag changes the report, so a flag kept from an earlier parse shows
+        assert first[0][1] != first[1][1]
 
 
 class TestSolve:

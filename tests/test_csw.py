@@ -6,10 +6,9 @@ from itertools import combinations, product
 
 import pytest
 
-from ehlcp import csw
+from ehlcp import csw, representatives
 from ehlcp.cli import main
 from ehlcp.csw import (
-    _cocircuits,
     _is_kernel_sign,
     _violating_patterns,
     check_column_ndw_def,
@@ -130,7 +129,8 @@ class TestPatternRealizable:
 
 
 def reference_cocircuits(t):
-    """_cocircuits without the zero-set skip: one solve per (rank-1)-subset."""
+    """MatrixTuple.cocircuits without the zero-set skip: one solve per
+    (rank-1)-subset."""
     rows = [list(row) for row in t.stacked]
     rank = len(_rref(rows))
     if rank == 0:
@@ -172,7 +172,7 @@ class TestCocircuitRealizability:
         for n in (1, 2, 3):
             for k in (1, 2):
                 for t in self.tuples(n, k, subseed(43, 10 * n + k)):
-                    cocircuits = _cocircuits(t)
+                    cocircuits = t.cocircuits
                     for mode in MODES:
                         patterns = list(_violating_patterns(t, mode))
                         for signs in rng.sample(patterns, min(len(patterns), 12)):
@@ -189,17 +189,18 @@ class TestCocircuitRealizability:
         for n, k, family in shapes:
             for seed in range(3):
                 for t in self.tuples(n, k, subseed(47, seed)):
-                    assert _cocircuits(t) == reference_cocircuits(t), (t, family)
+                    assert list(t.cocircuits) == reference_cocircuits(t), (t, family)
                 t = gen_tuple(GenSpec(n, k, family, 2, seed))
-                assert _cocircuits(t) == reference_cocircuits(t), (t, family)
+                assert list(t.cocircuits) == reference_cocircuits(t), (t, family)
 
     def test_zero_set_skip_bounds_linear_solves(self, monkeypatch):
         # 1 365 subsets of 4 of the 15 columns span only 5 hyperplanes
         calls = []
-        real = csw.solve_linear
-        monkeypatch.setattr(csw, "solve_linear", lambda *a: calls.append(a) or real(*a))
+        real = representatives.solve_linear
+        monkeypatch.setattr(representatives, "solve_linear",
+                            lambda *a: calls.append(a) or real(*a))
         t = gen_tuple(GenSpec(5, 2, "column_w_constructive", 2, 0))
-        assert len(_cocircuits(t)) == 5
+        assert len(t.cocircuits) == 5
         assert len(calls) == 5
 
     def test_lp_disagreement_is_an_invariant_error(

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehlcp.errors import InputError
 from ehlcp.io import (
@@ -109,3 +111,39 @@ class TestRoundTrip:
     def test_dump_json_is_canonical(self):
         text = dump_json({"b": 1, "a": 2})
         assert text == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+# Documents beyond what reports hold: strings with non-ASCII, control and
+# lone surrogate characters, big ints, floats with inf and nan, empty
+# containers, tuples beside lists, and non-str keys (one key kind per dict,
+# so that sort_keys can order it)
+_text = st.text(st.characters(exclude_categories=()))
+_docs = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats() | _text,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_text, children, max_size=4)
+        | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(),
+                          children, max_size=4)
+        | st.dictionaries(st.none(), children, max_size=1)
+    ),
+    max_leaves=24,
+)
+
+
+class TestDumpJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_docs)
+    def test_bytes_equal_json_dumps(self, doc):
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"a": Fraction(1, 2)}, [object()], {"a": {1, 2}}, b"bytes", {(1, 2): 0},
+    ])
+    def test_unsupported_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dump_json(doc)

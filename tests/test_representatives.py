@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -10,6 +11,8 @@ from ehlcp.errors import CapExceeded, DimensionError, InputError
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import det, identity, mat
 from ehlcp.representatives import (
+    MatrixTuple,
+    PropertyVerdict,
     check_column_ndw_det,
     check_column_w,
     check_column_w0,
@@ -348,3 +351,174 @@ class TestTreeIsLazy:
         assert not verdict.holds
         assert verdict.witness["violations"] == [{"selector": [0] * self.n, "determinant": "0"}]
         assert len(calls) <= self.n
+
+
+# Reference verdicts: the determinant checks as they were before the shared
+# scan, each a loop over a walk of its own.
+def _reference_column_w(t, exhaustive=False):
+    sign = 0
+    first_sel = None
+    violations = []
+    for sel, d in representative_dets(t):
+        if d == 0:
+            violations.append({"selector": list(sel), "determinant": "0"})
+        elif sign == 0:
+            sign = 1 if d > 0 else -1
+            first_sel = {"selector": list(sel), "determinant": str(d)}
+        elif (d > 0) != (sign > 0):
+            violations.append(
+                {"conflict_with": first_sel, "selector": list(sel), "determinant": str(d)}
+            )
+        if violations and not exhaustive:
+            break
+    if violations:
+        return PropertyVerdict(
+            "column_w", False, {"violations": violations},
+            "a representative determinant is zero or two have opposite signs",
+        )
+    return PropertyVerdict(
+        "column_w", True, None,
+        f"all {selector_count(t.n, t.k)} representative determinants are "
+        f"strictly {'positive' if sign >= 0 else 'negative'}",
+    )
+
+
+def _reference_column_w0(t):
+    pos = neg = None
+    for sel, d in representative_dets(t):
+        if d > 0 and pos is None:
+            pos = {"selector": list(sel), "determinant": str(d)}
+        elif d < 0 and neg is None:
+            neg = {"selector": list(sel), "determinant": str(d)}
+        if pos is not None and neg is not None:
+            return PropertyVerdict(
+                "column_w0", False, {"positive": pos, "negative": neg},
+                "representative determinants of both strict signs exist",
+            )
+    if pos is None and neg is None:
+        return PropertyVerdict(
+            "column_w0", False, {"all_determinants_zero": True},
+            "every representative determinant is zero",
+        )
+    return PropertyVerdict(
+        "column_w0", True, None,
+        "all representative determinants share a weak sign and one is strict",
+    )
+
+
+def _reference_column_ndw_det(t):
+    for sel, d in representative_dets(t):
+        if d == 0:
+            return PropertyVerdict(
+                "column_ndw", False, {"selector": list(sel), "determinant": "0"},
+                "a singular column representative exists",
+            )
+    return PropertyVerdict(
+        "column_ndw", True, None,
+        f"all {selector_count(t.n, t.k)} representative determinants are nonzero",
+    )
+
+
+_CHECKS = {
+    "column_w": (lambda t, ex: check_column_w(t, exhaustive=ex), _reference_column_w),
+    "column_w0": (lambda t, ex: check_column_w0(t), lambda t, ex: _reference_column_w0(t)),
+    "column_ndw": (lambda t, ex: check_column_ndw_det(t),
+                   lambda t, ex: _reference_column_ndw_det(t)),
+}
+_SCAN_KINDS = ("integer", "zero_columns", "dependent", "all_zero")
+
+
+def _scan_tuples(kind):
+    """Seeded tuples of one kind, plus column-W-constructive ones, on which
+    column W holds."""
+    for n in range(1, 5):
+        for k in (1, 2):
+            for i in range(3):
+                yield _tuple_of_kind(kind, n, k, random.Random(f"scan-{kind}-{n}-{k}-{i}"))
+            yield gen_tuple(GenSpec(n, k, "column_w_constructive", 2, subseed(29, 10 * n + k)))
+
+
+def _fresh(t):
+    """An equal tuple with nothing cached."""
+    return MatrixTuple(t.n, t.k, t.mats)
+
+
+def _run(t, order, exhaustive):
+    return {name: _CHECKS[name][0](t, exhaustive) for name in order}
+
+
+class TestSharedScan:
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("kind", _SCAN_KINDS)
+    def test_every_call_order_gives_the_reference_verdicts(self, kind, exhaustive):
+        outcomes = set()
+        for t in _scan_tuples(kind):
+            expected = {name: ref(t, exhaustive) for name, (_, ref) in _CHECKS.items()}
+            outcomes.add(tuple(v.holds for v in expected.values()))
+            for order in permutations(_CHECKS):
+                fresh = _fresh(t)
+                assert _run(fresh, order, exhaustive) == expected, (t, order)
+                # a second round reads the scan the first round left
+                assert _run(fresh, order, exhaustive) == expected, (t, order)
+                assert len(fresh.det_scan.first) <= 3
+        # column W holds on the constructive tuples and fails on the others
+        assert (True, True, True) in outcomes and len(outcomes) >= 2, outcomes
+
+    def test_w_violation_is_the_earlier_of_zero_and_sign_conflict(self):
+        # determinants in walk order (0,0), (0,1), (1,0), (1,1):
+        # 1, 0, -1, 0 here, so column W0 walks past the first zero ...
+        zero_first = make_tuple([identity(2), [[-1, 0], [0, 0]]])
+        # ... and 1, -1, 0, 0 here, so column ND-W walks past the conflict
+        conflict_first = make_tuple([identity(2), [[0, 0], [0, -1]]])
+        for t, walk_past, expected in (
+            (zero_first, check_column_w0, {"selector": [0, 1], "determinant": "0"}),
+            (conflict_first, check_column_ndw_det,
+             {"selector": [0, 1], "determinant": "-1",
+              "conflict_with": {"selector": [0, 0], "determinant": "1"}}),
+        ):
+            walk_past(t)
+            assert check_column_w(t).witness == {"violations": [expected]}
+            assert check_column_w(t) == _reference_column_w(_fresh(t))
+
+    def test_three_checks_cost_no_more_than_the_costliest(self, monkeypatch):
+        calls = _count_pivots(monkeypatch)
+
+        def cost(run, *args):
+            before = len(calls)
+            run(*args)
+            return len(calls) - before
+
+        for kind in _SCAN_KINDS:
+            for t in _scan_tuples(kind):
+                for exhaustive in (False, True):
+                    # today's cost: each reference loop walks as far as it needs
+                    alone = {name: cost(ref, _fresh(t), exhaustive)
+                             for name, (_, ref) in _CHECKS.items()}
+                    for name in _CHECKS:
+                        assert cost(_run, _fresh(t), [name], exhaustive) == alone[name]
+                    for order in permutations(_CHECKS):
+                        together = cost(_run, _fresh(t), order, exhaustive)
+                        if exhaustive and order[0] != "column_w":
+                            # the exhaustive walk cannot start where the
+                            # scan stopped: it costs what three walks did
+                            assert together <= sum(alone.values()), (t, order)
+                        else:
+                            assert together <= max(alone.values()), (t, order, exhaustive)
+
+    def test_cap_exceeded_on_every_call(self, monkeypatch):
+        t = make_tuple([identity(2), identity(2)])
+        monkeypatch.setattr(representatives, "SELECTOR_CAP", 3)
+        for _ in range(2):
+            for name in _CHECKS:
+                for exhaustive in (False, True):
+                    with pytest.raises(CapExceeded):
+                        _CHECKS[name][0](t, exhaustive)
+        assert "det_scan" not in vars(t)
+
+    def test_cached_walks_are_not_fields(self):
+        t = make_tuple([identity(2), [[0, 1], [-1, 0]]])
+        twin = make_tuple([identity(2), [[0, 1], [-1, 0]]])
+        check_column_w(t)
+        assert t.det_scan is t.det_scan and t.cocircuits is t.cocircuits
+        assert t == twin and hash(t) == hash(twin)
+        assert "det_scan" in vars(t) and "det_scan" not in vars(twin)
