@@ -21,20 +21,15 @@ from .csw import (
     check_cone_csw,
     check_csw,
     check_x_column_sufficiency,
-    pattern_realizable,
 )
 from .errors import CapExceeded, DimensionError, InputError, UndecidedSize
 from .harness import (
     GenSpec,
-    SplitMix64,
-    TheoremReport,
     gen_instance,
     gen_tuple,
     verify_theorem,
 )
-from .linprog import LpResult, lp_solve
 from .rational import (
-    LinearSolveResult,
     det,
     identity,
     inverse,
@@ -50,7 +45,6 @@ from .representatives import (
     check_column_w,
     check_column_w0,
     make_tuple,
-    representative_matrix,
     selector_count,
     selectors,
 )
@@ -59,5 +53,4 @@ from .solver import (
     SolutionPiece,
     is_solution,
     solve_all,
-    solve_branch,
 )

@@ -14,12 +14,11 @@ builds the witness vector.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import chain, product
 from typing import Iterator, Optional
 
-from .errors import InputError, InvariantError, UndecidedSize
+from .errors import InvariantError, UndecidedSize
 from .linprog import lp_solve
 from .rational import Mat, rat_str, zeros
 from .representatives import (
@@ -32,31 +31,16 @@ from .representatives import (
     unstack,
 )
 
-PATTERN_CAP_DEFAULT = 12
-PATTERN_CAP_ENV = "EHLCP_MAX_PATTERN_COMPONENTS"
+PATTERN_CAP = 12  # largest (k+1)*n the sign-pattern deciders accept; no override
 
 SYMBOLS = (-1, 0, 1)  # canonical symbol order (-, 0, +)
 
 
-def pattern_cap() -> int:
-    """Largest (k+1)*n the sign-pattern deciders accept: the integer in
-    EHLCP_MAX_PATTERN_COMPONENTS, or PATTERN_CAP_DEFAULT when it is unset."""
-    env = os.environ.get(PATTERN_CAP_ENV)
-    if env is None:
-        return PATTERN_CAP_DEFAULT
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise InputError(f"{PATTERN_CAP_ENV} must be an integer, got {env!r}") from exc
-
-
 def _require_within_cap(t: MatrixTuple) -> None:
-    limit = pattern_cap()
     size = (t.k + 1) * t.n
-    if size > limit:
+    if size > PATTERN_CAP:
         raise UndecidedSize(
-            f"undecided: size ((k+1)*n = {size} exceeds pattern cap {limit}; "
-            f"raise it via {PATTERN_CAP_ENV})"
+            f"undecided: size ((k+1)*n = {size} exceeds pattern cap {PATTERN_CAP})"
         )
 
 
@@ -194,7 +178,7 @@ def check_csw(t: MatrixTuple) -> PropertyVerdict:
         return PropertyVerdict("csw", True, decided_by="fast_path_column_w")
     if check_column_ndw_det(t).holds:
         witness = None
-        if (t.k + 1) * t.n <= pattern_cap():
+        if (t.k + 1) * t.n <= PATTERN_CAP:
             witness = _first_violation(t, "csw")
         return PropertyVerdict("csw", False, witness, decided_by="fast_path_ndw_not_w")
     _require_within_cap(t)

@@ -15,8 +15,8 @@ class DimensionError(InputError):
 
 class CapExceeded(RuntimeError):
     """A resource guardrail was hit; the message names the cap and its limit.
-    No argument or flag overrides a cap; EHLCP_MAX_PATTERN_COMPONENTS sets the
-    pattern cap, and Python's int-to-string digit limit bounds reported numbers."""
+    Every cap is a fixed constant with no override; Python's int-to-string
+    digit limit bounds reported numbers."""
 
 
 class UndecidedSize(CapExceeded):

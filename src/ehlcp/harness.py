@@ -99,6 +99,20 @@ def _random_matrix(rng: SplitMix64, n: int, lo: int, hi: int) -> Mat:
     return mat([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
+def _scale_columns(m: Mat, d) -> Mat:
+    """m diag(d): column j of m times d[j]."""
+    return tuple(tuple(v * dj for v, dj in zip(row, d)) for row in m)
+
+
+def _column_scaled_tuple(rng: SplitMix64, c0: Mat, k: int, b: int) -> MatrixTuple:
+    """(C_0, C_0 D_1, ..., C_0 D_k): each D_i diagonal with its n entries
+    drawn by rng.randint(1, b) in column order, D_1 first."""
+    n = len(c0)
+    return make_tuple([c0] + [
+        _scale_columns(c0, [rng.randint(1, b) for _ in range(n)]) for _ in range(k)
+    ])
+
+
 def gen_tuple(spec: GenSpec) -> MatrixTuple:
     """Deterministic tuple for the spec; family postconditions re-certified."""
     rng = SplitMix64(spec.seed)
@@ -122,12 +136,7 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
                 break
         else:
             raise RuntimeError("no invertible C_0 found in 1000 attempts")
-        mats = [c0]
-        for _ in range(k):
-            diag = [[Fraction(rng.randint(1, b) if i == j else 0) for j in range(n)]
-                    for i in range(n)]
-            mats.append(mat_mul(c0, tuple(tuple(row) for row in diag)))
-        t = make_tuple(mats)
+        t = _column_scaled_tuple(rng, c0, k, b)
         if not check_column_w(t).holds:
             raise InvariantError("constructive family produced a non-column-W tuple")
         return t
@@ -335,13 +344,8 @@ def _check_t21(spec, index, t, rng) -> list:
             for r in range(t.n):
                 if all(diags[i][r] == 0 for i in range(t.k + 1)):
                     diags[rng.randint(0, t.k)][r] = rng.randint(1, b)
-            total = [
-                [
-                    sum(t.mats[i][row][col] * diags[i][col] for i in range(t.k + 1))
-                    for col in range(t.n)
-                ]
-                for row in range(t.n)
-            ]
+            scaled = [_scale_columns(m, d) for m, d in zip(t.mats, diags)]
+            total = [[sum(column) for column in zip(*rows)] for rows in zip(*scaled)]
             if det(mat(total)) == 0:
                 out.append(_violation(spec, index, t, "singular nonnegative diagonal combination under W"))
         for trial in range(3):
@@ -392,14 +396,7 @@ def _check_t32(spec, index, t_ignored, rng) -> list:
     # certified column W (hence cS-W), q strictly positive
     n, k, b = spec.n, spec.k, spec.entry_range
     c0 = _m_matrix(rng, n, b)
-    mats = [c0]
-    for _ in range(k):
-        diag = tuple(
-            tuple(Fraction(rng.randint(1, b) if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-        mats.append(mat_mul(c0, diag))
-    t = make_tuple(mats)
+    t = _column_scaled_tuple(rng, c0, k, b)
     out = []
     if not is_m(t.mats[0]).holds or not check_csw(t).holds:
         out.append(_violation(spec, index, t, "constructed tuple fails its certificates"))

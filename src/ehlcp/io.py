@@ -81,6 +81,8 @@ def load_instance(path: str) -> EhlcpInstance:
         raise InputError(f"cannot read instance file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"invalid JSON in instance file: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("instance file nests arrays or objects too deeply to parse") from exc
     return parse_instance(doc)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehlcp import cli, representatives
+from ehlcp import cli, csw, representatives
 from ehlcp.cli import main
 
 
@@ -116,7 +116,7 @@ class TestCheck:
         assert counts == {"representative_dets": 3, "_cocircuits": 3}
 
     def test_cap_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "3")
+        monkeypatch.setattr(csw, "PATTERN_CAP", 3)
         doc = worked_triple_doc()
         # degenerate C0 disables both fast paths, forcing enumeration
         doc["C"][0] = [[1, 0], [0, 0]]
@@ -124,6 +124,19 @@ class TestCheck:
         code, _, err = run_main(["check", "--file", path, "--props", "csw"], capsys)
         assert code == 3
         assert "undecided: size" in err
+
+    @pytest.mark.parametrize("k, code", [(11, 0), (12, 3)])
+    def test_shipped_pattern_cap_is_12(self, tmp_path, capsys, k, code):
+        # C_0 = [[0]] fails column W and ND-W, so csw enumerates patterns
+        # at (k+1)*n = k + 1 components, up to and then past the cap
+        doc = {"n": 1, "k": k, "C": [[[0]]] + [[[1]]] * k, "d": [[1]] * (k - 1), "q": [0]}
+        path = write_doc(tmp_path, doc)
+        got, out, err = run_main(["check", "--file", path, "--props", "csw"], capsys)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["verdicts"]["csw"]["decided_by"] == "pattern_enumeration"
+        else:
+            assert "undecided: size ((k+1)*n = 13 exceeds pattern cap 12)" in err
 
     def test_result_over_int_str_digit_limit_exits_3(self, tmp_path, capsys):
         # every entry is 901 digits, but each representative determinant is
@@ -278,14 +291,20 @@ class TestMalformedInput:
         assert code == 2
         assert "q must be an array" in err
 
-    def test_non_integer_pattern_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "abc")
-        doc = worked_triple_doc()
-        doc["C"][0] = [[1, 0], [0, 0]]  # forces pattern enumeration
-        path = write_doc(tmp_path, doc)
-        code, _, err = run_main(["check", "--file", path, "--props", "csw"], capsys)
+    @pytest.mark.parametrize("command", [["check", "--props", "csw"], ["solve"]],
+                             ids=["check", "solve"])
+    @pytest.mark.parametrize("text", [
+        "[" * 200000,
+        '{"n": 1, "k": 1, "C": ' + "[" * 100000 + "]" * 100000 + "}",
+    ], ids=["open_arrays", "nested_C"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command, text):
+        # the JSON parser recurses per nesting level and gives up with a
+        # RecursionError, which must not surface as a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_main([command[0], "--file", str(path), *command[1:]], capsys)
         assert code == 2
-        assert "EHLCP_MAX_PATTERN_COMPONENTS" in err
+        assert err.startswith("input error:") and "too deeply" in err
 
     def test_ragged_matrix_row_exits_2(self, tmp_path, capsys):
         doc = worked_triple_doc()

@@ -15,7 +15,6 @@ from ehlcp.csw import (
     check_cone_csw,
     check_csw,
     check_x_column_sufficiency,
-    pattern_cap,
     pattern_realizable,
 )
 from ehlcp.errors import InvariantError, UndecidedSize
@@ -251,16 +250,10 @@ class TestCheckCsw:
 
     def test_cap_raises_undecided(self, worked_triple, monkeypatch):
         # (k+1)*n = 6 exceeds a cap of 5 for every sign-pattern decider
-        monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "5")
+        monkeypatch.setattr(csw, "PATTERN_CAP", 5)
         for decide in (check_csw, check_cone_csw, check_column_ndw_def):
-            with pytest.raises(UndecidedSize, match="EHLCP_MAX_PATTERN_COMPONENTS"):
+            with pytest.raises(UndecidedSize, match=r"undecided: size .*= 6 exceeds pattern cap 5\)"):
                 decide(worked_triple)
-
-    def test_env_cap_override(self, worked_triple, monkeypatch):
-        monkeypatch.setenv("EHLCP_MAX_PATTERN_COMPONENTS", "5")
-        assert pattern_cap() == 5
-        with pytest.raises(UndecidedSize):
-            check_csw(worked_triple)
 
 
 class TestConeCsw:

@@ -1,12 +1,14 @@
-"""Golden output: sha256 digests of canonical ``check`` and ``verify`` reports.
+"""Golden output: sha256 digests of canonical ``check``, ``gen`` and ``verify`` output.
 
 The check reports run all twelve properties on ``gen`` instances of the four
 families at n = 1..3, k = 1..2, seeds 0 and 1, with ``timing_seconds``
 removed; the verify reports run every theorem for 3 trials at n = 2,
 k = 1 and 2, seed 0 (a passing verify report lists no trials, so those
-digests pin the verdict of each suite).  The digests were recorded before
-the verdict types and the check dispatch were unified, so they pin every
-report byte through that refactor.
+digests pin the verdict of each suite).  The gen digests pin the instance
+files of the column_w_constructive family, whose C_i = C_0 D_i draws are
+the same in gen_tuple and the T3.2 suite.  The check and verify digests
+were recorded before the verdict types and the check dispatch were
+unified, so they pin every report byte through that refactor.
 """
 
 import hashlib
@@ -119,6 +121,18 @@ GOLDEN_DIGESTS = {
         "2aeb7340f9e4de8151504ab576102d90f40e83fdf8d5a139a3816258f9a81147",
     "check-z_structured-n3-k2-s1":
         "58e168eeed0a2eaa868c289aa66675dfde1bf1bff6768edf2d57ed0b347c2cc0",
+    "gen-column_w_constructive-n2-k1-s0":
+        "1cc622b72252d3b94f1aa8f3718e5ffafd1de3e5c5b7ac8075eda5f28caa8d5e",
+    "gen-column_w_constructive-n2-k1-s1":
+        "119b618494762860bb109d402c56d79591f58004fdbc1cad418a6955de2bf349",
+    "gen-column_w_constructive-n3-k2-s0":
+        "2a927fce880ffe658949097a34addcd0b54eb188b347128645390362160d19b2",
+    "gen-column_w_constructive-n3-k2-s1":
+        "f4c32b9fbd6159eb40b6e78262df916cf13e76c33b6eac51c7e4c7c532741f5d",
+    "gen-column_w_constructive-n4-k3-s0":
+        "ac077e152e5002b105b2dfd3d623188cce0789f50bdbcdacd995174a61b7dcba",
+    "gen-column_w_constructive-n4-k3-s1":
+        "66731adde079376655042164c4f0f5f1adee9b2a253a9b7e1e5e12f84dc9cdba",
     "verify-C4.1-zconvex-k1":
         "0e7249742e4465e409f45bc875f8be304b56b4604d471c04c9836997f88f6cdb",
     "verify-C4.1-zconvex-k2":
@@ -179,6 +193,14 @@ class TestGoldenReports:
         _, family, n, k, seed = label.split("-")
         text = canonical_check_report(tmp_path, family, int(n[1:]), int(k[1:]), int(seed[1:]))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[label]
+
+    @pytest.mark.parametrize("label", sorted(l for l in GOLDEN_DIGESTS if l[:4] == "gen-"))
+    def test_gen_bytes(self, tmp_path, label):
+        _, family, n, k, seed = label.split("-")
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--family", family, "--n", n[1:], "--k", k[1:],
+                     "--seed", seed[1:], "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[label]
 
     @pytest.mark.parametrize("label", sorted(l for l in GOLDEN_DIGESTS if l[:7] == "verify-"))
     def test_verify_bytes(self, tmp_path, label):
