@@ -7,15 +7,15 @@ orthogonality of oriented matroids (Bland & Las Vergnas 1978; Björner et
 al., Oriented Matroids, section 3.4) that holds iff the pattern is
 orthogonal to every cocircuit of A, the minimal-support sign vectors of its
 row space.  The cocircuits are computed exactly once per tuple
-(MatrixTuple.cocircuits), so each pattern test is bit arithmetic; only the
-first realizable pattern goes to pattern_realizable, an exact LP that
-builds the witness vector.
+(MatrixTuple.cocircuits); the pattern generator tests each by bit arithmetic
+where its support ends, so it yields only realizable patterns, and the first
+goes to pattern_realizable, an exact LP that builds the witness vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from typing import Iterator, Optional
 
 from .errors import InvariantError, UndecidedSize
@@ -24,7 +24,6 @@ from .rational import Mat, rat_str, zeros
 from .representatives import (
     MatrixTuple,
     PropertyVerdict,
-    _sign_masks,
     check_column_ndw_det,
     check_column_w,
     make_tuple,
@@ -85,32 +84,25 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     return unstack(x, t.n)
 
 
-def _is_kernel_sign(signs: tuple, cocircuits) -> bool:
-    """True iff the pattern is the sign vector of some x in ker A: for each
-    cocircuit Y the products X_e * Y_e are all zero or include both a + and
-    a -."""
-    pos, neg = _sign_masks(chain.from_iterable(signs))
-    for y_pos, y_neg in cocircuits:
-        agree = (pos & y_pos) | (neg & y_neg)
-        oppose = (pos & y_neg) | (neg & y_pos)
-        if (agree == 0) != (oppose == 0):
-            return False
-    return True
-
-
 def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
-    """Hypothesis-satisfying, conclusion-violating patterns in canonical order.
+    """Realizable hypothesis-satisfying, conclusion-violating patterns in
+    canonical order.
 
-    Enumeration is row-major over components (i, r) with symbol order
-    (-, 0, +), so the first realizable pattern is schedule-independent.
+    Components e = i*n + r are placed one at a time, row-major, with symbol
+    order (-, 0, +), so the first realizable pattern is schedule-independent.
     A symbol is placed only if it keeps the hypotheses with the rows above
     it in its column: (a) x_i * x_j >= 0 for 1 <= i < j (csw), (b)
     x_0 * x_i <= 0 (csw, cone; cone rows i >= 1 take only 0 and +), and
-    pairwise-disjoint supports (ndw).  A complete pattern must violate the
-    conclusion: (c) some consecutive product x_s * x_{s+1} nonzero (csw,
-    cone), or not identically zero (ndw).
+    pairwise-disjoint supports (ndw); and if the prefix is orthogonal to
+    each cocircuit whose support ends at e, tested there once.  A complete
+    pattern must violate the conclusion: (c) some consecutive product
+    x_s * x_{s+1} nonzero (csw, cone), or not identically zero (ndw).
     """
     k, n = t.k, t.n
+    size = (k + 1) * n
+    closing = [[] for _ in range(size)]
+    for y_pos, y_neg in t.cocircuits:
+        closing[(y_pos | y_neg).bit_length() - 1].append((y_pos, y_neg))
 
     def fits(above: tuple, s: int) -> bool:
         if mode == "ndw":
@@ -119,51 +111,50 @@ def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
             return False
         return mode != "csw" or all(a * s >= 0 for a in above[1:])
 
-    def violates(signs: tuple) -> bool:
+    def violates(flat: tuple) -> bool:
         if mode == "ndw":
-            return any(any(row) for row in signs)
-        return any(
-            signs[s][r] != 0 and signs[s + 1][r] != 0
-            for s in range(k)
-            for r in range(n)
-        )
+            return any(flat)
+        return any(flat[e] and flat[e + n] for e in range(k * n))
 
-    def extend(signs: tuple) -> Iterator[tuple]:
-        i = len(signs)
-        if i == k + 1:
-            if violates(signs):
-                yield signs
+    def extend(flat: tuple, pos: int, neg: int) -> Iterator[tuple]:
+        e = len(flat)
+        if e == size:
+            if violates(flat):
+                yield unstack(flat, n)
             return
-        domain = (0, 1) if mode == "cone" and i > 0 else SYMBOLS
-        choices = [
-            [s for s in domain if fits(tuple(row[r] for row in signs), s)]
-            for r in range(n)
-        ]
-        for row in product(*choices):
-            yield from extend(signs + (row,))
+        domain = (0, 1) if mode == "cone" and e >= n else SYMBOLS
+        above = flat[e % n :: n]
+        bit = 1 << e
+        for s in domain:
+            if not fits(above, s):
+                continue
+            p = pos | bit if s > 0 else pos
+            q = neg | bit if s < 0 else neg
+            # orthogonal to Y: the products X_e * Y_e take both signs or none
+            if all(((p & y_pos) | (q & y_neg) == 0) == ((p & y_neg) | (q & y_pos) == 0)
+                   for y_pos, y_neg in closing[e]):
+                yield from extend(flat + (s,), p, q)
 
-    yield from extend(())
+    yield from extend((), 0, 0)
 
 
 def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
     """JSON-ready witness {"pattern", "x"} of the first realizable pattern.
 
-    The cocircuit test decides; the LP runs only on the pattern it accepts,
-    and an LP that disagrees is a bug, never a verdict."""
-    cocircuits = t.cocircuits
-    for signs in _violating_patterns(t, mode):
-        if not _is_kernel_sign(signs, cocircuits):
-            continue
-        xs = pattern_realizable(t, signs)
-        if xs is None:
-            raise InvariantError(
-                f"sign pattern {signs} passes the cocircuit test but the LP finds no vector"
-            )
-        return {
-            "pattern": [list(row) for row in signs],
-            "x": [[rat_str(v) for v in x] for x in xs],
-        }
-    return None
+    The cocircuit test inside _violating_patterns decides; the LP only
+    builds the vector, and an LP that disagrees is a bug, never a verdict."""
+    signs = next(_violating_patterns(t, mode), None)
+    if signs is None:
+        return None
+    xs = pattern_realizable(t, signs)
+    if xs is None:
+        raise InvariantError(
+            f"sign pattern {signs} passes the cocircuit test but the LP finds no vector"
+        )
+    return {
+        "pattern": [list(row) for row in signs],
+        "x": [[rat_str(v) for v in x] for x in xs],
+    }
 
 
 def check_csw(t: MatrixTuple) -> PropertyVerdict:
@@ -171,13 +162,15 @@ def check_csw(t: MatrixTuple) -> PropertyVerdict:
 
     Fast path 1: the column W-property implies cS-W.  Fast path 2: all
     representative determinants nonzero but not column W implies not cS-W;
-    the witness is still located by pattern enumeration when the size cap
-    allows it.  decided_by names the rule that decided.
+    the witness is located by pattern enumeration within the size cap, and
+    above it is the column W violation, two determinants of opposite sign.
+    decided_by names the rule that decided.
     """
-    if check_column_w(t).holds:
+    column_w = check_column_w(t)
+    if column_w.holds:
         return PropertyVerdict("csw", True, decided_by="fast_path_column_w")
     if check_column_ndw_det(t).holds:
-        witness = None
+        witness = column_w.witness["violations"][0]
         if (t.k + 1) * t.n <= PATTERN_CAP:
             witness = _first_violation(t, "csw")
         return PropertyVerdict("csw", False, witness, decided_by="fast_path_ndw_not_w")
@@ -218,8 +211,8 @@ def check_x_column_sufficiency(a: Mat, b: Mat) -> PropertyVerdict:
     x_0 * x_1 <= 0 force x_0 * x_1 = 0.  This is the k = 1 specialization of
     the cS-W decision."""
     verdict = check_csw(make_tuple([a, b]))
-    certificate = (
-        "decided by " + verdict.decided_by
-        + ("" if verdict.holds else "; witness violates x_0 * x_1 = 0")
-    )
+    certificate = "decided by " + verdict.decided_by
+    if not verdict.holds:
+        certificate += ("; witness violates x_0 * x_1 = 0" if "pattern" in verdict.witness
+                        else "; witness: two representative determinants of opposite sign")
     return PropertyVerdict("x_column_sufficiency", verdict.holds, verdict.witness, certificate)

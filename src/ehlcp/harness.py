@@ -18,11 +18,11 @@ from .io import instance_to_json, tuple_to_json
 from .rational import (
     Mat,
     Vec,
+    _rref,
     det,
     identity,
     inverse,
     mat,
-    mat_mul,
     mat_vec,
     solve_linear,
     zeros,
@@ -314,9 +314,13 @@ def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) 
 
 
 def _normalized(t: MatrixTuple) -> Optional[tuple]:
-    """The matrices C_0^{-1} C_i for i = 1..k, or None when C_0 is singular."""
-    c0_inv = inverse(t.mats[0])
-    return None if c0_inv is None else tuple(mat_mul(c0_inv, m) for m in t.mats[1:])
+    """The matrices C_0^{-1} C_i for i = 1..k, or None when C_0 is singular,
+    read off the RREF [I | C_0^{-1} C_1 | ...] of [C_0 | C_1 | ... | C_k]."""
+    n = t.n
+    rows = [[v for m in t.mats for v in m[r]] for r in range(n)]
+    if len(_rref(rows, n)) < n:
+        return None
+    return tuple(tuple(tuple(row[i : i + n]) for row in rows) for i in range(n, len(rows[0]), n))
 
 
 def _z_normalized(t: MatrixTuple) -> bool:

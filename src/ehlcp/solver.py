@@ -158,21 +158,22 @@ def _affine_piece(particular, kernel, box) -> Optional[tuple]:
             alpha_ineqs.append((grad, rest))
         elif rest > 0:
             return None  # an unknown outside the kernel violates its bound
-    feas = lp_solve(zeros(dim_a), [], alpha_ineqs)
-    if feas.status != "optimal":
-        return None
     # classify each inequality: implicit equality on the whole polytope, or
     # attainably slack; average the slack maximizers for a relative-interior
-    # point (slack capped at 1 so unbounded pieces stay bounded problems)
+    # point (slack capped at 1 so unbounded pieces stay bounded problems).
+    # A slack LP is infeasible iff the polytope is empty, so the first one
+    # decides that; one runs, as the y >= 0 rows of a kernel have gradients
     interior_points = []
     implicit_grads = []
     objective = (Fraction(0),) * dim_a + (Fraction(1),)
     base_rows = [(tuple(g) + (Fraction(0),), bd) for g, bd in alpha_ineqs]
     cap_row = ((Fraction(0),) * dim_a + (Fraction(-1),), Fraction(-1))  # s <= 1
-    for grad, bound in alpha_ineqs:
+    for index, (grad, bound) in enumerate(alpha_ineqs):
         # maximize s subject to grad . alpha - s >= bound, all constraints, s <= 1
         rows = base_rows + [(tuple(grad) + (Fraction(-1),), bound), cap_row]
         res = lp_solve(objective, [], rows)
+        if res.status == "infeasible" and index == 0:
+            return None
         if res.status != "optimal":
             raise InvariantError(
                 f"slack LP of a feasible polytope returned {res.status!r}"
@@ -184,7 +185,8 @@ def _affine_piece(particular, kernel, box) -> Optional[tuple]:
     if interior_points:
         alpha = tuple(sum(xs) / len(interior_points) for xs in zip(*interior_points))
     else:
-        alpha = feas.point
+        # every row is tight, and the y >= 0 rows pin alpha: a single point
+        alpha = res.point[:dim_a]
 
     # affine hull: alpha directions annihilating every implicit equality
     if implicit_grads:

@@ -9,7 +9,7 @@ import pytest
 from ehlcp import csw, representatives
 from ehlcp.cli import main
 from ehlcp.csw import (
-    _is_kernel_sign,
+    PATTERN_CAP,
     _violating_patterns,
     check_column_ndw_def,
     check_cone_csw,
@@ -19,8 +19,8 @@ from ehlcp.csw import (
 )
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
-from ehlcp.rational import _rref, identity, mat_vec, solve_linear, zeros
-from ehlcp.representatives import check_column_ndw_det, make_tuple
+from ehlcp.rational import _rref, det, identity, mat_vec, solve_linear, zeros
+from ehlcp.representatives import check_column_ndw_det, make_tuple, representative_matrix
 
 
 MODES = ("csw", "cone", "ndw")
@@ -149,6 +149,17 @@ def reference_cocircuits(t):
     return list(found)
 
 
+def orthogonal_to_all(signs, cocircuits):
+    """Vector/covector orthogonality, component by component: for every
+    cocircuit the nonzero products X_e * Y_e are absent or of both signs."""
+    flat = [s for row in signs for s in row]
+    for y_pos, y_neg in cocircuits:
+        products = {s * ((y_pos >> e & 1) - (y_neg >> e & 1)) for e, s in enumerate(flat)}
+        if len(products - {0}) == 1:
+            return False
+    return True
+
+
 class TestCocircuitRealizability:
     @staticmethod
     def tuples(n, k, seed):
@@ -166,18 +177,18 @@ class TestCocircuitRealizability:
         yield make_tuple([[[0] * n for _ in range(n)] for _ in range(k + 1)])
 
     def test_agrees_with_lp_on_every_sampled_pattern(self):
+        # a sampled candidate is yielded iff the LP realizes it
         rng = random.Random(43)
         outcomes = {True: 0, False: 0}
         for n in (1, 2, 3):
             for k in (1, 2):
                 for t in self.tuples(n, k, subseed(43, 10 * n + k)):
-                    cocircuits = t.cocircuits
                     for mode in MODES:
-                        patterns = list(_violating_patterns(t, mode))
+                        yielded = set(_violating_patterns(t, mode))
+                        patterns = list(reference_patterns(t, mode))
                         for signs in rng.sample(patterns, min(len(patterns), 12)):
                             realizable = pattern_realizable(t, signs) is not None
-                            assert _is_kernel_sign(signs, cocircuits) == realizable, (
-                                t, mode, signs)
+                            assert (signs in yielded) == realizable, (t, mode, signs)
                             outcomes[realizable] += 1
         # both answers occur often enough for the agreement to mean something
         assert min(outcomes.values()) >= 100, outcomes
@@ -239,6 +250,26 @@ class TestCheckCsw:
             k = 1 + i % 2
             t = gen_tuple(GenSpec(2, k, "generic", 2, subseed(23, i)))
             assert check_csw(t).holds == (csw._first_violation(t, "csw") is None)
+
+    def test_ndw_not_w_above_the_cap_carries_the_determinant_witness(self):
+        # (k+1)*n = 14: no pattern enumeration, so the witness is the pair of
+        # representative determinants of opposite sign
+        flip = [list(row) for row in identity(7)]
+        flip[-1][-1] = -1  # diag(1, ..., 1, -1) against I
+        t = make_tuple([identity(7), flip])
+        assert (t.k + 1) * t.n > PATTERN_CAP
+        verdict = check_csw(t)
+        assert not verdict.holds
+        assert verdict.decided_by == "fast_path_ndw_not_w"
+        first, second = verdict.witness, verdict.witness["conflict_with"]
+        signs = []
+        for entry in (first, second):
+            d = det(representative_matrix(t, tuple(entry["selector"])))
+            assert d == Fraction(entry["determinant"])
+            signs.append(d > 0)
+        assert signs[0] != signs[1]
+        certificate = check_x_column_sufficiency(*t.mats).certificate
+        assert "opposite sign" in certificate and "x_0 * x_1" not in certificate
 
     def test_ndw_not_w_fast_path_failure_has_witness(self):
         # diag(1,-1) against I: nondegenerate but mixed determinant signs
@@ -324,11 +355,18 @@ class TestPruningSoundness:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (3, 2)])
     def test_generator_yields_the_filtered_product_in_order(self, mode, n, k):
-        t = make_tuple([identity(n)] * (k + 1))
-        assert list(_violating_patterns(t, mode)) == list(reference_patterns(t, mode))
+        # exactly the realizable candidates, in the candidates' order
+        for t in (make_tuple([identity(n)] * (k + 1)),
+                  gen_tuple(GenSpec(n, k, "generic", 2, subseed(53, 10 * n + k)))):
+            cocircuits = reference_cocircuits(t)
+            expected = [signs for signs in reference_patterns(t, mode)
+                        if orthogonal_to_all(signs, cocircuits)]
+            assert list(_violating_patterns(t, mode)) == expected
 
     def test_canonical_pattern_order_is_row_major(self):
-        t = make_tuple([[[1]], [[1]]])
-        first = next(iter(_violating_patterns(t, "csw")))
-        # first hypothesis-satisfying violating pattern under (-, 0, +) order
-        assert first == ((-1,), (1,))
+        # x_0 + x_1 = 0: the first hypothesis-satisfying violating pattern
+        # under (-, 0, +) order is realizable, so it comes first
+        t = make_tuple([[[1]], [[-1]]])
+        assert next(_violating_patterns(t, "csw")) == ((-1,), (1,))
+        # x_0 = x_1 realizes no violating pattern: cS-W holds
+        assert next(_violating_patterns(make_tuple([[[1]], [[1]]]), "csw"), None) is None

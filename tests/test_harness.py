@@ -1,5 +1,7 @@
 """Seeded generation, golden suites, and theorem verification plumbing."""
 
+from fractions import Fraction
+
 import pytest
 
 from ehlcp.classes import is_z
@@ -8,6 +10,7 @@ from ehlcp.harness import (
     THEOREM_IDS,
     GenSpec,
     SplitMix64,
+    _normalized,
     gen_instance,
     gen_tuple,
     instance_with_segment,
@@ -16,7 +19,8 @@ from ehlcp.harness import (
     subseed,
     verify_theorem,
 )
-from ehlcp.representatives import check_column_ndw_det, check_column_w
+from ehlcp.rational import inverse, mat_mul
+from ehlcp.representatives import check_column_ndw_det, check_column_w, make_tuple
 from ehlcp.solver import is_solution
 
 
@@ -78,6 +82,26 @@ class TestGenerators:
         b = gen_instance(t, 42)
         assert a.d == b.d and a.q == b.q
         assert all(x > 0 for dj in a.d for x in dj)
+
+
+class TestNormalized:
+    def test_matches_the_inverse_times_each_matrix(self):
+        singular = 0
+        for family in ("generic", "degenerate"):
+            for n in (1, 2, 3):
+                for k in (1, 2, 3):
+                    for seed in range(3):
+                        t = gen_tuple(GenSpec(n, k, family, 2, subseed(59, 100 * n + 10 * k + seed)))
+                        # rational entries, so the RREF must clear denominators
+                        scaled = make_tuple([[[Fraction(v, i + 2) for v in row] for row in m]
+                                             for i, m in enumerate(t.mats)])
+                        for u in (t, scaled):
+                            inv = inverse(u.mats[0])
+                            expected = None if inv is None else tuple(
+                                mat_mul(inv, m) for m in u.mats[1:])
+                            assert _normalized(u) == expected, u
+                        singular += inv is None
+        assert singular > 0
 
 
 class TestSegmentConstruction:

@@ -379,6 +379,19 @@ class TestSolveBranch:
         # the relative-interior midpoint
         assert piece.point == vec([0, "1/2", "1/2", 0])
 
+    def test_affine_branch_solves_one_lp_per_bound_row(self, monkeypatch):
+        # both free unknowns move along the kernel, so each y >= 0 row has a
+        # gradient and one slack LP; an empty polytope stops at the first
+        calls = []
+        real = solver.lp_solve
+        monkeypatch.setattr(solver, "lp_solve", lambda *a: calls.append(a) or real(*a))
+        assert solve_branch(segment_instance(), (1, 0)) is not None
+        assert len(calls) == 2
+        calls.clear()
+        empty = EhlcpInstance(segment_instance().matrix_tuple, (), (F(0), F(-1)))
+        assert solve_branch(empty, (1, 0)) is None
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("selector", [(0,), (0, 2), (0, -1)])
     def test_invalid_selector_rejected(self, selector):
         with pytest.raises(InputError):
