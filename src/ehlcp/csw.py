@@ -6,10 +6,11 @@ vector of some x in ker A, A = MatrixTuple.stacked.  By the vector/covector
 orthogonality of oriented matroids (Bland & Las Vergnas 1978; Björner et
 al., Oriented Matroids, section 3.4) that holds iff the pattern is
 orthogonal to every cocircuit of A, the minimal-support sign vectors of its
-row space.  The cocircuits are computed exactly once per tuple
-(MatrixTuple.cocircuits); the pattern generator tests each by bit arithmetic
-where its support ends, so it yields only realizable patterns, and the first
-goes to pattern_realizable, an exact LP that builds the witness vector.
+row space.  The cocircuits are computed exactly once per tuple, as the
+signs of maximal minors (MatrixTuple.cocircuits); the pattern generator
+tests each by bit arithmetic where its support ends, so it yields only
+realizable patterns, and the first goes to pattern_realizable, an exact LP
+that builds the witness vector.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ it needs.  An exhaustive column W check keeps its own full walk and records
 it into the scan.
 
 MatrixTuple.cocircuits holds the cocircuits of A = [C_0 | -C_1 | ... | -C_k]
-that every sign-pattern decision in csw reads, computed once per tuple.
+that every sign-pattern decision in csw reads, computed once per tuple by
+_cocircuits in a second tree, over the column subsets of size rank(A) - 1.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import lcm, prod
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
-from .rational import Mat, _rref, int_row, mat, pivot_step, rat_str, solve_linear, zeros
+from .rational import Mat, _echelon, int_row, mat, pivot_step, rat_str
 
 SELECTOR_CAP = 10**6
 
@@ -298,48 +299,36 @@ def check_column_ndw_det(t: MatrixTuple) -> PropertyVerdict:
     )
 
 
-def _sign_masks(values) -> tuple:
-    """(pos, neg) bitmasks of a sign vector: bit e is set in pos where
-    values[e] > 0 and in neg where values[e] < 0."""
-    pos = neg = 0
-    for e, v in enumerate(values):
-        if v > 0:
-            pos |= 1 << e
-        elif v < 0:
-            neg |= 1 << e
-    return pos, neg
-
-
 def _cocircuits(t: MatrixTuple) -> tuple:
     """Cocircuits of A = t.stacked as (pos, neg) bitmasks, bit i*n + r for
-    component (i, r), one of each pair +-Y.
+    component (i, r), one of each pair +-Y, in order of first appearance.
 
-    With B a row basis of A and d its rank, every cocircuit is the sign
-    vector of y^T B for y spanning the left kernel of d - 1 columns of B,
-    when that kernel has dimension 1.
+    B is an integer row basis of A, of rank d.  A tree over the subsets S of
+    d - 1 columns, in combinations order, pivots (rational.pivot_step) at
+    each node on the first unused row nonzero in its column and drops that
+    row; a column zero on every unused row is dependent on S and ends its
+    branch.  The one row left holds the maximal minors det[B_S | B_e] up to
+    a common factor, so its sign vector is a cocircuit.
     """
-    rows = [list(row) for row in t.stacked]
-    rank = len(_rref(rows))
-    if rank == 0:
-        return ()
-    basis = rows[:rank]
-    width = len(basis[0])
+    a = [int_row(row, lcm(*(x.denominator for x in row))) for row in t.stacked]
+    width = len(a[0])
+    rank = len(_echelon(a, width)[0])
     found = {}
-    for cols in combinations(range(width), rank - 1):
-        # columns inside a found cocircuit's zero set span its hyperplane or
-        # are dependent, so they yield that cocircuit again or none
-        mask = sum(1 << e for e in cols)
-        if any(mask & (y_pos | y_neg) == 0 for y_pos, y_neg in found):
-            continue
-        # y . B[:, e] = 0 for e in cols; with no columns, every y qualifies
-        system = [[b[e] for b in basis] for e in cols] or [list(zeros(rank))]
-        kernel = solve_linear(system, zeros(len(system))).kernel_basis
-        if len(kernel) != 1:
-            continue
-        y = kernel[0]
-        pos, neg = _sign_masks(
-            sum(y[a] * basis[a][e] for a in range(rank)) for e in range(width)
-        )
-        lowest = (pos | neg) & -(pos | neg)
-        found[(neg, pos) if neg & lowest else (pos, neg)] = None
+
+    def subtree(rows, start, prev):
+        if len(rows) == 1:
+            pos = sum(1 << e for e, v in enumerate(rows[0]) if v > 0)
+            neg = sum(1 << e for e, v in enumerate(rows[0]) if v < 0)
+            lowest = (pos | neg) & -(pos | neg)
+            found[(neg, pos) if neg & lowest else (pos, neg)] = None
+            return
+        for c in range(start, width - len(rows) + 2):  # leave room for the rest of S
+            p = next((i for i, row in enumerate(rows) if row[c]), None)
+            if p is not None:
+                b = list(rows)
+                pivot_step(b, p, c, prev)
+                subtree(b, c + 1, b.pop(p)[c])
+
+    if rank:
+        subtree(a[:rank], 0, 1)
     return tuple(found)

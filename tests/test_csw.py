@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from ehlcp import csw, representatives
+from ehlcp import csw
 from ehlcp.cli import main
 from ehlcp.csw import (
     PATTERN_CAP,
@@ -194,24 +194,22 @@ class TestCocircuitRealizability:
         assert min(outcomes.values()) >= 100, outcomes
 
     def test_cocircuits_match_the_unskipped_reference(self):
-        shapes = [(n, k, "generic") for n in (1, 2, 3) for k in (1, 2)]
-        shapes += [(4, 2, "generic"), (4, 2, "column_w_constructive")]
-        for n, k, family in shapes:
-            for seed in range(3):
-                for t in self.tuples(n, k, subseed(47, seed)):
-                    assert list(t.cocircuits) == reference_cocircuits(t), (t, family)
-                t = gen_tuple(GenSpec(n, k, family, 2, seed))
-                assert list(t.cocircuits) == reference_cocircuits(t), (t, family)
-
-    def test_zero_set_skip_bounds_linear_solves(self, monkeypatch):
+        # (n, k, seeds): up to the pattern cap (k+1)n = 12
+        shapes = [(n, k, 3) for n in (1, 2, 3) for k in (1, 2)]
+        shapes += [(4, 2, 3), (3, 3, 2), (2, 5, 2), (6, 1, 1)]
+        for n, k, seeds in shapes:
+            for seed in range(seeds):
+                tuples = list(self.tuples(n, k, subseed(47, seed)))
+                tuples += [gen_tuple(GenSpec(n, k, family, 2, seed))
+                           for family in ("generic", "degenerate", "z_structured")]
+                if (n, k) == (4, 2):
+                    tuples.append(gen_tuple(GenSpec(n, k, "column_w_constructive", 2, seed)))
+                for t in tuples:
+                    assert list(t.cocircuits) == reference_cocircuits(t), t
         # 1 365 subsets of 4 of the 15 columns span only 5 hyperplanes
-        calls = []
-        real = representatives.solve_linear
-        monkeypatch.setattr(representatives, "solve_linear",
-                            lambda *a: calls.append(a) or real(*a))
         t = gen_tuple(GenSpec(5, 2, "column_w_constructive", 2, 0))
         assert len(t.cocircuits) == 5
-        assert len(calls) == 5
+        assert list(t.cocircuits) == reference_cocircuits(t)
 
     def test_lp_disagreement_is_an_invariant_error(
         self, zero_padded_identity, tmp_path, capsys, monkeypatch
