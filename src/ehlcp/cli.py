@@ -1,8 +1,8 @@
 """Command-line front end: check, solve, verify, gen.
 
 Exit codes: 0 success, 1 theorem violations, 2 input error, 3 resource cap,
-4 internal invariant failure (an InvariantError, or a --recheck pass
-disagreed with the report).
+4 internal invariant failure (an InvariantError, a --recheck pass that
+disagreed with the report, or a solve piece whose point is not a solution).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .representatives import (
     check_column_w,
     check_column_w0,
 )
-from .solver import solve_all
+from .solver import is_solution, solve_all
 
 
 def _per_matrix(oracle, t) -> dict:
@@ -107,14 +107,15 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _solve_payload(inst) -> dict:
-    return {"path": "enumeration", "pieces": [piece_to_json(p) for p in solve_all(inst)]}
+def _solve_payload(pieces) -> dict:
+    return {"path": "enumeration", "pieces": [piece_to_json(p) for p in pieces]}
 
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.file)
     started = time.monotonic()
-    payload = _solve_payload(inst)
+    pieces = solve_all(inst)
+    payload = _solve_payload(pieces)
     report = {
         "command": "solve",
         "version": __version__,
@@ -122,9 +123,14 @@ def cmd_solve(args) -> int:
     }
     report.update(payload)
     if args.recheck:
-        again = _solve_payload(inst)
-        if again != payload:
+        if _solve_payload(solve_all(inst)) != payload:
             print("recheck mismatch: pieces are not reproducible", file=sys.stderr)
+            return 4
+        # by definition (A x = q, bounds, wedges), sharing no code with solve_all
+        bad = [p.selector for p in pieces if not is_solution(inst, p.point)]
+        if bad:
+            print(f"recheck failed: the point of selector {list(bad[0])} is not a "
+                  f"solution ({len(bad)} of {len(pieces)} pieces)", file=sys.stderr)
             return 4
         report["recheck"] = "ok"
     _emit(report, args.out)

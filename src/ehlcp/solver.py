@@ -3,9 +3,14 @@
 For a column selector s in {0..k}^n, column r of the solution keeps one free
 unknown x_{s_r,r}; the wedge conditions pin every other component of that
 column to 0 or to its bound d.  Each of the (k+1)^n selectors is therefore an
-n x n linear system plus box inequalities.  Selectors with singular systems
-can contribute whole polyhedral pieces; their dimension and a basis of their
-affine hull are computed exactly.
+n x n linear system, over the representative matrix of (C_0, -C_1, ..., -C_k),
+plus box inequalities.
+
+solve_all decides every selector in one fraction-free elimination tree that
+carries the right-hand side (_selector_pieces): a nonsingular selector reads
+its unique point off its leaf.  A singular selector can contribute a whole
+polyhedral piece; solve_branch solves its system from scratch and computes
+the piece's dimension and a basis of its affine hull exactly.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Optional
+from itertools import chain, product
+from math import lcm
+from typing import Iterator, Optional
 
 from .errors import DimensionError, InputError, InvariantError
 from .linprog import lp_solve
-from .rational import Vec, identity, mat_vec, solve_linear, zeros
-from .representatives import MatrixTuple, check_selector_cap, selectors
+from .rational import Vec, identity, int_row, mat_vec, pivot_step, solve_linear, zeros
+from .representatives import MatrixTuple, check_selector_cap
 
 
 @dataclass(frozen=True)
@@ -81,16 +87,18 @@ def is_solution(inst: EhlcpInstance, x: Vec) -> bool:
 
 
 def _selector_system(inst: EhlcpInstance, selector: tuple):
-    """Reduced n x n system of one column selector.
+    """Reduced n x n system of one column selector, built from scratch for
+    solve_branch; solve_all calls that only for singular selectors, whose
+    systems the tree of _selector_pieces cannot finish.
 
     With m = selector[r], the wedge conditions pin x_{0,r} = 0 (m > 0),
     x_{j,r} = d_{j,r} (0 < j < m) and x_{j,r} = 0 (j > m), leaving x_{m,r}
     free.  Returns the stacked indices i*n + r of the free unknowns in
     increasing order (the order fixes which unknowns the RREF leaves free,
-    and so the reported point and basis), the matrix and right-hand side over them, the stacked
-    vector of pinned values, and the bounds on the free unknowns as
-    (column, sign, bound) meaning sign * y_column >= bound: y >= 0 first,
-    then y <= d_m for 0 < m < k.
+    and so the reported point and basis), the matrix and right-hand side
+    over them, the stacked vector of pinned values, and the bounds on the
+    free unknowns as (column, sign, bound) meaning sign * y_column >= bound:
+    y >= 0 first, then y <= d_m for 0 < m < k.
     """
     t = inst.matrix_tuple
     n = t.n
@@ -162,7 +170,8 @@ def _affine_piece(particular, kernel, box) -> Optional[tuple]:
     # attainably slack; average the slack maximizers for a relative-interior
     # point (slack capped at 1 so unbounded pieces stay bounded problems).
     # A slack LP is infeasible iff the polytope is empty, so the first one
-    # decides that; one runs, as the y >= 0 rows of a kernel have gradients
+    # decides that.  At least one LP runs: a kernel direction moves some
+    # unknown, so that unknown's y >= 0 row has a nonzero gradient.
     interior_points = []
     implicit_grads = []
     objective = (Fraction(0),) * dim_a + (Fraction(1),)
@@ -215,20 +224,102 @@ def branch_label(selector: tuple, k: int) -> list:
     return [["left" if j < m else "right" for m in selector] for j in range(k)]
 
 
+def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
+    """(selector, piece) for every column selector, in selectors order;
+    piece is None when the selector is infeasible.
+
+    One fraction-free tree walks the selectors as
+    representatives.representative_dets does, with the right-hand side
+    carried down.  Row i of a node holds the column last pivoted on (zero
+    at the root), the right-hand side, and then, for each position r not
+    yet chosen, the k+1 candidate columns A[i][s*n + r] and the
+    pinned-bound terms g_r(s)[i] = sum_{0<j<s} d_{j,r} C_j[i][r] for
+    s = 2..k (g_r(0) and g_r(1) are zero); the root rows hold q and are
+    scaled to integers.  Choosing s at depth r adds g_r(s) into the
+    right-hand side, drops position r's other columns and pivots
+    (rational.pivot_step) on the first unpivoted row nonzero in candidate
+    column s.  The pivoted rows stay and keep being reduced (Gauss-Jordan),
+    so at a leaf the row pivoted at position r holds y_r times the last
+    pivot.  A candidate column zero on every unpivoted row makes every
+    completion of the prefix singular; those selectors, and only those, go
+    to solve_branch.
+    """
+    t = inst.matrix_tuple
+    n, k = t.n, t.k
+    upper = inst.upper
+    block = 2 * k  # per position: k + 1 candidate columns, then g_r(2..k)
+    root = []
+    for row, q in zip(t.stacked, inst.q):
+        cells = [0, q]
+        for r in range(n):
+            cells += [row[s * n + r] for s in range(k + 1)]
+            g = 0
+            for j in range(1, k):
+                g -= upper[j * n + r] * row[j * n + r]  # row holds -C_j[i][r]
+                cells.append(g)
+        root.append(int_row(cells, lcm(*(x.denominator for x in cells))))
+    zero = Fraction(0)
+
+    def leaf_piece(sel, nums, last):
+        """Piece of a nonsingular selector with y_r = nums[r] / last, or
+        None when y breaks a bound; the point is built as solve_branch
+        builds it."""
+        if last < 0:
+            nums, last = [-v for v in nums], -last
+        if any(v < 0 for v in nums):
+            return None
+        point = [zero] * len(upper)
+        for r, (m, v) in enumerate(zip(sel, nums)):
+            for j in range(1, m):
+                point[j * n + r] = upper[j * n + r]
+            y = point[m * n + r] = Fraction(v, last)
+            if upper[m * n + r] is not None and y > upper[m * n + r]:
+                return None
+        return SolutionPiece(sel, tuple(point), 0)
+
+    def subtree(rows, prefix, prev):
+        """(selector, piece) over the completions of prefix, given the
+        node's rows: the pivoted ones (row r pivoted at position r), then
+        the unpivoted ones; prev is the last pivot."""
+        depth = len(prefix)
+        for s in range(k + 1):
+            sel = prefix + (s,)
+            c = 2 + s
+            p = next((i for i in range(depth, n) if rows[i][c]), None)
+            if p is None:
+                for rest in product(range(k + 1), repeat=n - depth - 1):
+                    yield sel + rest, solve_branch(inst, sel + rest)
+                continue
+            if s > 1:  # g_r(s) joins the right-hand side
+                a = [[row[c], row[1] + row[c + k - 1]] + row[2 + block:] for row in rows]
+            else:
+                a = [[row[c], row[1]] + row[2 + block:] for row in rows]
+            a[depth], a[p] = a[p], a[depth]
+            pivot_step(a, depth, 0, prev)
+            if depth == n - 1:
+                yield sel, leaf_piece(sel, [row[1] for row in a], a[depth][0])
+            else:
+                yield from subtree(a, sel, a[depth][0])
+
+    return subtree(root, (), 1)
+
+
 def solve_all(inst: EhlcpInstance) -> list:
     """Union of all selector pieces, dimension-0 points deduplicated exactly.
 
-    Selectors are visited in row-major order of their branch labels, left
-    before right, so the first occurrence of a repeated point is kept.
+    Pieces are taken in row-major order of their selectors' branch labels,
+    left before right, so the first occurrence of a repeated point is kept.
+    Only feasible pieces are held while the tree is walked.
     """
     t = inst.matrix_tuple
     check_selector_cap(t)
+    found = sorted(
+        (piece for _, piece in _selector_pieces(inst) if piece is not None),
+        key=lambda piece: branch_label(piece.selector, t.k),
+    )
     pieces = []
     seen_points = set()
-    for s in sorted(selectors(t.n, t.k), key=lambda s: branch_label(s, t.k)):
-        piece = solve_branch(inst, s)
-        if piece is None:
-            continue
+    for piece in found:
         if piece.piece_dimension == 0:
             if piece.point in seen_points:
                 continue

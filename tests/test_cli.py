@@ -256,6 +256,30 @@ class TestSolve:
         assert "selector cap" in err
         assert "--force" not in err
 
+    def test_recheck_checks_points_by_definition(self, tmp_path, capsys, monkeypatch):
+        from fractions import Fraction
+
+        from ehlcp.solver import SolutionPiece
+
+        # x = (2, 0) meets the bounds and the wedge but not x_0 - x_1 = q = 1
+        bad = SolutionPiece((0,), (Fraction(2), Fraction(0)), 0)
+        monkeypatch.setattr(cli, "solve_all", lambda inst: [bad])
+        path = write_doc(tmp_path, {"n": 1, "k": 1, "C": [[[1]], [[1]]], "q": [1]})
+        code, out, _ = run_main(["solve", "--file", path], capsys)
+        assert code == 0 and json.loads(out)["pieces"][0]["point"] == [["2"], ["0"]]
+        code, out, err = run_main(["solve", "--file", path, "--recheck"], capsys)
+        assert code == 4 and out == ""
+        assert "selector [0] is not a solution" in err
+
+    def test_recheck_passes_real_pieces(self, tmp_path, capsys):
+        doc = {"n": 2, "k": 1, "C": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], "q": [0, 1]}
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run_main(["solve", "--file", path, "--recheck"], capsys)
+        plain = run_main(["solve", "--file", path], capsys)[1]
+        report = json.loads(out)
+        assert code == 0 and report.pop("recheck") == "ok"
+        assert report["pieces"] == json.loads(plain)["pieces"]
+
     def test_invariant_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         from ehlcp import cli
         from ehlcp.errors import InvariantError

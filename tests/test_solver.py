@@ -17,8 +17,8 @@ from ehlcp.harness import (
     subseed,
 )
 from ehlcp.io import dump_json, piece_to_json
-from ehlcp.rational import identity, mat_vec, vec
-from ehlcp.representatives import make_tuple, selectors, unstack
+from ehlcp.rational import det, identity, mat_vec, vec
+from ehlcp.representatives import make_tuple, representative_matrix, selectors, unstack
 from ehlcp.solver import (
     EhlcpInstance,
     branch_label,
@@ -49,16 +49,40 @@ def chain_instance():
 
 
 def record_selectors(monkeypatch):
-    """List that collects every selector solve_all hands to solve_branch."""
-    visited = []
-    original = solver.solve_branch
+    """List that collects every selector the selector tree decides for
+    solve_all, in the order it decides them."""
+    decided = []
+    original = solver._selector_pieces
 
-    def spy(inst, selector):
-        visited.append(selector)
-        return original(inst, selector)
+    def spy(inst):
+        for selector, piece in original(inst):
+            decided.append(selector)
+            yield selector, piece
 
-    monkeypatch.setattr(solver, "solve_branch", spy)
-    return visited
+    monkeypatch.setattr(solver, "_selector_pieces", spy)
+    return decided
+
+
+def reference_solve_all(inst):
+    """solve_all written out per selector: solve_branch on every selector
+    in branch-label order, keeping the first piece of each repeated
+    dimension-0 point."""
+    t = inst.matrix_tuple
+    pieces, seen = [], set()
+    for s in sorted(selectors(t.n, t.k), key=lambda s: branch_label(s, t.k)):
+        piece = solve_branch(inst, s)
+        if piece is None:
+            continue
+        if piece.piece_dimension == 0:
+            if piece.point in seen:
+                continue
+            seen.add(piece.point)
+        pieces.append(piece)
+    return pieces
+
+
+def pieces_json(pieces):
+    return dump_json([piece_to_json(p) for p in pieces])
 
 
 def instance_through_point(t, seed):
@@ -329,30 +353,47 @@ class TestIsSolution:
 class TestSelectorOrder:
     @pytest.mark.parametrize("n, k, expected", [(1, 1, 2), (2, 1, 4), (2, 2, 9)])
     def test_counts(self, n, k, expected, monkeypatch):
-        visited = record_selectors(monkeypatch)
+        # q = 0: every selector with entries 0 and 1 gives the zero point
+        # and one with a 2 is infeasible, so the piece kept is that of the
+        # first of them in label order, (1, ..., 1)
+        decided = record_selectors(monkeypatch)
         t = make_tuple([identity(n)] * (k + 1))
         d = tuple((F(1),) * n for _ in range(k - 1))
-        solve_all(EhlcpInstance(t, d, (F(0),) * n))
-        assert len(visited) == expected
-        assert set(visited) == set(selectors(n, k))
+        pieces = solve_all(EhlcpInstance(t, d, (F(0),) * n))
+        assert len(decided) == expected
+        assert set(decided) == set(selectors(n, k))
+        assert [p.selector for p in pieces] == [(1,) * n]
 
     def test_label_visit_order(self, monkeypatch):
-        visited = record_selectors(monkeypatch)
+        # the tree decides selectors in lex order, and solve_all takes
+        # their pieces in branch-label order
+        decided = record_selectors(monkeypatch)
         t = make_tuple([identity(1)] * 3)
-        solve_all(EhlcpInstance(t, ((F(1),),), (F(0),)))
-        assert visited == [(2,), (1,), (0,)]
-        assert [branch_label(s, 2) for s in visited] == [
+        kept = {}
+        for q in (0, -1):
+            # q = 0: (1,) and (0,) give the zero point, (2,) is infeasible;
+            # q = -1: (2,) and (1,) both give x_1 = 1, (0,) is infeasible
+            pieces = solve_all(EhlcpInstance(t, ((F(1),),), (F(q),)))
+            kept[q] = [p.selector for p in pieces]
+        assert decided == [(0,), (1,), (2,)] * 2
+        assert kept == {0: [(1,)], -1: [(2,)]}
+        assert [branch_label(s, 2) for s in [(2,), (1,), (0,)]] == [
             [["left"], ["left"]],
             [["left"], ["right"]],
             [["right"], ["right"]],
         ]
+        # four distinct points: label order is the reverse of lex order
+        t = make_tuple([identity(2), [[-1, 0], [0, -1]]])
+        pieces = solve_all(EhlcpInstance(t, (), (F(1), F(1))))
+        assert [p.selector for p in pieces] == [(1, 1), (1, 0), (0, 1), (0, 0)]
 
     def test_cap_checked_before_any_work(self, monkeypatch):
         # 3^13 = 1 594 323 selectors exceed the cap of 10^6
         def fail(*args):
-            raise AssertionError("solve_branch ran above the cap")
+            raise AssertionError("selector work ran above the cap")
 
         monkeypatch.setattr(solver, "solve_branch", fail)
+        monkeypatch.setattr(solver, "_selector_pieces", fail)
         t = make_tuple([identity(13)] * 3)
         inst = EhlcpInstance(t, ((F(1),) * 13,), (F(0),) * 13)
         with pytest.raises(CapExceeded, match="selector cap"):
@@ -443,6 +484,99 @@ class TestSolveAll:
         pieces = solve_all(inst)
         assert len(pieces) == 1
         assert pieces[0].point == vec([0, 0, 0, 0])
+
+
+# every (n, k) with (k+1)^n <= 81, k <= 3
+TREE_SHAPES = [(n, k) for k in (1, 2, 3) for n in range(1, 7) if (k + 1) ** n <= 81]
+
+
+class TestSelectorTree:
+    """solve_all, which reads nonsingular selectors off one elimination
+    tree, against reference_solve_all, which solves every selector on its
+    own: the same pieces in the same order, byte for byte."""
+
+    @pytest.mark.parametrize("entry_range", [1, 5])
+    @pytest.mark.parametrize("family", ["generic", "column_w_constructive",
+                                        "z_structured", "degenerate"])
+    def test_matches_per_selector_reference(self, family, entry_range):
+        found = 0
+        for n, k in TREE_SHAPES:
+            for seed in range(3):
+                i = 100 * seed + 10 * n + k
+                t = gen_tuple(GenSpec(n, k, family, entry_range, subseed(61, i)))
+                for inst in (gen_instance(t, subseed(62, i), entry_range),
+                             instance_through_point(t, subseed(63, i))):
+                    pieces = solve_all(inst)
+                    assert pieces_json(pieces) == pieces_json(reference_solve_all(inst))
+                    found += len(pieces)
+        assert found >= len(TREE_SHAPES)
+
+    def test_segment_instances(self):
+        dims = set()
+        for n, k in TREE_SHAPES:
+            for seed in range(2):
+                t = gen_tuple(GenSpec(n, k, "degenerate", 2, subseed(65, 10 * n + k + seed)))
+                inst = instance_with_segment(t, kernel_tuple_from_singular_representative(t))[0]
+                pieces = solve_all(inst)
+                assert pieces_json(pieces) == pieces_json(reference_solve_all(inst))
+                dims.update(p.piece_dimension for p in pieces)
+        assert max(dims) >= 1
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 1), (3, 3)])
+    def test_zero_column_subtree(self, n, k, monkeypatch):
+        # C_1 with a zero last column: every selector ending in 1 is singular,
+        # and only singular selectors reach solve_branch
+        t = gen_tuple(GenSpec(n, k, "generic", 2, subseed(67, 10 * n + k)))
+        c1 = [list(row[:-1]) + [F(0)] for row in t.mats[1]]
+        t = make_tuple([t.mats[0], c1, *t.mats[2:]])
+        inst = instance_through_point(t, subseed(68, 10 * n + k))
+        expected = reference_solve_all(inst)
+        branched = []
+        real = solver.solve_branch
+        monkeypatch.setattr(solver, "solve_branch",
+                            lambda inst, s: branched.append(s) or real(inst, s))
+        assert pieces_json(solve_all(inst)) == pieces_json(expected)
+        assert {s for s in selectors(n, k) if s[-1] == 1} <= set(branched)
+        assert all(det(representative_matrix(t, s)) == 0 for s in branched)
+
+    def test_rational_data(self):
+        # non-integer C entries, d and q: each root row is scaled by its own lcm
+        fractional = 0
+        for n, k in TREE_SHAPES:
+            i = 10 * n + k
+            t = gen_tuple(GenSpec(n, k, "generic", 3, subseed(69, i)))
+            t = make_tuple([[[x / (j + 2) for x in row] for row in m]
+                            for j, m in enumerate(t.mats)])
+            rng = SplitMix64(subseed(70, i))
+            d = tuple(tuple(Fraction(rng.randint(1, 7), rng.randint(2, 3)) for _ in range(n))
+                      for _ in range(k - 1))
+            x = [F(0)] * ((k + 1) * n)
+            for r in range(n):
+                m = rng.randint(0, k)
+                for j in range(1, m):
+                    x[j * n + r] = d[j - 1][r]
+                x[m * n + r] = (d[m - 1][r] if 0 < m < k else Fraction(5, 2)) * Fraction(rng.randint(0, 3), 3)
+            inst = EhlcpInstance(t, d, mat_vec(t.stacked, tuple(x)))
+            fractional += any(v.denominator > 1 for v in inst.q + sum(d, ()))
+            pieces = solve_all(inst)
+            assert pieces
+            assert pieces_json(pieces) == pieces_json(reference_solve_all(inst))
+        assert fractional >= len(TREE_SHAPES) - 2
+
+    def test_nonsingular_tuple_needs_no_linear_solve(self, monkeypatch):
+        # column W: every representative is nonsingular, so every piece is
+        # read off the tree
+        t = gen_tuple(GenSpec(3, 2, "column_w_constructive", 2, 71))
+        inst = instance_through_point(t, 72)
+        expected = reference_solve_all(inst)
+        calls = []
+        for name in ("solve_linear", "solve_branch"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        pieces = solve_all(inst)
+        assert calls == []
+        assert pieces and pieces_json(pieces) == pieces_json(expected)
 
 
 class TestGoldenOutput:
