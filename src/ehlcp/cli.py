@@ -84,6 +84,8 @@ def _check_verdicts(inst, props, args) -> dict:
 def cmd_check(args) -> int:
     inst = load_instance(args.file)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
+    if not props:
+        raise InputError("--props names no property")
     for p in props:
         if p not in ALL_PROPS:
             raise InputError(f"unknown property {p!r}; known: {', '.join(ALL_PROPS)}")

@@ -9,19 +9,18 @@ orthogonal to every cocircuit of A, the minimal-support sign vectors of its
 row space.  The cocircuits are computed exactly once per tuple, as the
 signs of maximal minors (MatrixTuple.cocircuits); the pattern generator
 tests each by bit arithmetic where its support ends, so it yields only
-realizable patterns, and the first goes to pattern_realizable, an exact LP
-that builds the witness vector.
+realizable patterns, and the first goes to pattern_realizable, one exact
+phase-1 simplex that builds the witness vector.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional
 
 from .errors import InvariantError, UndecidedSize
-from .linprog import lp_solve
-from .rational import Mat, rat_str, zeros
+from .linprog import nonneg_solution
+from .rational import Mat, mat_vec, rat_str, zeros
 from .representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -47,41 +46,21 @@ def _require_within_cap(t: MatrixTuple) -> None:
 def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     """Vector tuple realizing the (k+1) x n sign pattern exactly, or None.
 
-    An exact LP: the deciders call it once, on the first pattern that the
-    cocircuit test accepts, to build the witness vector; the tests use it
-    as the reference decision.  Row i of signs is the pattern of x_i over
-    {-1, 0, 1}.  Zero components are eliminated from the system; each
-    nonzero component (i, r) becomes a variable constrained by
-    signs[i][r] * x_{i,r} >= t, which is sound because the system is a cone
-    (strict solutions scale).  Realizable iff the maximum of t (capped at 1)
-    equals 1.
+    Row i of signs is the pattern of x_i over {-1, 0, 1}, S its support
+    and sigma its signs there.  Since ker A is a cone, a realizing x scales
+    to |x_e| >= 1, so one exists iff some z >= 0 has A_S diag(sigma) (1 + z)
+    = 0: one phase-1 simplex over the |S| unknowns z (nonneg_solution), and
+    x_S = sigma (1 + z).  The deciders call it once, to build the witness.
     """
     flat = tuple(chain.from_iterable(signs))
     support = [e for e, s in enumerate(flat) if s != 0]
-    n_vars = len(support) + 1  # support components plus t
-    t_col = len(support)
-
-    eq = [
-        (tuple(row[e] for e in support) + (Fraction(0),), Fraction(0))
-        for row in t.stacked
-    ]
-    ineq = []
-    for col, e in enumerate(support):
-        row = [Fraction(0)] * n_vars
-        row[col] = Fraction(flat[e])
-        row[t_col] = Fraction(-1)
-        ineq.append((tuple(row), Fraction(0)))  # sign * x - t >= 0
-    cap_row = [Fraction(0)] * n_vars
-    cap_row[t_col] = Fraction(-1)
-    ineq.append((tuple(cap_row), Fraction(-1)))  # t <= 1
-
-    objective = tuple(Fraction(0) for _ in support) + (Fraction(1),)
-    res = lp_solve(objective, eq, ineq)
-    if res.status != "optimal" or res.objective_value != 1:
+    m = [[row[e] * flat[e] for e in support] for row in t.stacked]
+    z = nonneg_solution(m, [-sum(row) for row in m])
+    if z is None:
         return None
     x = list(zeros(len(flat)))
-    for col, e in enumerate(support):
-        x[e] = res.point[col]
+    for e, v in zip(support, z):
+        x[e] = flat[e] * (1 + v)
     return unstack(x, t.n)
 
 
@@ -143,15 +122,16 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
     """JSON-ready witness {"pattern", "x"} of the first realizable pattern.
 
     The cocircuit test inside _violating_patterns decides; the LP only
-    builds the vector, and an LP that disagrees is a bug, never a verdict."""
+    builds the vector, which is checked by the definition (A x = 0, with
+    the pattern's signs): an LP that disagrees is a bug, never a verdict."""
     signs = next(_violating_patterns(t, mode), None)
     if signs is None:
         return None
     xs = pattern_realizable(t, signs)
-    if xs is None:
-        raise InvariantError(
-            f"sign pattern {signs} passes the cocircuit test but the LP finds no vector"
-        )
+    flat = tuple(chain.from_iterable(xs or ()))
+    if xs is None or any(mat_vec(t.stacked, flat)) or tuple(
+            (v > 0) - (v < 0) for v in flat) != tuple(chain.from_iterable(signs)):
+        raise InvariantError(f"cocircuit test passes {signs}; the LP's vector does not")
     return {
         "pattern": [list(row) for row in signs],
         "x": [[rat_str(v) for v in x] for x in xs],

@@ -1,19 +1,18 @@
-"""Exact rational linear programming by dense two-phase simplex.
+"""Exact rational linear programming by dense simplex with Bland's rule.
 
-Variables are free; constraints are equalities (row . x = rhs) and
-inequalities (row . x >= rhs); the objective is maximized.  Bland's
-least-index rule guarantees termination.  Everything is exact, which is
-what makes the downstream sign-pattern decisions trustworthy: the tableau,
-with the reduced-cost row as its last row, is held in integers as the
-rational tableau times a positive scale, and each pivot is
-rational.pivot_step, so every sign test, ratio and tie-break is the
-rational tableau's.
+lp_solve maximizes over free variables subject to equalities (row . x =
+rhs) and inequalities (row . x >= rhs) by two phases; nonneg_solution, some
+z >= 0 with a . z = b, is the same phase 1 alone.  The tableau, with the
+reduced-cost row as its last row, is held in integers as the rational
+tableau times a positive scale, and each pivot is rational.pivot_step, so
+every sign test, ratio and tie-break is the rational tableau's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -71,6 +70,38 @@ def _run_simplex(tab: list[list[int]], basis: list[int], cost: list,
     return ("optimal" if enter < 0 else "unbounded"), prev
 
 
+def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
+    """Tableau, basis and scale of a basic z >= 0 with A z = b, A the first
+    n columns of the integer rows [A | b], or None if there is none: rows
+    with b_i < 0 negated, an unscaled artificial identity as first basis,
+    and minus the artificials' sum maximized, a positive multiple of the
+    rational one when [A | b] has one common scale."""
+    m = len(rows)
+    tab = [[v if row[-1] >= 0 else -v for v in row[:-1]] + [int(j == i) for j in range(m)]
+           + [abs(row[-1])] for i, row in enumerate(rows)]
+    basis = [n + i for i in range(m)]
+    _, prev = _run_simplex(tab, basis, [0] * n + [-1] * m, 1)
+    return None if any(tab[i][-1] for i in range(m) if basis[i] >= n) else (tab, basis, prev)
+
+
+def _basic_point(tab: list[list[int]], basis: list[int], prev: int, n: int) -> list:
+    """The first n coordinates of the tableau's basic solution."""
+    point = [Fraction(0)] * n
+    for row, col in zip(tab, basis):
+        if col < n:
+            point[col] = Fraction(row[-1], prev)
+    return point
+
+
+def nonneg_solution(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
+    """Some z >= 0 with a . z = b, exactly, or None if there is none: phase 1
+    alone, on the (nonempty) rows of a scaled with b to integers by one
+    common factor, and z the basic solution it ends on."""
+    mult = lcm(*(v.denominator for v in chain(b, *a)))
+    found = _phase1([int_row([*row, rhs], mult) for row, rhs in zip(a, b)], len(a[0]))
+    return None if found is None else tuple(_basic_point(*found, len(a[0])))
+
+
 def lp_solve(
     objective: Vec,
     eq: Sequence[Constraint] = (),
@@ -78,49 +109,35 @@ def lp_solve(
 ) -> LpResult:
     """Maximize objective . x subject to eq rows (= rhs) and ineq rows (>= rhs)."""
     dim, n_eq, n_ineq = len(objective), len(eq), len(ineq)
-    # standard form: x = u - v with u, v >= 0, plus one surplus per inequality,
-    # each row negated where needed so that its right-hand side is >= 0
+    rows = [[*map(rat, row), rat(rhs)] for row, rhs in [*eq, *ineq]]
+    if any(len(row) != dim + 1 for row in rows):
+        raise DimensionError("constraint row dimension mismatch")
+    # standard form in integers, over one common scale of [A | b]: x = u - v
+    # with u, v >= 0, plus one surplus per inequality
     n_std = 2 * dim + n_ineq
-    rows = []
-    for idx, (row, rhs) in enumerate([*eq, *ineq]):
-        if len(row) != dim:
-            raise DimensionError("constraint row dimension mismatch")
-        x = [rat(v) for v in row]
-        std = x + [-v for v in x] + [-int(s == idx - n_eq) for s in range(n_ineq)] + [rat(rhs)]
-        rows.append(std if std[-1] >= 0 else [-v for v in std])
-
-    m = len(rows)
-    # phase 1: artificial basis, maximize -(sum of artificials).  One common
-    # integer scale over [A | b] and an unscaled artificial identity keep the
-    # phase-1 objective a positive multiple of the rational one.
     mult = lcm(*(v.denominator for row in rows for v in row))
-    tab = [int_row(row[:-1], mult) + [int(j == i) for j in range(m)] + int_row(row[-1:], mult)
-           for i, row in enumerate(rows)]
-    basis = [n_std + i for i in range(m)]
-    cost1 = [0] * n_std + [-1] * m
-    _, prev = _run_simplex(tab, basis, cost1, 1)
-    if sum(tab[i][-1] for i in range(m) if basis[i] >= n_std) != 0:
+    rows = [x[:-1] + [-v for v in x[:-1]] + [-mult * (s == i - n_eq) for s in range(n_ineq)]
+            + x[-1:] for i, x in enumerate(int_row(row, mult) for row in rows)]
+    found = _phase1(rows, n_std)
+    if found is None:
         return LpResult("infeasible")
+    tab, basis, prev = found
     # drive the remaining (zero-valued) artificials out of the basis; a row
     # with no nonzero original column is redundant and is dropped
-    for i in range(m):
+    for i in range(len(rows)):
         if basis[i] >= n_std:
             col = next((j for j in range(n_std) if tab[i][j]), None)
             if col is not None:
                 prev = _pivot(tab, basis, i, col, prev)
-    keep = [i for i in range(m) if basis[i] < n_std]
+    keep = [i for i in range(len(rows)) if basis[i] < n_std]
 
     # phase 2 on the original columns
-    tab = [tab[i][:n_std] + tab[i][-1:] for i in keep]
-    basis = [basis[i] for i in keep]
+    tab, basis = [tab[i][:n_std] + tab[i][-1:] for i in keep], [basis[i] for i in keep]
     obj = [rat(x) for x in objective]
     cost2 = obj + [-x for x in obj] + [0] * n_ineq
     status, prev = _run_simplex(tab, basis, cost2, prev)
     if status == "unbounded":
         return LpResult("unbounded")
-    values = [Fraction(0)] * n_std
-    for i, b in enumerate(basis):
-        values[b] = Fraction(tab[i][-1], prev)
+    values = _basic_point(tab, basis, prev, n_std)
     point = tuple(values[j] - values[dim + j] for j in range(dim))
-    value = sum(o * p for o, p in zip(obj, point))
-    return LpResult("optimal", point, value)
+    return LpResult("optimal", point, sum(o * p for o, p in zip(obj, point)))

@@ -75,6 +75,13 @@ class TestCheck:
         code, _, err = run_main(["check", "--file", path, "--props", "bogus"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("props", ["", ",", " , "])
+    def test_empty_property_list_exits_2(self, tmp_path, capsys, props):
+        path = write_doc(tmp_path, worked_triple_doc())
+        code, out, err = run_main(["check", "--file", path, "--props", props], capsys)
+        assert (code, out) == (2, "")
+        assert "names no property" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(
             ["check", "--file", "/nonexistent.json", "--props", "csw"], capsys

@@ -1,8 +1,9 @@
 """Sign-pattern decision procedures for the column sufficient-W family."""
 
+import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -19,6 +20,7 @@ from ehlcp.csw import (
 )
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
+from ehlcp.linprog import lp_solve
 from ehlcp.rational import _rref, det, identity, mat_vec, solve_linear, zeros
 from ehlcp.representatives import check_column_ndw_det, make_tuple, representative_matrix
 
@@ -96,7 +98,68 @@ def assert_witness_valid(t, witness, conclusion):
         assert any(v != 0 for x in xs for v in x)
 
 
+def reference_realizable(t, signs):
+    """The max-t LP that built witnesses before the phase-1 form: each
+    support component (i, r) is a free variable with signs[i][r] * x_{i,r}
+    >= t, the kernel rows are equalities, and t <= 1; the pattern is
+    realizable iff the maximum of t is 1 (the kernel is a cone)."""
+    flat = tuple(chain.from_iterable(signs))
+    support = [e for e, s in enumerate(flat) if s != 0]
+    width = len(support) + 1  # support components plus t
+    eq = [(tuple(row[e] for e in support) + (0,), 0) for row in t.stacked]
+    ineq = [(tuple(flat[e] * (col == c) for c in range(len(support))) + (-1,), 0)
+            for col, e in enumerate(support)]
+    ineq.append(((0,) * (width - 1) + (-1,), -1))
+    res = lp_solve((0,) * (width - 1) + (1,), eq, ineq)
+    return res.status == "optimal" and res.objective_value == 1
+
+
+def assert_realizes(t, signs, xs):
+    """xs is a kernel vector tuple with exactly the pattern's signs and
+    |x_e| >= 1 on the support."""
+    x = [v for row in xs for v in row]
+    assert not any(mat_vec(t.stacked, x))
+    for v, s in zip(x, chain.from_iterable(signs)):
+        assert (v > 0) - (v < 0) == s
+        assert s == 0 or abs(v) >= 1
+
+
+def tuple_kinds(n, k, seed):
+    """Generic, zero-column, rank-deficient and all-zero tuples."""
+    generic = gen_tuple(GenSpec(n, k, "generic", 2, seed))
+    zero_column = [
+        [[0 if r == i % n else v for r, v in enumerate(row)] for row in m]
+        for i, m in enumerate(generic.mats)
+    ]
+    yield generic
+    yield make_tuple(zero_column)
+    if n > 1:
+        # row n-1 repeats row 0 in every matrix, so A has rank < n
+        yield make_tuple([list(m[:-1]) + [m[0]] for m in generic.mats])
+    yield make_tuple([[[0] * n for _ in range(n)] for _ in range(k + 1)])
+
+
 class TestPatternRealizable:
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (3, 1),
+                                      (1, 5), (2, 3), (3, 2)])
+    def test_agrees_with_the_max_t_lp_on_every_candidate(self, n, k):
+        # every candidate pattern of every mode, plus the all-zero pattern;
+        # the zero-column, rank-deficient and all-zero tuples up to
+        # (k+1)n = 6, the generic tuple alone at 8 and 9
+        tuples = list(tuple_kinds(n, k, subseed(59, 10 * n + k)))
+        if (k + 1) * n > 6:
+            tuples = tuples[:1]
+        outcomes = {True: 0, False: 0}
+        for t in tuples:
+            zero = (((0,) * n,) * (k + 1),)
+            for signs in chain(zero, *(reference_patterns(t, mode) for mode in MODES)):
+                xs = pattern_realizable(t, signs)
+                assert (xs is not None) == reference_realizable(t, signs), (t, signs)
+                if xs is not None:
+                    assert_realizes(t, signs, xs)
+                outcomes[xs is not None] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
     def test_all_zero_pattern_is_the_zero_tuple(self):
         t = identity_pair()
         p = ((0, 0), (0, 0))
@@ -161,28 +224,13 @@ def orthogonal_to_all(signs, cocircuits):
 
 
 class TestCocircuitRealizability:
-    @staticmethod
-    def tuples(n, k, seed):
-        """Generic, zero-column, rank-deficient and all-zero tuples."""
-        generic = gen_tuple(GenSpec(n, k, "generic", 2, seed))
-        zero_column = [
-            [[0 if r == i % n else v for r, v in enumerate(row)] for row in m]
-            for i, m in enumerate(generic.mats)
-        ]
-        yield generic
-        yield make_tuple(zero_column)
-        if n > 1:
-            # row n-1 repeats row 0 in every matrix, so A has rank < n
-            yield make_tuple([list(m[:-1]) + [m[0]] for m in generic.mats])
-        yield make_tuple([[[0] * n for _ in range(n)] for _ in range(k + 1)])
-
     def test_agrees_with_lp_on_every_sampled_pattern(self):
         # a sampled candidate is yielded iff the LP realizes it
         rng = random.Random(43)
         outcomes = {True: 0, False: 0}
         for n in (1, 2, 3):
             for k in (1, 2):
-                for t in self.tuples(n, k, subseed(43, 10 * n + k)):
+                for t in tuple_kinds(n, k, subseed(43, 10 * n + k)):
                     for mode in MODES:
                         yielded = set(_violating_patterns(t, mode))
                         patterns = list(reference_patterns(t, mode))
@@ -199,7 +247,7 @@ class TestCocircuitRealizability:
         shapes += [(4, 2, 3), (3, 3, 2), (2, 5, 2), (6, 1, 1)]
         for n, k, seeds in shapes:
             for seed in range(seeds):
-                tuples = list(self.tuples(n, k, subseed(47, seed)))
+                tuples = list(tuple_kinds(n, k, subseed(47, seed)))
                 tuples += [gen_tuple(GenSpec(n, k, family, 2, seed))
                            for family in ("generic", "degenerate", "z_structured")]
                 if (n, k) == (4, 2):
@@ -225,6 +273,22 @@ class TestCocircuitRealizability:
         )
         assert main(["check", "--file", str(path), "--props", "csw"]) == 4
         assert "cocircuit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", [0, -1])
+    def test_a_wrong_lp_vector_is_an_invariant_error(
+        self, z, tmp_path, capsys, monkeypatch
+    ):
+        # 2 x_0 = -x_1: the witness of pattern (-, +) is (-1, 2).  z = 0
+        # gives (-1, 1), off the kernel; z = -1 gives (0, 0), in the kernel
+        # without the pattern's signs
+        path = tmp_path / "instance.json"
+        path.write_text('{"n": 1, "k": 1, "C": [[[2]], [[-1]]], "q": [0]}', encoding="utf-8")
+        assert main(["check", "--file", str(path), "--props", "csw"]) == 0
+        witness = json.loads(capsys.readouterr().out)["verdicts"]["csw"]["witness"]
+        assert witness == {"pattern": [[-1], [1]], "x": [["-1"], ["2"]]}
+        monkeypatch.setattr(csw, "nonneg_solution", lambda a, b: (Fraction(z),) * len(a[0]))
+        assert main(["check", "--file", str(path), "--props", "csw"]) == 4
+        assert "the LP's vector does not" in capsys.readouterr().err
 
 
 class TestCheckCsw:

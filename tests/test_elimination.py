@@ -2,7 +2,7 @@
 
 The references below are the Fraction Gauss-Jordan RREF, the forward-only
 Bareiss determinant and the Fraction two-phase simplex that the integer
-step replaced.  The RREF is canonical and the integer tableau is the
+step replaced, and that simplex's phase 1 alone.  The RREF is canonical and the integer tableau is the
 rational one times a positive scale, so pivots, determinants, LP results
 and pivot counts must agree exactly.
 """
@@ -14,7 +14,7 @@ from math import lcm
 import pytest
 
 from ehlcp import linprog
-from ehlcp.linprog import lp_solve
+from ehlcp.linprog import lp_solve, nonneg_solution
 from ehlcp.rational import _rref, det, rat
 
 
@@ -161,6 +161,28 @@ def ref_lp_solve(objective, eq=(), ineq=()):
     return "optimal", point, sum(o * p for o, p in zip(obj, point)), counter[0]
 
 
+def ref_nonneg_solution(a, b):
+    """Fraction phase 1 with Bland's rule on a . z = b, z >= 0: (z or None,
+    number of pivots)."""
+    counter = [0]
+    n, m = len(a[0]), len(a)
+    rows = [[rat(x) for x in row] + [rat(rhs)] for row, rhs in zip(a, b)]
+    for row in rows:
+        if row[-1] < 0:
+            row[:] = [-x for x in row]
+    tab = [row[:-1] + [Fraction(1 if j == i else 0) for j in range(m)] + [row[-1]]
+           for i, row in enumerate(rows)]
+    basis = [n + i for i in range(m)]
+    _ref_run_simplex(tab, basis, [Fraction(0)] * n + [Fraction(-1)] * m, counter)
+    if sum(tab[i][-1] for i in range(m) if basis[i] >= n) != 0:
+        return None, counter[0]
+    z = [Fraction(0)] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            z[col] = tab[i][-1]
+    return tuple(z), counter[0]
+
+
 def rand_rational(rng):
     """Mostly non-integer rationals, with zeros so that pivots are skipped."""
     if rng.random() < 0.25:
@@ -277,3 +299,52 @@ class TestSimplex:
         assert statuses == {"optimal", "infeasible", "unbounded"}
         # negative drive-out pivots occurred, so the scale normalisation ran
         assert any(pivots)
+
+
+def rand_system(rng):
+    """a . z = b with a right-hand side that is feasible by construction,
+    random, or zero; some get redundant rows (combinations of [a | b]) and
+    zero rows, whose b entry may be nonzero."""
+    n_rows, n_cols = rng.randint(1, 5), rng.randint(0, 6)
+    a = [[rand_rational(rng) for _ in range(n_cols)] for _ in range(n_rows)]
+    kind = rng.choice(("feasible", "random", "zero"))
+    if kind == "feasible":
+        z = [abs(rand_rational(rng)) for _ in range(n_cols)]
+        b = [sum(x * y for x, y in zip(row, z)) for row in a]
+    else:
+        b = [rand_rational(rng) if kind == "random" else Fraction(0) for _ in a]
+    rows = [row + [rhs] for row, rhs in zip(a, b)]
+    if rng.random() < 0.4:
+        rows += [combination(rng, rows) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.3:
+        rows.append([Fraction(0)] * n_cols + [rng.choice((Fraction(0), rand_rational(rng)))])
+    rng.shuffle(rows)
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
+class TestNonnegSolution:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_fraction_phase_1(self, seed, monkeypatch):
+        pivots = []
+        original = linprog._pivot
+
+        def counting_pivot(tab, basis, row, col, prev):
+            pivots.append(tab[row][col] < 0)
+            return original(tab, basis, row, col, prev)
+
+        monkeypatch.setattr(linprog, "_pivot", counting_pivot)
+        rng = random.Random(300 + seed)
+        feasible = set()
+        for _ in range(300):
+            a, b = rand_system(rng)
+            before = len(pivots)
+            z = nonneg_solution(a, b)
+            ref_z, ref_pivots = ref_nonneg_solution(a, b)
+            assert z == ref_z
+            assert len(pivots) - before == ref_pivots
+            if z is not None:
+                assert all(v >= 0 for v in z)
+                assert [sum(x * y for x, y in zip(row, z)) for row in a] == list(b)
+            feasible.add(z is not None)
+        assert feasible == {True, False}
+        assert pivots
