@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from . import csw
 from .classes import is_m, is_z
 from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_sufficiency
 from .errors import InputError, InvariantError
-from .io import instance_to_json, tuple_to_json
+from .io import instance_to_json, tuple_to_json, vec_to_json
 from .rational import (
     Mat,
     Vec,
@@ -257,60 +258,39 @@ def _trial_spec(spec: GenSpec, index: int) -> GenSpec:
                    subseed(spec.seed, index))
 
 
-def solution_points(inst: EhlcpInstance) -> list:
-    """Representative solution points: every piece point, plus a half-step
-    along each spanning direction of positive-dimensional pieces."""
-    points = []
-    for piece in solve_all(inst):
-        points.append(piece.point)
-        for direction in piece.kernel_basis:
-            stepped = _step(inst, piece.point, direction)
-            if stepped is not None:
-                points.append(stepped)
-    return list(dict.fromkeys(points))
+def nonconvex_pair(inst: EhlcpInstance, pieces: list) -> Optional[tuple]:
+    """The first pair (a, b) of piece points, in piece order, whose midpoint
+    does not solve inst; None when the solution set is convex.
 
-
-def _step(inst: EhlcpInstance, point: Vec, direction: Vec) -> Optional[Vec]:
-    """point + (half the largest feasible step) along a stacked direction."""
-    limit: Optional[Fraction] = None
-    for x, dx, hi in zip(point, direction, inst.upper):
-        if dx > 0 and hi is not None:
-            room = (hi - x) / dx
-            limit = room if limit is None else min(limit, room)
-        elif dx < 0:
-            room = -x / dx
-            limit = room if limit is None else min(limit, room)
-    step = Fraction(1) if limit is None else limit / 2
-    if step == 0:
-        return None
-    candidate = tuple(x + step * dx for x, dx in zip(point, direction))
-    return candidate if is_solution(inst, candidate) else None
-
-
-def combine(a: Vec, b: Vec, weight: Fraction) -> Vec:
-    return tuple(weight * xa + (1 - weight) * xb for xa, xb in zip(a, b))
+    The midpoint of two solutions meets A x = q and the bounds, and each of
+    its wedge products is a quarter of the two solutions' cross products,
+    so is_solution at the midpoint is the cross-wedge test.  solve_all's
+    point is relative-interior to its piece, where every nonnegative
+    affine function on the piece (an entry or a slack d_j - x_j) has its
+    largest support, so the pieces' points decide every pair of solutions.
+    """
+    for a, b in combinations([piece.point for piece in pieces], 2):
+        if not is_solution(inst, tuple((u + v) / 2 for u, v in zip(a, b))):
+            return a, b
+    return None
 
 
 def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) -> list:
-    """Convex combinations of solution points that are not solutions, on a
-    segment instance when t has a nonzero disjoint-support kernel tuple and
-    on a random instance drawn at subseed(seed, salt + index) otherwise."""
+    """One violation, carrying the instance and the nonconvex_pair, when
+    the solution set is not convex; the instance is a segment instance
+    when t has a nonzero disjoint-support kernel tuple and a random one
+    drawn at subseed(seed, salt + index) otherwise."""
     kernel = kernel_tuple_from_singular_representative(t)
     if kernel is not None and any(kernel):
         inst, _, _ = instance_with_segment(t, kernel)
     else:
         inst = gen_instance(t, subseed(spec.seed, salt + index), spec.entry_range)
-    out = []
-    points = solution_points(inst)
-    weights = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            for w in weights:
-                if not is_solution(inst, combine(points[i], points[j], w)):
-                    out.append(_violation(spec, index, t,
-                                          f"convex combination at t={w} is not a solution",
-                                          instance=instance_to_json(inst)))
-    return out
+    pair = nonconvex_pair(inst, solve_all(inst))
+    if pair is None:
+        return []
+    return [_violation(spec, index, t, "midpoint of two solutions is not a solution",
+                       instance=instance_to_json(inst),
+                       points=[vec_to_json(x) for x in pair])]
 
 
 def _normalized(t: MatrixTuple) -> Optional[tuple]:

@@ -115,15 +115,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if len(a[0]) != len(b):
-        raise DimensionError("matrix-matrix dimension mismatch")
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
 def require_square(m: Mat) -> int:
     """Order n of a square matrix; every row must have n entries."""
     n = len(m)

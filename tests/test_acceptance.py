@@ -8,7 +8,6 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 import sympy
@@ -23,18 +22,17 @@ from ehlcp.csw import (
 )
 from ehlcp.harness import (
     GenSpec,
-    combine,
     gen_instance,
     gen_tuple,
     instance_with_segment,
     kernel_tuple_from_singular_representative,
+    nonconvex_pair,
     paper_example_tuple,
     skew_pair_tuple,
-    solution_points,
     subseed,
     w0_not_csw_tuple,
 )
-from ehlcp.rational import identity, inverse, mat, mat_mul, mat_vec, zeros
+from ehlcp.rational import identity, inverse, mat, mat_vec, zeros
 from ehlcp.representatives import (
     check_column_ndw_det,
     check_column_w,
@@ -43,6 +41,7 @@ from ehlcp.representatives import (
     representative_matrix,
 )
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
+from reference import mat_mul, midpoints_solve, solution_points
 
 SAMPLE_SEED = 2024
 SAMPLE_SIZE = 500
@@ -179,15 +178,6 @@ class TestCriterion06:
         report(6, ok)
 
 
-def midpoints_solve(inst, points):
-    weights = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    for a, b in combinations(points, 2):
-        for w in weights:
-            if not is_solution(inst, combine(a, b, w)):
-                return False
-    return True
-
-
 class TestCriterion07:
     def test_segment_golden(self):
         inst = segment_instance()
@@ -196,6 +186,7 @@ class TestCriterion07:
         points = solution_points(inst)
         ok = ok and len(points) >= 3
         ok = ok and midpoints_solve(inst, points[:3])
+        ok = ok and nonconvex_pair(inst, pieces) is None
         report(7, ok)
 
     def test_random_convexity(self):
@@ -219,6 +210,7 @@ class TestCriterion07:
                 continue
             found += 1
             ok = ok and midpoints_solve(inst, points)
+            ok = ok and nonconvex_pair(inst, solve_all(inst)) is None
             if not ok:
                 break
         report(7, ok and found >= 100)
@@ -305,6 +297,7 @@ class TestCriterion10:
                 inst = gen_instance(t, subseed(1020, i))
             points = solution_points(inst)
             ok = ok and midpoints_solve(inst, points)
+            ok = ok and nonconvex_pair(inst, solve_all(inst)) is None
             if not ok:
                 break
         report(10, ok)

@@ -1,12 +1,14 @@
 """Seeded generation, golden suites, and theorem verification plumbing."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from ehlcp.classes import is_z
 from ehlcp.errors import InputError
 from ehlcp.harness import (
+    FAMILIES,
     THEOREM_IDS,
     GenSpec,
     SplitMix64,
@@ -15,13 +17,16 @@ from ehlcp.harness import (
     gen_tuple,
     instance_with_segment,
     kernel_tuple_from_singular_representative,
+    nonconvex_pair,
     paper_example_tuple,
     subseed,
     verify_theorem,
 )
-from ehlcp.rational import inverse, mat_mul
+from ehlcp.io import parse_instance
+from ehlcp.rational import inverse, vec
 from ehlcp.representatives import check_column_ndw_det, check_column_w, make_tuple
-from ehlcp.solver import is_solution
+from ehlcp.solver import is_solution, solve_all
+from reference import combine, mat_mul, midpoints_solve, solution_points
 
 
 class TestSplitMix64:
@@ -137,6 +142,45 @@ class TestSegmentConstruction:
         assert is_solution(inst, other)
 
 
+def sweep_instances():
+    """Random instances at entry ranges 1 and 2, plus the segment instance
+    when the tuple has one, for four seeds of every family and every shape
+    with (k+1)^n <= 27."""
+    shapes = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4) if (k + 1) ** n <= 27]
+    for family in FAMILIES:
+        for n, k in shapes:
+            for seed in range(4):
+                t = gen_tuple(GenSpec(n, k, family, 2, subseed(1600, seed)))
+                for entry_range in (1, 2):
+                    yield gen_instance(t, subseed(1601, seed), entry_range)
+                kernel = kernel_tuple_from_singular_representative(t)
+                if kernel is not None and any(kernel):
+                    yield instance_with_segment(t, kernel)[0]
+
+
+class TestNonconvexPair:
+    def test_agrees_with_the_sampled_combinations(self):
+        # the sampler (piece points, half steps, weights 1/4, 1/2, 3/4) can
+        # only miss a violation, and it tests every midpoint the oracle
+        # does, so the two verdicts must agree; the pair must be the first
+        # of the piece points, in piece order, whose midpoint fails
+        half = Fraction(1, 2)
+        nonconvex = 0
+        for inst in sweep_instances():
+            pieces = solve_all(inst)
+            pair = nonconvex_pair(inst, pieces)
+            assert (pair is None) == midpoints_solve(inst, solution_points(inst)), inst
+            first = next((p for p in combinations([piece.point for piece in pieces], 2)
+                          if not is_solution(inst, combine(*p, half))), None)
+            assert pair == first, inst
+            if pair is not None:
+                nonconvex += 1
+                a, b = pair
+                assert is_solution(inst, a) and is_solution(inst, b)
+                assert not is_solution(inst, combine(a, b, half))
+        assert nonconvex >= 100
+
+
 class TestVerifyTheorem:
     def test_all_suites_pass_at_small_trial_counts(self):
         for theorem_id in THEOREM_IDS:
@@ -158,6 +202,21 @@ class TestVerifyTheorem:
         report = verify_theorem("T4.1-ndw", 20, GenSpec(2, 2, "generic", 2, 8))
         assert not report.passed
         assert all("seed" in v and "tuple" in v for v in report.violations)
+
+    def test_t31_reports_one_nonconvex_pair_per_trial(self, monkeypatch):
+        # with cS-W forced to hold, T3.1 must flag exactly the trials whose
+        # solution sets the sampled combinations find non-convex, once each
+        import ehlcp.harness as harness
+
+        always_true = type("V", (), {"holds": True})()
+        monkeypatch.setattr(harness, "check_csw", lambda t: always_true)
+        violations = verify_theorem("T3.1-convex", 20, GenSpec(2, 2, "generic", 2, 0)).violations
+        assert [v["trial"] for v in violations] == [0, 1, 4, 7, 9, 12, 13, 14, 17, 21]
+        for v in violations:
+            inst = parse_instance(v["instance"])
+            a, b = (vec(x) for x in v["points"])
+            assert is_solution(inst, a) and is_solution(inst, b)
+            assert not is_solution(inst, combine(a, b, Fraction(1, 2)))
 
     def test_t42_checks_the_csw_fast_paths_against_enumeration(self, monkeypatch):
         # check_csw's fast paths are T4.2 itself, so an enumeration that

@@ -13,7 +13,6 @@ from ehlcp.rational import (
     identity,
     inverse,
     mat,
-    mat_mul,
     mat_vec,
     rat,
     rat_str,
@@ -21,6 +20,7 @@ from ehlcp.rational import (
     solve_linear,
     vec,
 )
+from reference import mat_mul
 
 
 def cofactor_det(m):
