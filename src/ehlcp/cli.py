@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 theorem violations, 2 input error, 3 resource cap,
 4 internal invariant failure (an InvariantError, a --recheck pass that
-disagreed with the report, or a solve piece whose point is not a solution).
+disagreed with the report, or a solve piece whose point, or a step from it
+along one of its directions, is not a solution).
 """
 
 from __future__ import annotations
@@ -113,6 +114,24 @@ def _solve_payload(pieces) -> dict:
     return {"path": "enumeration", "pieces": [piece_to_json(p) for p in pieces]}
 
 
+def _steps_solve(inst, point, v) -> bool:
+    """True when point + t v and point - t v both solve, for t half the
+    largest step the box 0 <= x <= inst.upper allows along +v and -v.  A
+    direction that moves a coordinate sitting at its bound gives t = 0, and
+    so does the zero vector: both fail."""
+    room = []
+    for x, dx, hi in zip(point, v, inst.upper):
+        if dx:
+            room.append(x / abs(dx))
+            if hi is not None:
+                room.append((hi - x) / abs(dx))
+    t = min(room, default=0) / 2
+    return t > 0 and all(
+        is_solution(inst, tuple(x + sign * t * dx for x, dx in zip(point, v)))
+        for sign in (1, -1)
+    )
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.file)
     started = time.monotonic()
@@ -133,6 +152,12 @@ def cmd_solve(args) -> int:
         if bad:
             print(f"recheck failed: the point of selector {list(bad[0])} is not a "
                   f"solution ({len(bad)} of {len(pieces)} pieces)", file=sys.stderr)
+            return 4
+        bad = [p.selector for p in pieces
+               if not all(_steps_solve(inst, p.point, v) for v in p.kernel_basis)]
+        if bad:
+            print(f"recheck failed: a direction of selector {list(bad[0])} leaves the "
+                  f"solution set ({len(bad)} of {len(pieces)} pieces)", file=sys.stderr)
             return 4
         report["recheck"] = "ok"
     _emit(report, args.out)

@@ -8,9 +8,10 @@ plus box inequalities.
 
 solve_all decides every selector in one fraction-free elimination tree that
 carries the right-hand side (_selector_pieces): a nonsingular selector reads
-its unique point off its leaf.  A singular selector can contribute a whole
-polyhedral piece; solve_branch solves its system from scratch and computes
-the piece's dimension and a basis of its affine hull exactly.
+its unique point off its leaf, and an inconsistent singular one is rejected
+there.  A consistent singular selector can contribute a whole polyhedral
+piece; solve_branch solves its system from scratch and computes the piece's
+dimension and a basis of its affine hull exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from math import lcm
 from typing import Iterator, Optional
 
@@ -88,8 +89,8 @@ def is_solution(inst: EhlcpInstance, x: Vec) -> bool:
 
 def _selector_system(inst: EhlcpInstance, selector: tuple):
     """Reduced n x n system of one column selector, built from scratch for
-    solve_branch; solve_all calls that only for singular selectors, whose
-    systems the tree of _selector_pieces cannot finish.
+    solve_branch; solve_all calls that only for consistent singular leaves,
+    whose pieces the tree of _selector_pieces cannot finish.
 
     With m = selector[r], the wedge conditions pin x_{0,r} = 0 (m > 0),
     x_{j,r} = d_{j,r} (0 < j < m) and x_{j,r} = 0 (j > m), leaving x_{m,r}
@@ -239,10 +240,13 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     right-hand side, drops position r's other columns and pivots
     (rational.pivot_step) on the first unpivoted row nonzero in candidate
     column s.  The pivoted rows stay and keep being reduced (Gauss-Jordan),
-    so at a leaf the row pivoted at position r holds y_r times the last
-    pivot.  A candidate column zero on every unpivoted row makes every
-    completion of the prefix singular; those selectors, and only those, go
-    to solve_branch.
+    so at a leaf of full rank the row pivoted at position r holds y_r times
+    the last pivot.  A candidate column zero on every unpivoted row gets no
+    pivot: y_r is a free unknown, and the column stays zero on the
+    unpivoted rows, since every later update of such a row combines it with
+    another unpivoted one.  A leaf of rank below n is therefore
+    inconsistent iff an unpivoted row has a nonzero right-hand side; only
+    the consistent singular leaves go to solve_branch.
     """
     t = inst.matrix_tuple
     n, k = t.n, t.k
@@ -277,31 +281,34 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
                 return None
         return SolutionPiece(sel, tuple(point), 0)
 
-    def subtree(rows, prefix, prev):
+    def subtree(rows, prefix, prev, rank):
         """(selector, piece) over the completions of prefix, given the
-        node's rows: the pivoted ones (row r pivoted at position r), then
-        the unpivoted ones; prev is the last pivot."""
+        node's rows: rank pivoted ones, then the unpivoted ones; prev is the
+        last pivot."""
         depth = len(prefix)
         for s in range(k + 1):
             sel = prefix + (s,)
             c = 2 + s
-            p = next((i for i in range(depth, n) if rows[i][c]), None)
-            if p is None:
-                for rest in product(range(k + 1), repeat=n - depth - 1):
-                    yield sel + rest, solve_branch(inst, sel + rest)
-                continue
             if s > 1:  # g_r(s) joins the right-hand side
                 a = [[row[c], row[1] + row[c + k - 1]] + row[2 + block:] for row in rows]
             else:
                 a = [[row[c], row[1]] + row[2 + block:] for row in rows]
-            a[depth], a[p] = a[p], a[depth]
-            pivot_step(a, depth, 0, prev)
-            if depth == n - 1:
-                yield sel, leaf_piece(sel, [row[1] for row in a], a[depth][0])
+            last, pivoted = prev, rank  # y_r stays free if no row can pivot
+            p = next((i for i in range(rank, n) if a[i][0]), None)
+            if p is not None:
+                a[rank], a[p] = a[p], a[rank]
+                pivot_step(a, rank, 0, prev)
+                last, pivoted = a[rank][0], rank + 1
+            if depth < n - 1:
+                yield from subtree(a, sel, last, pivoted)
+            elif pivoted == n:
+                yield sel, leaf_piece(sel, [row[1] for row in a], last)
+            elif any(row[1] for row in a[pivoted:]):
+                yield sel, None  # inconsistent
             else:
-                yield from subtree(a, sel, a[depth][0])
+                yield sel, solve_branch(inst, sel)
 
-    return subtree(root, (), 1)
+    return subtree(root, (), 1, 0)
 
 
 def solve_all(inst: EhlcpInstance) -> list:

@@ -278,6 +278,28 @@ class TestSolve:
         assert code == 4 and out == ""
         assert "selector [0] is not a solution" in err
 
+    @pytest.mark.parametrize("direction", [(0, -1, 2, 0), (1, -1, 1, 0)])
+    def test_recheck_steps_along_each_direction(self, tmp_path, capsys, monkeypatch, direction):
+        from fractions import Fraction
+
+        from ehlcp.solver import SolutionPiece
+
+        # the piece of selector (1, 0) is the segment x_{0,2} + x_{1,1} = 1
+        # along (0, -1, 1, 0); from (0, 1/4, 3/4, 0) the box allows a step
+        # of 1/4 both ways.  The first corrupt direction leaves A x = q, the
+        # second moves x_{0,1}, which sits at 0
+        doc = {"n": 2, "k": 1, "C": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], "q": [0, 1]}
+        path = write_doc(tmp_path, doc)
+        point = (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(0))
+        real = SolutionPiece((1, 0), point, 1, (tuple(map(Fraction, (0, -1, 1, 0))),))
+        bad = SolutionPiece((1, 0), point, 1, (tuple(map(Fraction, direction)),))
+        monkeypatch.setattr(cli, "solve_all", lambda inst: [real])
+        assert run_main(["solve", "--file", path, "--recheck"], capsys)[0] == 0
+        monkeypatch.setattr(cli, "solve_all", lambda inst: [bad])
+        code, out, err = run_main(["solve", "--file", path, "--recheck"], capsys)
+        assert code == 4 and out == ""
+        assert "a direction of selector [1, 0] leaves the solution set" in err
+
     def test_recheck_passes_real_pieces(self, tmp_path, capsys):
         doc = {"n": 2, "k": 1, "C": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], "q": [0, 1]}
         path = write_doc(tmp_path, doc)

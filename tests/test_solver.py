@@ -1,6 +1,7 @@
 """Column-selector solver: validity checks, pieces, golden output, closed form."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from ehlcp.harness import (
     subseed,
 )
 from ehlcp.io import dump_json, piece_to_json
-from ehlcp.rational import det, identity, mat_vec, vec
+from ehlcp.rational import det, identity, mat_vec, solve_linear, vec
 from ehlcp.representatives import make_tuple, representative_matrix, selectors, unstack
 from ehlcp.solver import (
     EhlcpInstance,
@@ -79,6 +80,35 @@ def reference_solve_all(inst):
             seen.add(piece.point)
         pieces.append(piece)
     return pieces
+
+
+def record_branches(monkeypatch):
+    """List that collects every selector solve_all sends to solve_branch."""
+    branched = []
+    real = solver.solve_branch
+    monkeypatch.setattr(solver, "solve_branch",
+                        lambda inst, s: branched.append(s) or real(inst, s))
+    return branched
+
+
+def from_scratch(inst, s):
+    """(kind, broken) of one selector solved on its own: kind is
+    "nonsingular" when its representative matrix is, else "inconsistent"
+    or "singular" by solve_linear on its system; broken tells whether the
+    unique point of a nonsingular selector breaks a bound."""
+    _, a, rhs, _, box = solver._selector_system(inst, s)
+    res = solve_linear(a, rhs)
+    if det(representative_matrix(inst.matrix_tuple, s)):
+        y = res.particular
+        return "nonsingular", any(sign * y[c] < bound for c, sign, bound in box)
+    return ("inconsistent" if res.kind == "inconsistent" else "singular"), False
+
+
+def consistent_singular(inst):
+    """The selectors, in selectors order, whose representative matrix is
+    singular and whose system is consistent."""
+    t = inst.matrix_tuple
+    return [s for s in selectors(t.n, t.k) if from_scratch(inst, s)[0] == "singular"]
 
 
 def pieces_json(pieces):
@@ -524,20 +554,51 @@ class TestSelectorTree:
 
     @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 1), (3, 3)])
     def test_zero_column_subtree(self, n, k, monkeypatch):
-        # C_1 with a zero last column: every selector ending in 1 is singular,
-        # and only singular selectors reach solve_branch
+        # C_1 with a zero last column: every selector ending in 1 is
+        # singular, and exactly the consistent singular selectors reach
+        # solve_branch
         t = gen_tuple(GenSpec(n, k, "generic", 2, subseed(67, 10 * n + k)))
         c1 = [list(row[:-1]) + [F(0)] for row in t.mats[1]]
         t = make_tuple([t.mats[0], c1, *t.mats[2:]])
         inst = instance_through_point(t, subseed(68, 10 * n + k))
         expected = reference_solve_all(inst)
-        branched = []
-        real = solver.solve_branch
-        monkeypatch.setattr(solver, "solve_branch",
-                            lambda inst, s: branched.append(s) or real(inst, s))
+        branched = record_branches(monkeypatch)
         assert pieces_json(solve_all(inst)) == pieces_json(expected)
-        assert {s for s in selectors(n, k) if s[-1] == 1} <= set(branched)
-        assert all(det(representative_matrix(t, s)) == 0 for s in branched)
+        assert all(from_scratch(inst, s)[0] != "nonsingular"
+                   for s in selectors(n, k) if s[-1] == 1)
+        assert branched == consistent_singular(inst)
+
+    @pytest.mark.parametrize("family, zeroed", [("degenerate", None), ("z_structured", None),
+                                                ("generic", 0), ("generic", -1)],
+                             ids=["degenerate", "z_structured", "zero-C0", "zero-Ck"])
+    def test_inconsistent_leaves_agree_with_a_scratch_solve(self, family, zeroed, monkeypatch):
+        # the tree sends exactly the consistent singular selectors to
+        # solve_branch, and every other None it answers is a from-scratch
+        # system that is inconsistent or whose unique point breaks a bound;
+        # zeroed names C_0 or C_k, of which one column is set to zero
+        branched = record_branches(monkeypatch)
+        kinds = Counter()
+        for n, k in TREE_SHAPES:
+            for seed in range(2):
+                i = 100 * seed + 10 * n + k
+                t = gen_tuple(GenSpec(n, k, family, 2, subseed(73, i)))
+                if zeroed is not None:
+                    mats = list(t.mats)
+                    mats[zeroed] = [[F(0) if c == seed % n else x for c, x in enumerate(row)]
+                                    for row in mats[zeroed]]
+                    t = make_tuple(mats)
+                for inst in (gen_instance(t, subseed(74, i), 2),
+                             instance_through_point(t, subseed(75, i))):
+                    branched.clear()
+                    decided = list(solver._selector_pieces(inst))
+                    assert branched == consistent_singular(inst)
+                    for s, piece in decided:
+                        kind, broken = from_scratch(inst, s)
+                        kinds[kind, s in branched, piece is None] += 1
+                        if piece is None and s not in branched:
+                            assert kind == "inconsistent" or (kind == "nonsingular" and broken)
+        assert kinds["inconsistent", False, True] > 0
+        assert kinds["singular", True, False] > 0
 
     def test_rational_data(self):
         # non-integer C entries, d and q: each root row is scaled by its own lcm
