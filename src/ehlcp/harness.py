@@ -8,13 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from . import csw
 from .classes import is_m, is_z
 from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_sufficiency
-from .errors import InputError, InvariantError
+from .errors import CapExceeded, InputError, InvariantError
 from .io import instance_to_json, tuple_to_json, vec_to_json
 from .rational import (
     Mat,
@@ -25,7 +25,7 @@ from .rational import (
     inverse,
     mat,
     mat_vec,
-    solve_linear,
+    vec,
     zeros,
 )
 from .representatives import (
@@ -34,7 +34,6 @@ from .representatives import (
     check_column_w,
     check_column_w0,
     make_tuple,
-    representative_matrix,
 )
 from .solver import EhlcpInstance, is_solution, solve_all
 
@@ -136,7 +135,7 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
             if det(c0) != 0:
                 break
         else:
-            raise RuntimeError("no invertible C_0 found in 1000 attempts")
+            raise CapExceeded("no invertible C_0 within the cap of 1000 draws")
         t = _column_scaled_tuple(rng, c0, k, b)
         if not check_column_w(t).holds:
             raise InvariantError("constructive family produced a non-column-W tuple")
@@ -182,51 +181,35 @@ def w0_not_csw_tuple() -> MatrixTuple:
     return make_tuple([identity(2), z, z])
 
 
-# --- constructed multi-solution instances -----------------------------------
+# --- two-solution instances -------------------------------------------------
 
-def kernel_tuple_from_singular_representative(t: MatrixTuple) -> Optional[Vec]:
-    """Nonzero stacked (x_0, ..., x_k) with disjoint supports solving the
-    homogeneous system, built from a singular representative's kernel; None
-    when the tuple has the determinant ND-W property."""
-    verdict = check_column_ndw_det(t)
-    if verdict.holds:
-        return None
-    selector = tuple(verdict.witness["selector"])
-    rep = representative_matrix(t, selector)
-    res = solve_linear(rep, zeros(t.n))
-    x = list(zeros((t.k + 1) * t.n))
-    for r, (i, v) in enumerate(zip(selector, res.kernel_basis[0])):
-        x[i * t.n + r] = -v if i == 0 else v
-    return tuple(x)
+def two_solutions(t: MatrixTuple, u: Vec) -> tuple:
+    """(instance, a, b) with a and b = a + u two stacked solutions.
 
-
-def instance_with_segment(t: MatrixTuple, kernel: Vec) -> tuple:
-    """Instance whose solution set contains the segment [x, x + w].
-
-    kernel must be a nonzero disjoint-support stacked solution of the
-    homogeneous system.  Returns (instance, endpoint_a, endpoint_b), the
-    endpoints stacked.
+    u must be a nonzero stacked vector in ker A with at most one nonzero
+    block m in each column r.  a fills blocks 0 < j < m with d_j = 1, sets
+    a_{m,r} = max(0, -u_{m,r}) and, when 0 < m < k, d_{m,r} = |u_{m,r}| + 1;
+    every other d is 1 and q = A a.
     """
     n, k = t.n, t.k
-    scale = max(abs(v) for v in kernel)
-    if scale == 0:
-        raise InputError("kernel tuple must be nonzero")
-    w = tuple(v / scale for v in kernel)  # all |entries| <= 1
-    d = tuple((Fraction(2),) * n for _ in range(k - 1))
-    x = list(zeros((k + 1) * n))
-    for r in range(n):
-        m = next((i for i in range(k + 1) if w[i * n + r] != 0), None)
-        if m is None:
-            continue
+    support = [(r, m) for r in range(n) for m in range(k + 1) if u[m * n + r]]
+    if not support or len({r for r, _ in support}) < len(support):
+        raise InvariantError("two_solutions needs a nonzero u with one nonzero block per column")
+    d = [[Fraction(1)] * n for _ in range(k - 1)]
+    a = list(zeros((k + 1) * n))
+    for r, m in support:
+        v = u[m * n + r]
         for j in range(1, m):
-            x[j * n + r] = Fraction(2)  # saturate d_j so x_{j+1} may be positive
-        x[m * n + r] = Fraction(1)
-    base = tuple(x)
-    inst = EhlcpInstance(t, d, mat_vec(t.stacked, base))
-    other = tuple(a + b for a, b in zip(base, w))
-    if not (is_solution(inst, base) and is_solution(inst, other)):
-        raise InvariantError("constructed segment endpoints do not solve the instance")
-    return inst, base, other
+            a[j * n + r] = Fraction(1)
+        a[m * n + r] = max(Fraction(0), -v)
+        if 0 < m < k:
+            d[m - 1][r] = abs(v) + 1
+    a = tuple(a)
+    b = tuple(x + y for x, y in zip(a, u))
+    inst = EhlcpInstance(t, tuple(map(tuple, d)), mat_vec(t.stacked, a))
+    if not (is_solution(inst, a) and is_solution(inst, b)):
+        raise InvariantError("two_solutions: an endpoint does not solve the instance")
+    return inst, a, b
 
 
 # --- theorem verification ---------------------------------------------------
@@ -277,14 +260,16 @@ def nonconvex_pair(inst: EhlcpInstance, pieces: list) -> Optional[tuple]:
 
 def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) -> list:
     """One violation, carrying the instance and the nonconvex_pair, when
-    the solution set is not convex; the instance is a segment instance
-    when t has a nonzero disjoint-support kernel tuple and a random one
-    drawn at subseed(seed, salt + index) otherwise."""
-    kernel = kernel_tuple_from_singular_representative(t)
-    if kernel is not None and any(kernel):
-        inst, _, _ = instance_with_segment(t, kernel)
-    else:
+    the solution set is not convex.  The instance is drawn at
+    subseed(seed, salt + index) when t has column ND-W, and is otherwise
+    two_solutions of the definition decider's ND-W witness."""
+    if check_column_ndw_det(t).holds:
         inst = gen_instance(t, subseed(spec.seed, salt + index), spec.entry_range)
+    else:
+        ndw = check_column_ndw_def(t)
+        if ndw.holds:
+            raise InvariantError("definition ND-W holds on a tuple with a singular representative")
+        inst, _, _ = two_solutions(t, vec(chain.from_iterable(ndw.witness["x"])))
     pair = nonconvex_pair(inst, solve_all(inst))
     if pair is None:
         return []

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm, prod
 from typing import Iterator, Optional
 
@@ -193,8 +193,10 @@ class DetScan:
         self.first: dict = {}
         self.complete = False
 
-    def record(self, sel: tuple, d: Fraction) -> None:
+    def record(self, sel: tuple, d: Fraction) -> tuple:
+        """Keep (sel, d) if it is the first of its sign; return it."""
         self.first.setdefault((d > 0) - (d < 0), (sel, d))
+        return sel, d
 
     def advance(self, enough) -> dict:
         """Walk on until enough(first) is true or every selector has been
@@ -218,37 +220,36 @@ def _det_json(sel: tuple, d: Fraction) -> dict:
     return {"selector": list(sel), "determinant": rat_str(d)}
 
 
+def _w_violations(dets) -> Iterator[dict]:
+    """The column W violations among (selector, determinant) pairs, in their
+    order: each zero, and each determinant whose sign differs from the
+    first nonzero one's."""
+    first = None
+    for sel, d in dets:
+        if d == 0:
+            yield _det_json(sel, d)
+        elif first is None:
+            first = sel, d
+        elif (d > 0) != (first[1] > 0):
+            yield {"conflict_with": _det_json(*first), **_det_json(sel, d)}
+
+
 def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
     """Column W-property: every representative determinant strictly positive,
     or every one strictly negative.
 
-    The first violation is the earlier of the first zero and the first
-    determinant of the second sign.  exhaustive reports every violation,
-    from a full walk of its own that it records into the shared scan."""
+    exhaustive reports every violation, from a full walk of its own that it
+    records into the shared scan.  Otherwise the first violation is found
+    among the scan's first determinant of each sign, in walk order: the
+    earlier of the first zero and the first determinant of the second sign."""
     name = "column_w"
     scan = t.det_scan
-    violations = []
     if exhaustive:
-        first_sel = None
-        for sel, d in representative_dets(t):
-            scan.record(sel, d)
-            if d == 0:
-                violations.append(_det_json(sel, d))
-            elif first_sel is None:
-                first_sel, positive = _det_json(sel, d), d > 0
-            elif (d > 0) != positive:
-                violations.append({"conflict_with": first_sel, **_det_json(sel, d)})
+        violations = list(_w_violations(scan.record(sel, d) for sel, d in representative_dets(t)))
         scan.finish()
     else:
         first = scan.advance(lambda f: 0 in f or (1 in f and -1 in f))
-        nonzero = sorted(first[s] for s in (-1, 1) if s in first)
-        candidates = nonzero[1:] + ([first[0]] if 0 in first else [])
-        if candidates:
-            earliest = min(candidates)  # selectors are distinct: compared alone
-            violation = _det_json(*earliest)
-            if earliest[1]:
-                violation["conflict_with"] = _det_json(*nonzero[0])
-            violations.append(violation)
+        violations = list(islice(_w_violations(sorted(first.values())), 1))
     if violations:
         return PropertyVerdict(
             name, False, {"violations": violations},

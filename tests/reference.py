@@ -5,14 +5,20 @@ midpoints_solve are the sampled convexity check that harness.nonconvex_pair
 replaced: every piece point plus a half step along each basis direction,
 and the weights 1/4, 1/2 and 3/4 on every pair.  It can miss a violation,
 so it serves only as the other side of a differential test.
+
+ndw_two_solutions builds the two-solution instance that the convexity
+suites build for a tuple without column ND-W.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
+from ehlcp.csw import check_column_ndw_def
 from ehlcp.errors import DimensionError
-from ehlcp.rational import Mat, Vec
+from ehlcp.harness import two_solutions
+from ehlcp.rational import Mat, Vec, vec
+from ehlcp.representatives import MatrixTuple
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
 
 
@@ -67,3 +73,12 @@ def midpoints_solve(inst: EhlcpInstance, points: list) -> bool:
             if not is_solution(inst, combine(a, b, w)):
                 return False
     return True
+
+
+def ndw_two_solutions(t: MatrixTuple) -> Optional[tuple]:
+    """two_solutions(t, x) for the witness x of check_column_ndw_def, or
+    None when t has column ND-W."""
+    verdict = check_column_ndw_def(t)
+    if verdict.holds:
+        return None
+    return two_solutions(t, vec(chain.from_iterable(verdict.witness["x"])))

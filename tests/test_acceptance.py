@@ -24,8 +24,6 @@ from ehlcp.harness import (
     GenSpec,
     gen_instance,
     gen_tuple,
-    instance_with_segment,
-    kernel_tuple_from_singular_representative,
     nonconvex_pair,
     paper_example_tuple,
     skew_pair_tuple,
@@ -41,7 +39,7 @@ from ehlcp.representatives import (
     representative_matrix,
 )
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
-from reference import mat_mul, midpoints_solve, solution_points
+from reference import mat_mul, midpoints_solve, ndw_two_solutions, solution_points
 
 SAMPLE_SEED = 2024
 SAMPLE_SIZE = 500
@@ -197,14 +195,9 @@ class TestCriterion07:
                 break
             k = 1 + i % 2
             t = gen_tuple(GenSpec(2, k, "generic", 2, subseed(700, i)))
-            if check_column_ndw_det(t).holds:
+            if check_column_ndw_det(t).holds or not check_csw(t).holds:
                 continue
-            kernel = kernel_tuple_from_singular_representative(t)
-            if kernel is None or not any(kernel):
-                continue
-            if not check_csw(t).holds:
-                continue
-            inst, _, _ = instance_with_segment(t, kernel)
+            inst, _, _ = ndw_two_solutions(t)
             points = solution_points(inst)
             if len(points) < 2:
                 continue
@@ -288,13 +281,10 @@ class TestCriterion10:
                 break
             if not cone:
                 continue
-            kernel = None
-            if not check_column_ndw_det(t).holds:
-                kernel = kernel_tuple_from_singular_representative(t)
-            if kernel is not None and any(kernel):
-                inst, _, _ = instance_with_segment(t, kernel)
-            else:
+            if check_column_ndw_det(t).holds:
                 inst = gen_instance(t, subseed(1020, i))
+            else:
+                inst, _, _ = ndw_two_solutions(t)
             points = solution_points(inst)
             ok = ok and midpoints_solve(inst, points)
             ok = ok and nonconvex_pair(inst, solve_all(inst)) is None

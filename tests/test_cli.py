@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehlcp import cli, csw, representatives
+from ehlcp import cli, csw, harness, representatives
 from ehlcp.cli import main
 
 
@@ -550,3 +550,15 @@ class TestGen:
             ["gen", "--family", "weird", "--n", "2", "--k", "1", "--seed", "0"], capsys
         )
         assert code == 2
+
+    def test_no_invertible_c0_within_the_draw_cap_exits_3(self, capsys, monkeypatch):
+        # every draw singular: the constructive family stops at its cap
+        # instead of escaping as an uncaught error (exit 1)
+        monkeypatch.setattr(harness, "det", lambda m: 0)
+        code, out, err = run_main(
+            ["gen", "--family", "column_w_constructive", "--n", "2", "--k", "1", "--seed", "0"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "1000 draws" in err

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from ehlcp.classes import is_z
-from ehlcp.errors import InputError
+from ehlcp import harness
+from ehlcp.errors import InputError, InvariantError
 from ehlcp.harness import (
     FAMILIES,
     THEOREM_IDS,
@@ -15,18 +16,22 @@ from ehlcp.harness import (
     _normalized,
     gen_instance,
     gen_tuple,
-    instance_with_segment,
-    kernel_tuple_from_singular_representative,
     nonconvex_pair,
     paper_example_tuple,
     subseed,
+    two_solutions,
     verify_theorem,
 )
 from ehlcp.io import parse_instance
-from ehlcp.rational import inverse, vec
-from ehlcp.representatives import check_column_ndw_det, check_column_w, make_tuple
+from ehlcp.rational import identity, inverse, mat_vec, vec, zeros
+from ehlcp.representatives import (
+    PropertyVerdict,
+    check_column_ndw_det,
+    check_column_w,
+    make_tuple,
+)
 from ehlcp.solver import is_solution, solve_all
-from reference import combine, mat_mul, midpoints_solve, solution_points
+from reference import combine, mat_mul, midpoints_solve, ndw_two_solutions, solution_points
 
 
 class TestSplitMix64:
@@ -68,8 +73,6 @@ class TestGenerators:
 
     def test_z_structured_family_shape(self):
         t = gen_tuple(GenSpec(2, 2, "z_structured", 2, 3))
-        from ehlcp.rational import identity
-
         assert t.mats[0] == identity(2)
         assert all(is_z(m).holds for m in t.mats[1:])
 
@@ -109,43 +112,66 @@ class TestNormalized:
         assert singular > 0
 
 
-class TestSegmentConstruction:
-    def test_kernel_tuple_solves_homogeneous_system(self):
+class TestTwoSolutions:
+    def test_endpoint_difference_is_in_the_kernel(self):
         t = paper_example_tuple()
-        kernel = kernel_tuple_from_singular_representative(t)
-        assert kernel is not None
-        from ehlcp.rational import mat_vec
-        from ehlcp.representatives import unstack
+        _, a, b = ndw_two_solutions(t)
+        assert a != b
+        assert not any(mat_vec(t.stacked, tuple(y - x for x, y in zip(a, b))))
 
-        xs = unstack(kernel, t.n)
-        lhs = mat_vec(t.mats[0], xs[0])
-        rhs = [
-            sum(mat_vec(t.mats[i], xs[i])[r] for i in range(1, t.k + 1))
-            for r in range(t.n)
-        ]
-        assert list(lhs) == rhs
+    def test_endpoints_of_the_ndw_witness_solve(self):
+        t = paper_example_tuple()
+        inst, a, b = ndw_two_solutions(t)
+        assert is_solution(inst, a)
+        assert is_solution(inst, b)
+        assert max(p.piece_dimension for p in solve_all(inst)) >= 1
 
-    def test_ndw_tuple_has_no_kernel(self):
-        from ehlcp.rational import identity
+    def test_ndw_tuple_has_no_witness(self):
+        assert ndw_two_solutions(make_tuple([identity(2), identity(2)])) is None
 
-        from ehlcp.representatives import make_tuple
+    def test_end_block_bound_and_saturated_blocks(self):
+        # u in block 2 of column 0 and block 1 of column 1 at k = 3, in
+        # ker A since those columns of C_2 and C_1 are zero: block 1 of
+        # column 0 is saturated at d = 1, and the end blocks get |u| + 1
+        t = make_tuple([identity(2), [[1, 0], [0, 0]], [[0, 0], [0, 1]], identity(2)])
+        u = vec([0, 0, 0, 3, -3, 0, 0, 0])
+        inst, a, b = two_solutions(t, u)
+        assert inst.d == ((Fraction(1), Fraction(4)), (Fraction(4), Fraction(1)))
+        assert a == vec([0, 0, 1, 0, 3, 0, 0, 0])
+        assert b == vec([0, 0, 1, 3, 0, 0, 0, 0])
 
+    def test_zero_u_raises(self):
+        t = paper_example_tuple()
+        with pytest.raises(InvariantError, match="nonzero u"):
+            two_solutions(t, zeros((t.k + 1) * t.n))
+
+    def test_two_blocks_in_one_column_raise(self):
+        # x_0 = (1, 0), x_1 = (1, 0) is in ker [I | -I], but column 0 has
+        # two nonzero blocks
         t = make_tuple([identity(2), identity(2)])
-        assert kernel_tuple_from_singular_representative(t) is None
+        with pytest.raises(InvariantError, match="one nonzero block"):
+            two_solutions(t, vec([1, 0, 1, 0]))
 
-    def test_instance_with_segment_endpoints_solve(self):
+    def test_u_outside_the_kernel_raises(self):
+        t = make_tuple([identity(2), identity(2)])
+        with pytest.raises(InvariantError, match="endpoint"):
+            two_solutions(t, vec([1, 0, 0, 0]))
+
+    def test_convexity_suite_raises_when_the_ndw_deciders_disagree(self, monkeypatch):
+        # a definition verdict that holds on a tuple with a singular
+        # representative contradicts T4.1
         t = paper_example_tuple()
-        kernel = kernel_tuple_from_singular_representative(t)
-        inst, base, other = instance_with_segment(t, kernel)
-        assert base != other
-        assert is_solution(inst, base)
-        assert is_solution(inst, other)
+        assert not check_column_ndw_det(t).holds
+        monkeypatch.setattr(harness, "check_column_ndw_def",
+                            lambda t: PropertyVerdict("column_ndw_def", True))
+        with pytest.raises(InvariantError, match="singular representative"):
+            harness._convexity_violations(GenSpec(2, 2), 0, t, 3000)
 
 
 def sweep_instances():
-    """Random instances at entry ranges 1 and 2, plus the segment instance
-    when the tuple has one, for four seeds of every family and every shape
-    with (k+1)^n <= 27."""
+    """Random instances at entry ranges 1 and 2, plus the two-solution
+    instance of the ND-W witness when the tuple has one, for four seeds of
+    every family and every shape with (k+1)^n <= 27."""
     shapes = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4) if (k + 1) ** n <= 27]
     for family in FAMILIES:
         for n, k in shapes:
@@ -153,9 +179,9 @@ def sweep_instances():
                 t = gen_tuple(GenSpec(n, k, family, 2, subseed(1600, seed)))
                 for entry_range in (1, 2):
                     yield gen_instance(t, subseed(1601, seed), entry_range)
-                kernel = kernel_tuple_from_singular_representative(t)
-                if kernel is not None and any(kernel):
-                    yield instance_with_segment(t, kernel)[0]
+                found = ndw_two_solutions(t)
+                if found is not None:
+                    yield found[0]
 
 
 class TestNonconvexPair:
@@ -205,13 +231,15 @@ class TestVerifyTheorem:
 
     def test_t31_reports_one_nonconvex_pair_per_trial(self, monkeypatch):
         # with cS-W forced to hold, T3.1 must flag exactly the trials whose
-        # solution sets the sampled combinations find non-convex, once each
+        # solution sets the sampled combinations find non-convex, once each;
+        # trial 2's tuple fails ND-W, and the two-solution instance of its
+        # definition witness is non-convex
         import ehlcp.harness as harness
 
         always_true = type("V", (), {"holds": True})()
         monkeypatch.setattr(harness, "check_csw", lambda t: always_true)
         violations = verify_theorem("T3.1-convex", 20, GenSpec(2, 2, "generic", 2, 0)).violations
-        assert [v["trial"] for v in violations] == [0, 1, 4, 7, 9, 12, 13, 14, 17, 21]
+        assert [v["trial"] for v in violations] == [0, 1, 2, 4, 7, 9, 12, 13, 14, 17, 21]
         for v in violations:
             inst = parse_instance(v["instance"])
             a, b = (vec(x) for x in v["points"])

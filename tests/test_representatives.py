@@ -8,7 +8,7 @@ import pytest
 
 import ehlcp.representatives as representatives
 from ehlcp.errors import CapExceeded, DimensionError, InputError
-from ehlcp.harness import GenSpec, gen_tuple, subseed
+from ehlcp.harness import FAMILIES, GenSpec, gen_tuple, subseed
 from ehlcp.rational import det, identity, mat
 from ehlcp.representatives import (
     MatrixTuple,
@@ -480,6 +480,25 @@ class TestSharedScan:
             walk_past(t)
             assert check_column_w(t).witness == {"violations": [expected]}
             assert check_column_w(t) == _reference_column_w(_fresh(t))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lazy_violation_is_the_first_exhaustive_one(self, family):
+        # the shapes of the solver's selector-tree tests, entry ranges 1 and
+        # 2, so that zeros and sign conflicts both come first somewhere
+        kinds = set()
+        for n, k in [(n, k) for k in (1, 2, 3) for n in range(1, 7) if (k + 1) ** n <= 81]:
+            for entry_range in (1, 2):
+                for seed in range(3):
+                    spec = GenSpec(n, k, family, entry_range, subseed(71, 100 * seed + 10 * n + k))
+                    lazy = check_column_w(gen_tuple(spec))
+                    full = check_column_w(gen_tuple(spec), exhaustive=True)
+                    assert lazy.holds == full.holds, spec
+                    if not lazy.holds:
+                        first = full.witness["violations"][0]
+                        assert lazy.witness == {"violations": [first]}, spec
+                        kinds.add("conflict_with" in first)
+        if family != "column_w_constructive":
+            assert kinds == {False, True}, kinds
 
     def test_three_checks_cost_no_more_than_the_costliest(self, monkeypatch):
         calls = _count_pivots(monkeypatch)

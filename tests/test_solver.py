@@ -1,6 +1,7 @@
 """Column-selector solver: validity checks, pieces, golden output, closed form."""
 
 import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -13,11 +14,9 @@ from ehlcp.harness import (
     SplitMix64,
     gen_instance,
     gen_tuple,
-    instance_with_segment,
-    kernel_tuple_from_singular_representative,
     subseed,
 )
-from ehlcp.io import dump_json, piece_to_json
+from ehlcp.io import dump_json, parse_instance, piece_to_json
 from ehlcp.rational import det, identity, mat_vec, solve_linear, vec
 from ehlcp.representatives import make_tuple, representative_matrix, selectors, unstack
 from ehlcp.solver import (
@@ -27,6 +26,7 @@ from ehlcp.solver import (
     solve_all,
     solve_branch,
 )
+from reference import ndw_two_solutions
 
 
 def F(x):
@@ -134,15 +134,39 @@ def instance_through_point(t, seed):
     return EhlcpInstance(t, d, q)
 
 
+# The segment-* instances as instance_to_json documents.  Each was built
+# from a degenerate tuple at subseed(107, 10 * n + k) and the kernel of its
+# first singular representative, a construction the package no longer has;
+# they are kept as data so that GOLDEN_DIGESTS still applies to them.
+SEGMENT_INSTANCES = {
+    "n1k1":
+        '{"n":1,"k":1,"C":[[["-2"]],[["0"]]],"d":[],"q":["0"]}',
+    "n1k2":
+        '{"n":1,"k":2,"C":[[["-1"]],[["0"]],[["-2"]]],"d":[["2"]],"q":["0"]}',
+    "n1k3":
+        '{"n":1,"k":3,"C":[[["2"]],[["0"]],[["-2"]],[["-1"]]],"d":[["2"],["2"]],"q":["0"]}',
+    "n2k1":
+        '{"n":2,"k":1,"C":[[["0","0"],["-1","1"]],[["-2","0"],["0","0"]]],"d":[],"q":["0","0"]}',
+    "n2k2":
+        '{"n":2,"k":2,"C":[[["0","-1"],["-2","0"]],[["2","1"],["-2","-2"]],[["2","0"],["-1","0"]]],"d":[["2","2"]],"q":["-2","4"]}',
+    "n2k3":
+        '{"n":2,"k":3,"C":[[["-2","1"],["1","0"]],[["0","-1"],["-1","0"]],[["0","2"],["-1","2"]],[["-2","0"],["-2","0"]]],"d":[["2","2"],["2","2"]],"q":["-2","-4"]}',
+    "n3k1":
+        '{"n":3,"k":1,"C":[[["0","1","0"],["0","-2","0"],["0","0","1"]],[["0","0","2"],["-2","0","-1"],["-2","0","0"]]],"d":[],"q":["0","0","0"]}',
+    "n3k2":
+        '{"n":3,"k":2,"C":[[["2","-1","0"],["1","-1","0"],["0","2","0"]],[["-1","1","-1"],["-1","0","0"],["-2","-2","1"]],[["-2","0","0"],["1","-1","1"],["-1","2","1"]]],"d":[["2","2","2"]],"q":["0","0","0"]}',
+    "n3k3":
+        '{"n":3,"k":3,"C":[[["1","0","-1"],["-2","-2","1"],["1","1","2"]],[["2","1","-1"],["0","-1","-2"],["-2","2","1"]],[["-2","0","0"],["2","2","0"],["2","-1","0"]],[["-1","-2","0"],["2","0","2"],["2","-2","1"]]],"d":[["2","2","2"],["2","2","2"]],"q":["2","-2","1"]}',
+}
+
+
 def golden_instance(label):
     """Seeded instance named family-n<n>k<k>; see GOLDEN_DIGESTS."""
     family, shape = label.rsplit("-", 1)
     n, k = int(shape[1]), int(shape[3])
     i = 10 * n + k
     if family == "segment":
-        t = gen_tuple(GenSpec(n, k, "degenerate", 2, subseed(107, i)))
-        kernel = kernel_tuple_from_singular_representative(t)
-        return instance_with_segment(t, kernel)[0]
+        return parse_instance(json.loads(SEGMENT_INSTANCES[shape]))
     spec_seed, q_seed = {
         "generic": (101, 102),
         "column_w_constructive": (103, 104),
@@ -546,7 +570,7 @@ class TestSelectorTree:
         for n, k in TREE_SHAPES:
             for seed in range(2):
                 t = gen_tuple(GenSpec(n, k, "degenerate", 2, subseed(65, 10 * n + k + seed)))
-                inst = instance_with_segment(t, kernel_tuple_from_singular_representative(t))[0]
+                inst = ndw_two_solutions(t)[0]
                 pieces = solve_all(inst)
                 assert pieces_json(pieces) == pieces_json(reference_solve_all(inst))
                 dims.update(p.piece_dimension for p in pieces)
