@@ -68,7 +68,6 @@ PROPERTIES = {
     "nondegenerate": lambda t, a: _per_matrix(is_nondegenerate, t),
     "column_sufficient": lambda t, a: _per_matrix(is_column_sufficient, t),
 }
-ALL_PROPS = tuple(PROPERTIES)
 
 
 def _check_verdicts(inst, props, args) -> dict:
@@ -88,8 +87,8 @@ def cmd_check(args) -> int:
     if not props:
         raise InputError("--props names no property")
     for p in props:
-        if p not in ALL_PROPS:
-            raise InputError(f"unknown property {p!r}; known: {', '.join(ALL_PROPS)}")
+        if p not in PROPERTIES:
+            raise InputError(f"unknown property {p!r}; known: {', '.join(PROPERTIES)}")
     started = time.monotonic()
     verdicts = _check_verdicts(inst, props, args)
     report = {
@@ -166,18 +165,18 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = GenSpec(args.n, args.k, args.family, args.entry_range, args.seed)
-    report = verify_theorem(args.theorem, args.trials, spec)
+    violations = verify_theorem(args.theorem, args.trials, spec)
     doc = {
         "command": "verify",
         "version": __version__,
-        "theorem": report.theorem_id,
+        "theorem": args.theorem,
         "seed": args.seed,
-        "trials": report.trials,
-        "passed": report.passed,
-        "violations": report.violations,
+        "trials": args.trials,
+        "passed": not violations,
+        "violations": violations,
     }
     _emit(doc, args.out)
-    return 0 if report.passed else 1
+    return 1 if violations else 0
 
 
 def cmd_gen(args) -> int:
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run property oracles on an instance file")
     p.add_argument("--file", required=True)
     p.add_argument("--props", required=True,
-                   help="comma-separated subset of: " + ",".join(ALL_PROPS))
+                   help="comma-separated subset of: " + ",".join(PROPERTIES))
     p.add_argument("--exhaustive", action="store_true",
                    help="report every violating selector, not just the first")
     p.add_argument("--recheck", action="store_true")

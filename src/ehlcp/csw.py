@@ -15,7 +15,6 @@ phase-1 simplex that builds the witness vector.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, Optional
 
 from .errors import InvariantError, UndecidedSize
@@ -44,29 +43,29 @@ def _require_within_cap(t: MatrixTuple) -> None:
 
 
 def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
-    """Vector tuple realizing the (k+1) x n sign pattern exactly, or None.
+    """Stacked vector realizing the stacked sign pattern exactly, or None.
 
-    Row i of signs is the pattern of x_i over {-1, 0, 1}, S its support
-    and sigma its signs there.  Since ker A is a cone, a realizing x scales
-    to |x_e| >= 1, so one exists iff some z >= 0 has A_S diag(sigma) (1 + z)
-    = 0: one phase-1 simplex over the |S| unknowns z (nonneg_solution), and
-    x_S = sigma (1 + z).  The deciders call it once, to build the witness.
+    Entry i*n + r of signs is the sign of x_{i,r} over {-1, 0, 1}, S its
+    support and sigma its signs there.  Since ker A is a cone, a realizing
+    x scales to |x_e| >= 1, so one exists iff some z >= 0 has A_S
+    diag(sigma) (1 + z) = 0: one phase-1 simplex over the |S| unknowns z
+    (nonneg_solution), and x_S = sigma (1 + z).  The deciders call it once,
+    to build the witness.
     """
-    flat = tuple(chain.from_iterable(signs))
-    support = [e for e, s in enumerate(flat) if s != 0]
-    m = [[row[e] * flat[e] for e in support] for row in t.stacked]
+    support = [e for e, s in enumerate(signs) if s != 0]
+    m = [[row[e] * signs[e] for e in support] for row in t.stacked]
     z = nonneg_solution(m, [-sum(row) for row in m])
     if z is None:
         return None
-    x = list(zeros(len(flat)))
+    x = list(zeros(len(signs)))
     for e, v in zip(support, z):
-        x[e] = flat[e] * (1 + v)
-    return unstack(x, t.n)
+        x[e] = signs[e] * (1 + v)
+    return tuple(x)
 
 
 def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
-    """Realizable hypothesis-satisfying, conclusion-violating patterns in
-    canonical order.
+    """Realizable hypothesis-satisfying, conclusion-violating stacked
+    patterns in canonical order.
 
     Components e = i*n + r are placed one at a time, row-major, with symbol
     order (-, 0, +), so the first realizable pattern is schedule-independent.
@@ -100,7 +99,7 @@ def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
         e = len(flat)
         if e == size:
             if violates(flat):
-                yield unstack(flat, n)
+                yield flat
             return
         domain = (0, 1) if mode == "cone" and e >= n else SYMBOLS
         above = flat[e % n :: n]
@@ -123,18 +122,17 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
 
     The cocircuit test inside _violating_patterns decides; the LP only
     builds the vector, which is checked by the definition (A x = 0, with
-    the pattern's signs): an LP that disagrees is a bug, never a verdict."""
+    the pattern's signs): an LP that disagrees is a bug, never a verdict.
+    Pattern and vector are stacked until the witness splits them."""
     signs = next(_violating_patterns(t, mode), None)
     if signs is None:
         return None
-    xs = pattern_realizable(t, signs)
-    flat = tuple(chain.from_iterable(xs or ()))
-    if xs is None or any(mat_vec(t.stacked, flat)) or tuple(
-            (v > 0) - (v < 0) for v in flat) != tuple(chain.from_iterable(signs)):
+    x = pattern_realizable(t, signs)
+    if x is None or any(mat_vec(t.stacked, x)) or tuple((v > 0) - (v < 0) for v in x) != signs:
         raise InvariantError(f"cocircuit test passes {signs}; the LP's vector does not")
     return {
-        "pattern": [list(row) for row in signs],
-        "x": [[rat_str(v) for v in x] for x in xs],
+        "pattern": [list(row) for row in unstack(signs, t.n)],
+        "x": [[rat_str(v) for v in row] for row in unstack(x, t.n)],
     }
 
 

@@ -6,7 +6,7 @@ reports are reproducible bit-for-bit from (seed, trial index) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Optional
@@ -214,17 +214,6 @@ def two_solutions(t: MatrixTuple, u: Vec) -> tuple:
 
 # --- theorem verification ---------------------------------------------------
 
-@dataclass
-class TheoremReport:
-    theorem_id: str
-    trials: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def _violation(spec: GenSpec, index: int, t: MatrixTuple, detail: str, **extra) -> dict:
     payload = {
         "seed": spec.seed,
@@ -234,11 +223,6 @@ def _violation(spec: GenSpec, index: int, t: MatrixTuple, detail: str, **extra) 
     }
     payload.update(extra)
     return payload
-
-
-def _trial_spec(spec: GenSpec, index: int) -> GenSpec:
-    return GenSpec(spec.n, spec.k, spec.family, spec.entry_range,
-                   subseed(spec.seed, index))
 
 
 def nonconvex_pair(inst: EhlcpInstance, pieces: list) -> Optional[tuple]:
@@ -468,9 +452,9 @@ THEOREM_IDS = tuple(sorted(_SUITES))
 _INJECTED = (paper_example_tuple, w0_not_csw_tuple, skew_pair_tuple)
 
 
-def verify_theorem(theorem_id: str, trials: int, spec: GenSpec) -> TheoremReport:
+def verify_theorem(theorem_id: str, trials: int, spec: GenSpec) -> list:
     """Run one theorem's invariant suite over generated tuples plus the
-    injected golden tuples; every violation payload is replayable."""
+    injected golden tuples; return its violations, each payload replayable."""
     if theorem_id not in _SUITES:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     if trials < 0:
@@ -478,16 +462,16 @@ def verify_theorem(theorem_id: str, trials: int, spec: GenSpec) -> TheoremReport
     check, default_family = _SUITES[theorem_id]
     if default_family is not None and spec.family == "generic":
         spec = GenSpec(spec.n, spec.k, default_family, spec.entry_range, spec.seed)
-    report = TheoremReport(theorem_id, trials)
+    violations = []
     for index in range(trials):
-        sub = _trial_spec(spec, index)
+        sub = GenSpec(spec.n, spec.k, spec.family, spec.entry_range, subseed(spec.seed, index))
         t = gen_tuple(sub)
         rng = SplitMix64(subseed(sub.seed, 999_983))
-        report.violations.extend(check(sub, index, t, rng))
+        violations.extend(check(sub, index, t, rng))
     for offset, golden in enumerate(_INJECTED):
         t = golden()
         sub = GenSpec(t.n, t.k, spec.family, spec.entry_range,
                       subseed(spec.seed, 900_000 + offset))
         rng = SplitMix64(subseed(sub.seed, 999_983))
-        report.violations.extend(check(sub, trials + offset, t, rng))
-    return report
+        violations.extend(check(sub, trials + offset, t, rng))
+    return violations

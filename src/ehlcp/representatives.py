@@ -191,7 +191,6 @@ class DetScan:
         # take the empty walk for one without a violation
         self._dets = representative_dets(t)
         self.first: dict = {}
-        self.complete = False
 
     def record(self, sel: tuple, d: Fraction) -> tuple:
         """Keep (sel, d) if it is the first of its sign; return it."""
@@ -202,17 +201,15 @@ class DetScan:
         """Walk on until enough(first) is true or every selector has been
         seen; return first."""
         first = self.first
-        if not (self.complete or enough(first)):
+        if not enough(first):
             for sel, d in self._dets:
                 self.record(sel, d)
                 if enough(first):
-                    return first
-            self.finish()
+                    break
         return first
 
     def finish(self) -> None:
-        """Mark every selector as recorded and drop the walk."""
-        self.complete = True
+        """Mark every selector as recorded by dropping the walk."""
         self._dets = iter(())
 
 
@@ -229,9 +226,9 @@ def _w_violations(dets) -> Iterator[dict]:
         if d == 0:
             yield _det_json(sel, d)
         elif first is None:
-            first = sel, d
-        elif (d > 0) != (first[1] > 0):
-            yield {"conflict_with": _det_json(*first), **_det_json(sel, d)}
+            first, positive = _det_json(sel, d), d > 0
+        elif (d > 0) != positive:
+            yield {"conflict_with": first, **_det_json(sel, d)}
 
 
 def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:

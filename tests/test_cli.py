@@ -500,6 +500,21 @@ class TestVerify:
         assert report["passed"] is True
         assert "timing_seconds" not in report
 
+    def test_violation_exits_1(self, monkeypatch, capsys):
+        # a broken definition decider makes T4.1 disagree on every
+        # tuple with a singular representative
+        always_true = type("V", (), {"holds": True})()
+        monkeypatch.setattr(harness, "check_column_ndw_def", lambda t: always_true)
+        code, out, _ = run_main(
+            ["verify", "--theorem", "T4.1-ndw", "--trials", "20", "--seed", "8"], capsys,
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["theorem"] == "T4.1-ndw" and report["trials"] == 20
+        expected = harness.verify_theorem("T4.1-ndw", 20, harness.GenSpec(2, 2, seed=8))
+        assert expected and report["violations"] == expected
+
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, err = run_main(["verify", "--theorem", "T0.0", "--trials", "1"], capsys)
         assert code == 2

@@ -33,8 +33,9 @@ def identity_pair():
 
 
 def reference_patterns(t, mode):
-    """The candidate patterns of a mode by their definition: every product
-    over the symbol domains, filtered, in row-major (-, 0, +) order."""
+    """The stacked candidate patterns of a mode by their definition: every
+    product over the symbol domains, filtered on its blocks, in row-major
+    (-, 0, +) order."""
     k, n = t.k, t.n
     if mode == "cone":
         domains = [(-1, 0, 1) if i == 0 else (0, 1) for i in range(k + 1) for _ in range(n)]
@@ -71,7 +72,7 @@ def reference_patterns(t, mode):
                 for r in range(n)
             ):
                 continue
-        yield signs
+        yield flat
 
 
 def assert_witness_valid(t, witness, conclusion):
@@ -98,12 +99,11 @@ def assert_witness_valid(t, witness, conclusion):
         assert any(v != 0 for x in xs for v in x)
 
 
-def reference_realizable(t, signs):
+def reference_realizable(t, flat):
     """The max-t LP that built witnesses before the phase-1 form: each
-    support component (i, r) is a free variable with signs[i][r] * x_{i,r}
-    >= t, the kernel rows are equalities, and t <= 1; the pattern is
-    realizable iff the maximum of t is 1 (the kernel is a cone)."""
-    flat = tuple(chain.from_iterable(signs))
+    support component e of the stacked pattern is a free variable with
+    flat[e] * x_e >= t, the kernel rows are equalities, and t <= 1; the
+    pattern is realizable iff the maximum of t is 1 (the kernel is a cone)."""
     support = [e for e, s in enumerate(flat) if s != 0]
     width = len(support) + 1  # support components plus t
     eq = [(tuple(row[e] for e in support) + (0,), 0) for row in t.stacked]
@@ -114,12 +114,11 @@ def reference_realizable(t, signs):
     return res.status == "optimal" and res.objective_value == 1
 
 
-def assert_realizes(t, signs, xs):
-    """xs is a kernel vector tuple with exactly the pattern's signs and
-    |x_e| >= 1 on the support."""
-    x = [v for row in xs for v in row]
-    assert not any(mat_vec(t.stacked, x))
-    for v, s in zip(x, chain.from_iterable(signs)):
+def assert_realizes(t, signs, x):
+    """x is a stacked kernel vector with exactly the stacked pattern's signs
+    and |x_e| >= 1 on the support."""
+    assert len(x) == len(signs) and not any(mat_vec(t.stacked, x))
+    for v, s in zip(x, signs):
         assert (v > 0) - (v < 0) == s
         assert s == 0 or abs(v) >= 1
 
@@ -151,43 +150,35 @@ class TestPatternRealizable:
             tuples = tuples[:1]
         outcomes = {True: 0, False: 0}
         for t in tuples:
-            zero = (((0,) * n,) * (k + 1),)
+            zero = ((0,) * ((k + 1) * n),)
             for signs in chain(zero, *(reference_patterns(t, mode) for mode in MODES)):
-                xs = pattern_realizable(t, signs)
-                assert (xs is not None) == reference_realizable(t, signs), (t, signs)
-                if xs is not None:
-                    assert_realizes(t, signs, xs)
-                outcomes[xs is not None] += 1
+                x = pattern_realizable(t, signs)
+                assert (x is not None) == reference_realizable(t, signs), (t, signs)
+                if x is not None:
+                    assert_realizes(t, signs, x)
+                outcomes[x is not None] += 1
         assert min(outcomes.values()) > 0, outcomes
 
     def test_all_zero_pattern_is_the_zero_tuple(self):
         t = identity_pair()
-        p = ((0, 0), (0, 0))
-        xs = pattern_realizable(t, p)
-        assert xs == (
-            (Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(0)),
-        )
+        assert pattern_realizable(t, (0, 0, 0, 0)) == (Fraction(0),) * 4
 
     def test_forced_equality_contradiction(self):
         t = identity_pair()
-        p = ((1, 0), (0, 0))
-        assert pattern_realizable(t, p) is None
+        assert pattern_realizable(t, (1, 0, 0, 0)) is None
 
     def test_zero_column_matrices_leave_later_vectors_free(self, zero_padded_identity):
-        p = ((0, 0), (1, 0), (1, 0))
-        xs = pattern_realizable(zero_padded_identity, p)
-        assert xs is not None
-        assert xs[0] == (Fraction(0), Fraction(0))
-        assert xs[1][0] > 0 and xs[2][0] > 0
+        x = pattern_realizable(zero_padded_identity, (0, 0, 1, 0, 1, 0))
+        assert x is not None
+        assert x[:2] == (Fraction(0), Fraction(0))
+        assert x[2] > 0 and x[4] > 0
 
     def test_strictness_is_exact_not_epsilon(self):
         # any realizing vector has every signed component at magnitude >= 1
         t = make_tuple([identity(2), [[0, 1], [-1, 0]]])
-        p = ((0, 1), (-1, 0))
-        xs = pattern_realizable(t, p)
-        assert xs is not None
-        assert xs[0][1] >= 1 and xs[1][0] <= -1
+        x = pattern_realizable(t, (0, 1, -1, 0))
+        assert x is not None
+        assert x[1] >= 1 and x[2] <= -1
 
 
 def reference_cocircuits(t):
@@ -212,10 +203,10 @@ def reference_cocircuits(t):
     return list(found)
 
 
-def orthogonal_to_all(signs, cocircuits):
-    """Vector/covector orthogonality, component by component: for every
-    cocircuit the nonzero products X_e * Y_e are absent or of both signs."""
-    flat = [s for row in signs for s in row]
+def orthogonal_to_all(flat, cocircuits):
+    """Vector/covector orthogonality of a stacked pattern, component by
+    component: for every cocircuit the nonzero products X_e * Y_e are
+    absent or of both signs."""
     for y_pos, y_neg in cocircuits:
         products = {s * ((y_pos >> e & 1) - (y_neg >> e & 1)) for e, s in enumerate(flat)}
         if len(products - {0}) == 1:
@@ -429,6 +420,6 @@ class TestPruningSoundness:
         # x_0 + x_1 = 0: the first hypothesis-satisfying violating pattern
         # under (-, 0, +) order is realizable, so it comes first
         t = make_tuple([[[1]], [[-1]]])
-        assert next(_violating_patterns(t, "csw")) == ((-1,), (1,))
+        assert next(_violating_patterns(t, "csw")) == (-1, 1)
         # x_0 = x_1 realizes no violating pattern: cS-W holds
         assert next(_violating_patterns(make_tuple([[[1]], [[1]]]), "csw"), None) is None

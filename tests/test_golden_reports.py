@@ -8,7 +8,9 @@ digests pin the verdict of each suite).  The gen digests pin the instance
 files of the column_w_constructive family, whose C_i = C_0 D_i draws are
 the same in gen_tuple and the T3.2 suite.  The check and verify digests
 were recorded before the verdict types and the check dispatch were
-unified, so they pin every report byte through that refactor.
+unified, so they pin every report byte through that refactor.  One
+exhaustive report pins the full list of column W violations, each sign
+conflict with its ``conflict_with`` determinant.
 """
 
 import hashlib
@@ -175,13 +177,19 @@ GOLDEN_DIGESTS = {
         "6ff038795f77acb045d4e0f471fc1ed769fdd5e1ca53094cfe53567e22fbb06c",
 }
 
+# check --exhaustive --props column_w,column_w0,column_ndw on gen --family
+# generic --n 3 --k 2 --seed 0, whose 27 determinants hold 1 zero and 12
+# conflicts with the first nonzero one; recorded before the conflicts shared
+# one serialized copy of that first determinant, so it pins those bytes
+EXHAUSTIVE_DIGEST = "76ba0f7e69d4b56e00ccfdee9e301df0f06629796f2ff57f6b1ec4e9afc0dabc"
 
-def canonical_check_report(tmp_path, family, n, k, seed):
+
+def canonical_check_report(tmp_path, family, n, k, seed, props=ALL_PROPS, flags=()):
     inst, out = tmp_path / "inst.json", tmp_path / "report.json"
     gen = ["gen", "--family", family, "--n", str(n), "--k", str(k),
            "--seed", str(seed), "--out", str(inst)]
     assert main(gen) == 0
-    assert main(["check", "--file", str(inst), "--props", ALL_PROPS, "--out", str(out)]) == 0
+    assert main(["check", *flags, "--file", str(inst), "--props", props, "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     del doc["timing_seconds"]
     return dump_json(doc)
@@ -193,6 +201,13 @@ class TestGoldenReports:
         _, family, n, k, seed = label.split("-")
         text = canonical_check_report(tmp_path, family, int(n[1:]), int(k[1:]), int(seed[1:]))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[label]
+
+    def test_exhaustive_check_bytes(self, tmp_path):
+        text = canonical_check_report(tmp_path, "generic", 3, 2, 0,
+                                      "column_w,column_w0,column_ndw", ["--exhaustive"])
+        violations = json.loads(text)["verdicts"]["column_w"]["witness"]["violations"]
+        assert sum("conflict_with" in v for v in violations) == 12 and len(violations) == 13
+        assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_DIGEST
 
     @pytest.mark.parametrize("label", sorted(l for l in GOLDEN_DIGESTS if l[:4] == "gen-"))
     def test_gen_bytes(self, tmp_path, label):
