@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -71,12 +72,22 @@ def parse_instance(doc: Any) -> EhlcpInstance:
     return EhlcpInstance(t, d, q)
 
 
+def _int_literal(text: str) -> Fraction:
+    """An integer literal of an instance file; one past Python's int digit
+    limit is an InputError, as it is through rat."""
+    try:
+        return Fraction(int(text))
+    except ValueError as exc:
+        raise InputError(f"cannot parse rational {text[:40]!r}") from exc
+
+
 def load_instance(path: str) -> EhlcpInstance:
-    """Read and validate an instance file.  Number literals go through rat,
-    so they meet the same guards as numbers written as strings."""
+    """Read and validate an instance file.  Integer literals become
+    Fractions directly; decimal and exponent literals go through rat, so
+    they meet the same guards as numbers written as strings."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=rat, parse_int=rat)
+            doc = json.load(fh, parse_float=rat, parse_int=_int_literal)
     except OSError as exc:
         raise InputError(f"cannot read instance file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -161,29 +172,40 @@ def _json_key(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+# JSON text of a scalar by its exact type; _encode finds the entry of a
+# subclass (IntEnum, str or float subclasses) by isinstance, as json does
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
 def _encode(o: Any, newline: str) -> str:
     """JSON text of o; newline is "\n" plus the indent of the line o starts on."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
+    get = _SCALARS.get
+    scalar = get(type(o))
+    if scalar is not None:
+        return scalar(o)
     inner = newline + "  "
+    sep = "," + inner
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        items = [_encode(v, inner) for v in o]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+        items = [scalar(v) if (scalar := get(type(v))) else _encode(v, inner) for v in o]
+        return f"[{inner}{sep.join(items)}{newline}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = [f"{_json_key(k)}: {_encode(v, inner)}" for k, v in sorted(o.items())]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+        items = [
+            f"{encode_basestring_ascii(k) if type(k) is str else _json_key(k)}: "
+            f"{scalar(v) if (scalar := get(type(v))) else _encode(v, inner)}"
+            for k, v in sorted(o.items())
+        ]
+        return f"{{{inner}{sep.join(items)}{newline}}}"
+    for base, scalar in _SCALARS.items():
+        if isinstance(o, base):
+            return scalar(o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

@@ -9,7 +9,7 @@ Gauss-Jordan pivot (Bareiss 1968) on rows scaled to integers, which keeps
 every entry an integer minor.  The determinant is the last pivot, the RREF
 behind solve_linear and inverse is the rows divided by it, linprog's
 simplex tableau is the rational tableau times it, and the trees of
-representatives.representative_dets (over column selectors) and
+representatives._det_numerators (over column selectors) and
 representatives._cocircuits (over column subsets) pivot once per node.
 The tree of solver._selector_pieces (over column selectors, carrying the
 right-hand side) pivots only where the candidate column has a pivot, a

@@ -4,19 +4,25 @@ A tuple (C_0, ..., C_k) of n x n matrices has (k+1)^n column representative
 matrices; their determinant signs decide the column W, column W0 and the
 determinant form of the column ND-W property.
 
-representative_dets computes every determinant in one elimination tree over
+_det_numerators computes every determinant in one elimination tree over
 the selectors.  Row i of every C_s is scaled to integers by one L_i.  A
 node at depth j holds the unused rows times the k+1 candidate columns of
 each position j..n-1; choosing s_j pivots (rational.pivot_step) on the
 first unused row nonzero in candidate column s_j, then drops that row and
-position j's columns.  Siblings share their parent's elimination, so each
-selector costs its path's pivots below the shared prefix, not a full n x n
-determinant.  A candidate column that is zero on every unused row makes
-every completion of the prefix singular.
+position j's columns.  At depth n-1 one row is left, and its k+1 entries
+are the leaf determinants.  Siblings share their parent's elimination, so
+each selector costs its path's pivots below the shared prefix, not a full
+n x n determinant.  A candidate column that is zero on every unused row
+makes every completion of the prefix singular.
+
+The walk yields each determinant as a signed integer numerator over the
+common positive denominator prod(L_i), so every sign and zero test is an
+integer test.  A Fraction is built only for a determinant a report prints
+(_det_json); representative_dets is the Fraction view of the same walk.
 
 Each tuple walks that tree at most once for its non-exhaustive verdicts.
 MatrixTuple.det_scan is a resumable walk that keeps only the first
-(selector, determinant) of each sign -, 0, +, so its extra memory does not
+(selector, numerator) of each sign -, 0, +, so its extra memory does not
 grow with (k+1)^n.  Because selectors compare in walk order, column W,
 column W0 and the determinant form of column ND-W are functions of those
 three first occurrences, and each verdict advances the walk only as far as
@@ -140,13 +146,14 @@ def check_selector_cap(t: MatrixTuple) -> None:
         raise CapExceeded(f"(k+1)^n = {count} exceeds the selector cap {SELECTOR_CAP}")
 
 
-def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
-    """Iterator of (selector, determinant) over all representatives, in
-    selectors order, lazily: the first determinant costs at most n pivots.
-    The call itself checks the selector cap, before any selector.
+def _det_numerators(t: MatrixTuple) -> tuple:
+    """(prod(L_i), walk): walk iterates (selector, numerator) over all
+    representatives, in selectors order, lazily; the determinant is the
+    numerator over prod(L_i).  The call itself checks the selector cap,
+    before any selector.
 
-    The determinant of a representative is sign * last_pivot / prod(L_i),
-    with sign the parity of the order in which its rows were pivoted."""
+    The numerator is sign * last_pivot, with sign the parity of the order
+    in which the rows were pivoted."""
     check_selector_cap(t)
     n, width = t.n, t.k + 1
     scales = [lcm(*(m[i][j].denominator for m in t.mats for j in range(n)))
@@ -154,22 +161,22 @@ def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
     # column j * width + s of the root holds column j of C_s
     root = [int_row([m[i][j] for j in range(n) for m in t.mats], scale)
             for i, scale in enumerate(scales)]
-    denom = prod(scales)
 
     def subtree(rows, prefix, prev, sign):
-        """Determinants of the completions of prefix, given rows: the
-        unused rows over the candidate columns of positions
-        len(prefix)..n-1, after fraction-free pivots whose last pivot is
-        prev and whose row order has the given sign."""
-        last = len(prefix) == n - 1
+        """Numerators of the completions of prefix, given rows: the unused
+        rows over the candidate columns of positions len(prefix)..n-1,
+        after fraction-free pivots whose last pivot is prev and whose row
+        order has the given sign."""
+        if len(prefix) == n - 1:
+            for s, x in enumerate(rows[0]):
+                yield prefix + (s,), sign * x
+            return
         for s in range(width):
             sel = prefix + (s,)
             p = next((i for i, row in enumerate(rows) if row[s]), None)
             if p is None:
                 for rest in product(range(width), repeat=n - len(sel)):
-                    yield sel + rest, Fraction(0)
-            elif last:
-                yield sel, Fraction(sign * rows[p][s], denom)
+                    yield sel + rest, 0
             else:
                 a = list(rows)
                 pivot_step(a, p, s, prev)
@@ -177,33 +184,45 @@ def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
                 yield from subtree([row[width:] for row in a], sel, pivot,
                                    -sign if p % 2 else sign)
 
-    return subtree(root, (), 1, 1)
+    return prod(scales), subtree(root, (), 1, 1)
+
+
+def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
+    """Iterator of (selector, determinant) over all representatives, in
+    selectors order, lazily: the first determinant costs at most n pivots.
+    The call itself checks the selector cap, before any selector.
+
+    Each determinant is Fraction(numerator, prod(L_i)) from the walk of
+    _det_numerators, whose numerators the determinant checks read."""
+    denom, walk = _det_numerators(t)
+    return ((sel, Fraction(num, denom)) for sel, num in walk)
 
 
 class DetScan:
-    """A resumable walk of representative_dets(t) that keeps only the first
-    (selector, determinant) of each determinant sign in walk order: first
-    maps -1, 0 and 1 to it once it has been seen."""
+    """A resumable walk of _det_numerators(t) that keeps only the first
+    (selector, numerator) of each determinant sign in walk order: first
+    maps -1, 0 and 1 to it once it has been seen.  Determinants are the
+    numerators over denom."""
 
     def __init__(self, t: MatrixTuple):
         # the cap is checked here, not inside the walk: a generator that
         # raised CapExceeded would be closed, and the next reader would
         # take the empty walk for one without a violation
-        self._dets = representative_dets(t)
+        self.denom, self._dets = _det_numerators(t)
         self.first: dict = {}
 
-    def record(self, sel: tuple, d: Fraction) -> tuple:
-        """Keep (sel, d) if it is the first of its sign; return it."""
-        self.first.setdefault((d > 0) - (d < 0), (sel, d))
-        return sel, d
+    def record(self, sel: tuple, num: int) -> tuple:
+        """Keep (sel, num) if it is the first of its sign; return it."""
+        self.first.setdefault((num > 0) - (num < 0), (sel, num))
+        return sel, num
 
     def advance(self, enough) -> dict:
         """Walk on until enough(first) is true or every selector has been
         seen; return first."""
         first = self.first
         if not enough(first):
-            for sel, d in self._dets:
-                self.record(sel, d)
+            for sel, num in self._dets:
+                self.record(sel, num)
                 if enough(first):
                     break
         return first
@@ -213,22 +232,24 @@ class DetScan:
         self._dets = iter(())
 
 
-def _det_json(sel: tuple, d: Fraction) -> dict:
-    return {"selector": list(sel), "determinant": rat_str(d)}
+def _det_json(sel: tuple, num: int, denom: int) -> dict:
+    """Report entry of the determinant num / denom: the one place the
+    checks build a Fraction, and none for a zero."""
+    return {"selector": list(sel), "determinant": rat_str(Fraction(num, denom)) if num else "0"}
 
 
-def _w_violations(dets) -> Iterator[dict]:
-    """The column W violations among (selector, determinant) pairs, in their
-    order: each zero, and each determinant whose sign differs from the
-    first nonzero one's."""
+def _w_violations(dets, denom: int) -> Iterator[dict]:
+    """The column W violations among (selector, numerator) pairs over denom,
+    in their order: each zero, and each determinant whose sign differs
+    from the first nonzero one's."""
     first = None
-    for sel, d in dets:
-        if d == 0:
-            yield _det_json(sel, d)
+    for sel, num in dets:
+        if not num:
+            yield _det_json(sel, num, denom)
         elif first is None:
-            first, positive = _det_json(sel, d), d > 0
-        elif (d > 0) != positive:
-            yield {"conflict_with": first, **_det_json(sel, d)}
+            first, positive = _det_json(sel, num, denom), num > 0
+        elif (num > 0) != positive:
+            yield {"conflict_with": first, **_det_json(sel, num, denom)}
 
 
 def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
@@ -242,11 +263,12 @@ def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
     name = "column_w"
     scan = t.det_scan
     if exhaustive:
-        violations = list(_w_violations(scan.record(sel, d) for sel, d in representative_dets(t)))
+        denom, walk = _det_numerators(t)
+        violations = list(_w_violations((scan.record(sel, num) for sel, num in walk), denom))
         scan.finish()
     else:
         first = scan.advance(lambda f: 0 in f or (1 in f and -1 in f))
-        violations = list(islice(_w_violations(sorted(first.values())), 1))
+        violations = list(islice(_w_violations(sorted(first.values()), scan.denom), 1))
     if violations:
         return PropertyVerdict(
             name, False, {"violations": violations},
@@ -263,11 +285,13 @@ def check_column_w0(t: MatrixTuple) -> PropertyVerdict:
     """Column W0-property: determinants all >= 0 with one > 0, or all <= 0
     with one < 0."""
     name = "column_w0"
-    first = t.det_scan.advance(lambda f: 1 in f and -1 in f)
+    scan = t.det_scan
+    first = scan.advance(lambda f: 1 in f and -1 in f)
     if 1 in first and -1 in first:
         return PropertyVerdict(
             name, False,
-            {"positive": _det_json(*first[1]), "negative": _det_json(*first[-1])},
+            {"positive": _det_json(*first[1], scan.denom),
+             "negative": _det_json(*first[-1], scan.denom)},
             "representative determinants of both strict signs exist",
         )
     if 1 not in first and -1 not in first:
@@ -285,10 +309,11 @@ def check_column_ndw_det(t: MatrixTuple) -> PropertyVerdict:
     """Determinant form of the column ND-W property: no representative is
     singular."""
     name = "column_ndw"
-    first = t.det_scan.advance(lambda f: 0 in f)
+    scan = t.det_scan
+    first = scan.advance(lambda f: 0 in f)
     if 0 in first:
         return PropertyVerdict(
-            name, False, _det_json(*first[0]),
+            name, False, _det_json(*first[0], scan.denom),
             "a singular column representative exists",
         )
     return PropertyVerdict(

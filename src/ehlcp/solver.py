@@ -230,7 +230,7 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     piece is None when the selector is infeasible.
 
     One fraction-free tree walks the selectors as
-    representatives.representative_dets does, with the right-hand side
+    representatives._det_numerators does, with the right-hand side
     carried down.  Row i of a node holds the column last pivoted on (zero
     at the root), the right-hand side, and then, for each position r not
     yet chosen, the k+1 candidate columns A[i][s*n + r] and the

@@ -106,8 +106,10 @@ class TestCheck:
     def test_recheck_recomputes_the_cached_tuple_work(self, tmp_path, capsys, monkeypatch):
         # the second pass loads the instance again, so it walks the
         # representative determinants and computes the cocircuits anew
-        # instead of reading back the first pass's cached results
-        counts = {"representative_dets": 0, "_cocircuits": 0}
+        # instead of reading back the first pass's cached results; the
+        # determinant checks walk the integer numerators, so those walks
+        # are what is counted
+        counts = {"_det_numerators": 0, "_cocircuits": 0}
         for name in counts:
             def counted(t, real=getattr(representatives, name), name=name):
                 counts[name] += 1
@@ -117,10 +119,10 @@ class TestCheck:
         path = write_doc(tmp_path, worked_triple_doc())
         props = "column_w,column_w0,column_ndw,csw,cone_csw,column_ndw_def"
         assert run_main(["check", "--file", path, "--props", props], capsys)[0] == 0
-        assert counts == {"representative_dets": 1, "_cocircuits": 1}
+        assert counts == {"_det_numerators": 1, "_cocircuits": 1}
         code, out, _ = run_main(["check", "--file", path, "--props", props, "--recheck"], capsys)
         assert code == 0 and json.loads(out)["recheck"] == "ok"
-        assert counts == {"representative_dets": 3, "_cocircuits": 3}
+        assert counts == {"_det_numerators": 3, "_cocircuits": 3}
 
     def test_cap_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(csw, "PATTERN_CAP", 3)

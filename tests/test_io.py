@@ -1,6 +1,9 @@
 """Instance parsing and exact JSON serialization round-trips."""
 
 import json
+import sys
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -11,12 +14,16 @@ from ehlcp.errors import InputError
 from ehlcp.io import (
     dump_json,
     instance_to_json,
+    load_instance,
     parse_instance,
     piece_to_json,
     solution_to_json,
     tuple_to_json,
 )
+from ehlcp.rational import rat
 from ehlcp.solver import solve_all
+
+INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def sample_doc():
@@ -73,6 +80,26 @@ class TestParseInstance:
         mutate(doc)
         with pytest.raises(InputError, match=message):
             parse_instance(doc)
+
+
+def _load_with_q0(tmp_path, literal: str):
+    """load_instance on sample_doc with q[0] written as the bare literal."""
+    text = json.dumps(sample_doc()).replace('"q": ["-1/3", 2]', f'"q": [{literal}, 2]')
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    return load_instance(str(path))
+
+
+class TestNumberLiterals:
+    # integer literals skip rat; decimal and exponent literals still take it
+    @pytest.mark.parametrize("literal", [
+        "0", "-0", "7", "-12", "10" * 20, "0.25", "-1e-3", "2E2", "-0.0",
+        pytest.param("7" * INT_STR_DIGITS, id="max-digits",
+                     marks=pytest.mark.skipif(INT_STR_DIGITS == 0, reason="no digit limit")),
+    ])
+    def test_literal_loads_as_rat_would(self, tmp_path, literal):
+        q0 = _load_with_q0(tmp_path, literal).q[0]
+        assert type(q0) is Fraction and q0 == rat(literal)
 
 
 class TestRoundTrip:
@@ -133,10 +160,50 @@ _docs = st.recursive(
 )
 
 
+class _Tone(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    def __str__(self):
+        return "not this"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not this"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not this"
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
 class TestDumpJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(_docs)
     def test_bytes_equal_json_dumps(self, doc):
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        [True, False, None, 0, 1, "1", 1.0, [True, [False]], {"a": True}],
+        {"b": [False, 1], "a": (True, None)},
+        {"a": _Tone.LOW, "b": [_Tone.HIGH, 2, _Tone.LOW], "c": {"d": _Tone.HIGH}},
+        {_Tone.HIGH: "high", _Tone.LOW: "low", 0: "zero"},
+        {_Text("b"): _Text("x"), "a": [_Text(""), _Text("\u00e9\n")], _Text("c"): {}},
+        {"a": _Int(-5), "b": [_Int(0), _Int(10**30)], "c": {_Int(3): _Int(4), 1: 2}},
+        {"a": _Float(0.1), "b": [_Float(-0.0), _Float(1e300), _Float("inf"), _Float("nan")]},
+        {_Float(2.5): 1, 1.5: 2, _Float("-inf"): 3},
+        {True: [1], False: None},
+        [_Pair(1, "x"), OrderedDict(b=1, a=_Pair(_Tone.LOW, True))],
+    ], ids=["bools-in-lists", "bools-in-tuples", "intenum-values", "intenum-keys",
+            "str-subclass", "int-subclass", "float-subclass", "float-subclass-keys",
+            "bool-keys", "tuple-and-dict-subclasses"])
+    def test_scalar_subclasses_match_json_dumps(self, doc):
         assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("doc", [

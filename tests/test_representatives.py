@@ -1,5 +1,6 @@
 """Column representative enumeration and determinant-sign properties."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -426,7 +427,7 @@ _CHECKS = {
     "column_ndw": (lambda t, ex: check_column_ndw_det(t),
                    lambda t, ex: _reference_column_ndw_det(t)),
 }
-_SCAN_KINDS = ("integer", "zero_columns", "dependent", "all_zero")
+_SCAN_KINDS = ("integer", "rational", "zero_columns", "dependent", "all_zero")
 
 
 def _scan_tuples(kind):
@@ -453,9 +454,11 @@ class TestSharedScan:
     @pytest.mark.parametrize("kind", _SCAN_KINDS)
     def test_every_call_order_gives_the_reference_verdicts(self, kind, exhaustive):
         outcomes = set()
+        printed = ""
         for t in _scan_tuples(kind):
             expected = {name: ref(t, exhaustive) for name, (_, ref) in _CHECKS.items()}
             outcomes.add(tuple(v.holds for v in expected.values()))
+            printed += json.dumps([v.witness for v in expected.values()])
             for order in permutations(_CHECKS):
                 fresh = _fresh(t)
                 assert _run(fresh, order, exhaustive) == expected, (t, order)
@@ -464,6 +467,9 @@ class TestSharedScan:
                 assert len(fresh.det_scan.first) <= 3
         # column W holds on the constructive tuples and fails on the others
         assert (True, True, True) in outcomes and len(outcomes) >= 2, outcomes
+        if kind == "rational":
+            # witnesses print determinants reduced over prod(L_i) as "p/q"
+            assert "/" in printed
 
     def test_w_violation_is_the_earlier_of_zero_and_sign_conflict(self):
         # determinants in walk order (0,0), (0,1), (1,0), (1,1):
