@@ -19,10 +19,10 @@ from .io import instance_to_json, tuple_to_json, vec_to_json
 from .rational import (
     Mat,
     Vec,
-    _rref,
     det,
     identity,
     inverse,
+    left_divide,
     mat,
     mat_vec,
     vec,
@@ -263,13 +263,13 @@ def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) 
 
 
 def _normalized(t: MatrixTuple) -> Optional[tuple]:
-    """The matrices C_0^{-1} C_i for i = 1..k, or None when C_0 is singular,
-    read off the RREF [I | C_0^{-1} C_1 | ...] of [C_0 | C_1 | ... | C_k]."""
+    """The matrices C_0^{-1} C_i for i = 1..k, or None when C_0 is singular:
+    the n-column blocks of C_0^{-1} [C_1 | ... | C_k]."""
     n = t.n
-    rows = [[v for m in t.mats for v in m[r]] for r in range(n)]
-    if len(_rref(rows, n)) < n:
+    right = left_divide(t.mats[0], [[v for m in t.mats[1:] for v in m[r]] for r in range(n)])
+    if right is None:
         return None
-    return tuple(tuple(tuple(row[i : i + n]) for row in rows) for i in range(n, len(rows[0]), n))
+    return tuple(tuple(row[i : i + n] for row in right) for i in range(0, t.k * n, n))
 
 
 def _z_normalized(t: MatrixTuple) -> bool:

@@ -46,7 +46,7 @@ def _run_simplex(tab: list[list[int]], basis: list[int], cost: list,
     """Maximize cost over the tableau rows [A | b] with Bland's rule; returns
     the status and the tableau's new scale.  The reduced-cost row, scaled to
     integers, is pivoted as the tableau's last row during the run."""
-    cost_int = int_row(cost, lcm(*(c.denominator for c in cost))) + [0]
+    cost_int = int_row(cost) + [0]
     tab.append([
         cost_int[j] * prev - sum(cost_int[b] * row[j] for b, row in zip(basis, tab) if row[j])
         for j in range(len(cost_int))

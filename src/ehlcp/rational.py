@@ -6,9 +6,9 @@ ever rounds, so every sign test downstream is reliable.
 
 The package has one elimination step, pivot_step: a fraction-free
 Gauss-Jordan pivot (Bareiss 1968) on rows scaled to integers, which keeps
-every entry an integer minor.  The determinant is the last pivot, the RREF
-behind solve_linear and inverse is the rows divided by it, linprog's
-simplex tableau is the rational tableau times it, and the trees of
+every entry an integer minor.  The determinant is the last pivot,
+solve_linear and left_divide read their results off the rows divided by it,
+linprog's simplex tableau is the rational tableau times it, and the trees of
 representatives._det_numerators (over column selectors) and
 representatives._cocircuits (over column subsets) pivot once per node.
 The tree of solver._selector_pieces (over column selectors, carrying the
@@ -124,8 +124,11 @@ def require_square(m: Mat) -> int:
     return n
 
 
-def int_row(row, mult: int) -> list[int]:
-    """row times mult as ints; mult must be a multiple of every denominator."""
+def int_row(row, mult: Optional[int] = None) -> list[int]:
+    """row times mult as ints; mult must be a multiple of every denominator,
+    and defaults to their lcm."""
+    if mult is None:
+        mult = lcm(*(x.denominator for x in row))
     return [x.numerator * (mult // x.denominator) for x in row]
 
 
@@ -184,50 +187,43 @@ class LinearSolveResult:
     kernel_basis: tuple = field(default_factory=tuple)
 
 
-def _rref(rows: list[list[Fraction]], pivot_cols: int | None = None) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list.
-
-    Pivoting is restricted to the first pivot_cols columns so augmented
-    right-hand sides are eliminated but never chosen as pivots.
-    """
-    if pivot_cols is None:
-        pivot_cols = len(rows[0]) if rows else 0
-    a = [int_row(row, lcm(*(x.denominator for x in row))) for row in rows]
-    pivots, last, _ = _echelon(a, pivot_cols)
-    rows[:] = [[Fraction(x, last) for x in row] for row in a]
-    return pivots
-
-
 def solve_linear(a: Mat, b: Vec) -> LinearSolveResult:
-    """Exact solve of a x = b with a full kernel basis in the affine case."""
+    """Exact solve of a x = b with a full kernel basis in the affine case,
+    read off the echelon form of [a | b]."""
     if len(a) != len(b):
         raise DimensionError("rows of a must match dimension of b")
     n_cols = len(a[0])
-    rows = [list(a[i]) + [b[i]] for i in range(len(a))]
-    pivots = _rref(rows, n_cols)
-    rank = len(pivots)
-    if any(row[n_cols] for row in rows[rank:]):
+    rows = [int_row([*row, x]) for row, x in zip(a, b)]
+    pivots, last, _ = _echelon(rows, n_cols)
+    if any(row[n_cols] for row in rows[len(pivots):]):
         return LinearSolveResult("inconsistent")
     particular = [Fraction(0)] * n_cols
     for r, c in enumerate(pivots):
-        particular[c] = rows[r][n_cols]
+        particular[c] = Fraction(rows[r][n_cols], last)
     free_cols = [c for c in range(n_cols) if c not in set(pivots)]
     kernel = []
     for f in free_cols:
         direction = [Fraction(0)] * n_cols
         direction[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            direction[c] = -rows[r][f]
+            direction[c] = Fraction(-rows[r][f], last)
         kernel.append(tuple(direction))
-    kind = "unique" if not kernel else "affine"
-    return LinearSolveResult(kind, tuple(particular), tuple(kernel))
+    return LinearSolveResult("affine" if kernel else "unique", tuple(particular), tuple(kernel))
+
+
+def left_divide(a: Mat, b: Mat) -> Optional[Mat]:
+    """Exact a^{-1} b for square a, read off the echelon form of [a | b], or
+    None when a is singular."""
+    n = require_square(a)
+    if len(b) != n:
+        raise DimensionError("rows of a must match rows of b")
+    rows = [int_row([*ra, *rb]) for ra, rb in zip(a, b)]
+    pivots, last, _ = _echelon(rows, n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(Fraction(x, last) for x in row[n:]) for row in rows)
 
 
 def inverse(m: Mat) -> Optional[Mat]:
     """Exact inverse, or None when the matrix is singular."""
-    n = require_square(m)
-    rows = [list(m[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    pivots = _rref(rows, n)
-    if len(pivots) < n:
-        return None
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    return left_divide(m, identity(len(m)))

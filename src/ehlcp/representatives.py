@@ -18,7 +18,7 @@ makes every completion of the prefix singular.
 The walk yields each determinant as a signed integer numerator over the
 common positive denominator prod(L_i), so every sign and zero test is an
 integer test.  A Fraction is built only for a determinant a report prints
-(_det_json); representative_dets is the Fraction view of the same walk.
+(_det_json).
 
 Each tuple walks that tree at most once for its non-exhaustive verdicts.
 MatrixTuple.det_scan is a resumable walk that keeps only the first
@@ -79,8 +79,8 @@ class MatrixTuple:
 
     @cached_property
     def det_scan(self) -> "DetScan":
-        """The shared walk of representative_dets; CapExceeded on every
-        access while the tuple is over SELECTOR_CAP."""
+        """The shared walk of _det_numerators; CapExceeded on every access
+        while the tuple is over SELECTOR_CAP."""
         return DetScan(self)
 
     @cached_property
@@ -125,17 +125,6 @@ def selectors(n: int, k: int) -> Iterator[tuple]:
     Column 1 is the most significant digit, so witnesses are deterministic.
     """
     yield from product(range(k + 1), repeat=n)
-
-
-def representative_matrix(t: MatrixTuple, selector: tuple) -> Mat:
-    """Matrix whose column j is column j of C_{selector[j]}."""
-    if len(selector) != t.n:
-        raise DimensionError("selector length must equal n")
-    if any(not 0 <= s <= t.k for s in selector):
-        raise InputError("selector entry out of range")
-    return tuple(
-        tuple(t.mats[selector[j]][i][j] for j in range(t.n)) for i in range(t.n)
-    )
 
 
 def check_selector_cap(t: MatrixTuple) -> None:
@@ -185,17 +174,6 @@ def _det_numerators(t: MatrixTuple) -> tuple:
                                    -sign if p % 2 else sign)
 
     return prod(scales), subtree(root, (), 1, 1)
-
-
-def representative_dets(t: MatrixTuple) -> Iterator[tuple]:
-    """Iterator of (selector, determinant) over all representatives, in
-    selectors order, lazily: the first determinant costs at most n pivots.
-    The call itself checks the selector cap, before any selector.
-
-    Each determinant is Fraction(numerator, prod(L_i)) from the walk of
-    _det_numerators, whose numerators the determinant checks read."""
-    denom, walk = _det_numerators(t)
-    return ((sel, Fraction(num, denom)) for sel, num in walk)
 
 
 class DetScan:
@@ -333,7 +311,7 @@ def _cocircuits(t: MatrixTuple) -> tuple:
     branch.  The one row left holds the maximal minors det[B_S | B_e] up to
     a common factor, so its sign vector is a cocircuit.
     """
-    a = [int_row(row, lcm(*(x.denominator for x in row))) for row in t.stacked]
+    a = [int_row(row) for row in t.stacked]
     width = len(a[0])
     rank = len(_echelon(a, width)[0])
     found = {}

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
 from typing import Iterator, Optional
 
 from .errors import DimensionError, InputError, InvariantError
@@ -261,7 +260,7 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
             for j in range(1, k):
                 g -= upper[j * n + r] * row[j * n + r]  # row holds -C_j[i][r]
                 cells.append(g)
-        root.append(int_row(cells, lcm(*(x.denominator for x in cells))))
+        root.append(int_row(cells))
     zero = Fraction(0)
 
     def leaf_piece(sel, nums, last):

@@ -1,5 +1,8 @@
 """Reference code kept out of the package and shared by the tests.
 
+representative_matrix builds the column representative of one selector, the
+per-selector reference of the determinant walk.  walk_dets reads that walk,
+representatives._det_numerators, as (selector, Fraction determinant) pairs.
 mat_mul is the plain matrix product.  solution_points, _step, combine and
 midpoints_solve are the sampled convexity check that harness.nonconvex_pair
 replaced: every piece point plus a half step along each basis direction,
@@ -15,11 +18,29 @@ from itertools import chain, combinations
 from typing import Optional
 
 from ehlcp.csw import check_column_ndw_def
-from ehlcp.errors import DimensionError
+from ehlcp.errors import DimensionError, InputError
 from ehlcp.harness import two_solutions
 from ehlcp.rational import Mat, Vec, vec
-from ehlcp.representatives import MatrixTuple
+from ehlcp.representatives import MatrixTuple, _det_numerators
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
+
+
+def representative_matrix(t: MatrixTuple, selector: tuple) -> Mat:
+    """Matrix whose column j is column j of C_{selector[j]}."""
+    if len(selector) != t.n:
+        raise DimensionError("selector length must equal n")
+    if any(not 0 <= s <= t.k for s in selector):
+        raise InputError("selector entry out of range")
+    return tuple(
+        tuple(t.mats[selector[j]][i][j] for j in range(t.n)) for i in range(t.n)
+    )
+
+
+def walk_dets(t: MatrixTuple):
+    """(selector, determinant) over all representatives, in selectors order,
+    lazily; the call checks the selector cap before any selector."""
+    denom, walk = _det_numerators(t)
+    return ((sel, Fraction(num, denom)) for sel, num in walk)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

@@ -36,10 +36,15 @@ from ehlcp.representatives import (
     check_column_w,
     check_column_w0,
     make_tuple,
-    representative_matrix,
 )
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
-from reference import mat_mul, midpoints_solve, ndw_two_solutions, solution_points
+from reference import (
+    mat_mul,
+    midpoints_solve,
+    ndw_two_solutions,
+    representative_matrix,
+    solution_points,
+)
 
 SAMPLE_SEED = 2024
 SAMPLE_SIZE = 500

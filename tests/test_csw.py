@@ -21,8 +21,9 @@ from ehlcp.csw import (
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.linprog import lp_solve
-from ehlcp.rational import _rref, det, identity, mat_vec, solve_linear, zeros
-from ehlcp.representatives import check_column_ndw_det, make_tuple, representative_matrix
+from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
+from ehlcp.representatives import check_column_ndw_det, make_tuple
+from reference import representative_matrix
 
 
 MODES = ("csw", "cone", "ndw")
@@ -184,11 +185,12 @@ class TestPatternRealizable:
 def reference_cocircuits(t):
     """MatrixTuple.cocircuits without the zero-set skip: one solve per
     (rank-1)-subset."""
-    rows = [list(row) for row in t.stacked]
-    rank = len(_rref(rows))
+    rows = [int_row(row) for row in t.stacked]
+    pivots, last, _ = _echelon(rows, len(rows[0]))
+    rank = len(pivots)
     if rank == 0:
         return []
-    basis = rows[:rank]
+    basis = [[Fraction(x, last) for x in row] for row in rows[:rank]]
     width = len(basis[0])
     found = {}
     for cols in combinations(range(width), rank - 1):

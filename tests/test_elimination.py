@@ -2,9 +2,11 @@
 
 The references below are the Fraction Gauss-Jordan RREF, the forward-only
 Bareiss determinant and the Fraction two-phase simplex that the integer
-step replaced, and that simplex's phase 1 alone.  The RREF is canonical and the integer tableau is the
-rational one times a positive scale, so pivots, determinants, LP results
-and pivot counts must agree exactly.
+step replaced, and that simplex's phase 1 alone.  The RREF is canonical:
+it is _echelon's rows divided by the last pivot, and left_divide's result
+is its right block.  The integer tableau is the rational one times a
+positive scale, so pivots, determinants, LP results and pivot counts must
+agree exactly.
 """
 
 import random
@@ -14,8 +16,9 @@ from math import lcm
 import pytest
 
 from ehlcp import linprog
+from ehlcp.errors import DimensionError
 from ehlcp.linprog import lp_solve, nonneg_solution
-from ehlcp.rational import _rref, det, rat
+from ehlcp.rational import _echelon, det, int_row, left_divide, rat
 
 
 def ref_rref(rows, pivot_cols=None):
@@ -214,13 +217,24 @@ def matrix_cases(seed, count):
         yield rows, pivot_cols
 
 
+def echelon_rref(rows, pivot_cols=None):
+    """_echelon on the rows scaled to integers, divided by its last pivot:
+    the RREF in place, as ref_rref computes it; returns the pivot columns."""
+    if pivot_cols is None:
+        pivot_cols = len(rows[0]) if rows else 0
+    a = [int_row(row) for row in rows]
+    pivots, last, _ = _echelon(a, pivot_cols)
+    rows[:] = [[Fraction(x, last) for x in row] for row in a]
+    return pivots
+
+
 class TestRref:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_fraction_reference(self, seed):
         for rows, pivot_cols in matrix_cases(seed, 150):
             ours = [row[:] for row in rows]
             ref = [row[:] for row in rows]
-            pivots = _rref(ours, pivot_cols)
+            pivots = echelon_rref(ours, pivot_cols)
             assert pivots == ref_rref(ref, pivot_cols)
             rank = len(pivots)
             assert ours[:rank] == ref[:rank]
@@ -232,13 +246,48 @@ class TestRref:
         for rhs, consistent in ((Fraction(3), True), (Fraction(5, 2), False)):
             rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(1)],
                     [Fraction(3, 2), Fraction(1), rhs]]
-            assert _rref(rows, 2) == [0]
+            assert echelon_rref(rows, 2) == [0]
             assert (not any(rows[1])) is consistent
 
     def test_empty_rows(self):
         rows = []
-        assert _rref(rows) == []
+        assert echelon_rref(rows) == []
         assert rows == []
+
+
+def square_cases(seed, count):
+    """(a, b): square a of order 1..6, singular about half the time, and b
+    of 1..7 columns, with integer or rational entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, width = rng.randint(1, 6), rng.randint(1, 7)
+        a = rand_matrix(rng, n, n, rng.random() < 0.5)
+        b = [[rand_rational(rng) for _ in range(width)] for _ in range(n)]
+        if rng.random() < 0.5:  # integer entries; row scaling keeps the rank
+            a, b = ([[x * lcm(*(y.denominator for y in row)) for x in row] for row in m]
+                    for m in (a, b))
+        yield a, b
+
+
+class TestLeftDivide:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_right_block_of_the_fraction_reference(self, seed):
+        singular = 0
+        for a, b in square_cases(seed, 150):
+            n = len(a)
+            ref = [ra + rb for ra, rb in zip(a, b)]
+            rank = len(ref_rref(ref, n))
+            ours = left_divide(tuple(map(tuple, a)), tuple(map(tuple, b)))
+            if rank < n:
+                singular += 1
+                assert ours is None
+            else:
+                assert ours == tuple(tuple(row[n:]) for row in ref)
+        assert 30 <= singular <= 120  # both branches are exercised
+
+    def test_rows_of_b_must_match_the_order_of_a(self):
+        with pytest.raises(DimensionError):
+            left_divide(((Fraction(1),),), ((Fraction(1),), (Fraction(2),)))
 
 
 class TestDet:

