@@ -23,7 +23,7 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from .errors import DimensionError, InputError, InvariantError
-from .linprog import lp_solve
+from .linprog import nonneg_solution
 from .rational import Vec, identity, int_row, mat_vec, pivot_step, solve_linear, zeros
 from .representatives import MatrixTuple, check_selector_cap
 
@@ -153,49 +153,57 @@ def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece
 
 
 def _affine_piece(particular, kernel, box) -> Optional[tuple]:
-    """Feasibility polytope of an underdetermined selector system, in the
-    kernel coordinates: a relative-interior point and a basis of the affine
-    hull, both in the free unknowns; None when the polytope is empty."""
+    """Feasibility polytope P = {alpha : g_i . alpha >= h_i} of an
+    underdetermined selector system, one row per box row, in the kernel
+    coordinates alpha: a relative-interior point and a basis of the affine
+    hull, both in the free unknowns; None when P is empty.
+
+    Every LP is a phase-1 problem (nonneg_solution) over alpha = u - v and
+    one surplus per row.  [G | -G | -I] z = h gives a point alpha_0 of P, or
+    shows P empty.  For each row j not yet seen slack, [G | -G | -h | -I] w
+    = e_j over (u, v, t, s) >= 0 is infeasible exactly when row j is an
+    implicit equality of P (Schrijver 1986, ch. 8); otherwise its
+    (alpha_j, t_j) has G alpha_j - t_j h >= 0 with slack at least 1 on row
+    j, so (alpha_0 + sum alpha_j) / (1 + sum t_j) is in P and strict on
+    every row that is not implicit.  The hull is the kernel of the
+    implicit rows.
+    """
     dim_a = len(kernel)
     # box row c in alpha coordinates: grad . alpha >= bound - sign * particular[c]
-    alpha_ineqs = []
+    grads, rests = [], []
     for c, sign, bound in box:
         grad = tuple(sign * direction[c] for direction in kernel)
         rest = bound - sign * particular[c]
         if any(grad):
-            alpha_ineqs.append((grad, rest))
+            grads.append(grad)
+            rests.append(rest)
         elif rest > 0:
             return None  # an unknown outside the kernel violates its bound
-    # classify each inequality: implicit equality on the whole polytope, or
-    # attainably slack; average the slack maximizers for a relative-interior
-    # point (slack capped at 1 so unbounded pieces stay bounded problems).
-    # A slack LP is infeasible iff the polytope is empty, so the first one
-    # decides that.  At least one LP runs: a kernel direction moves some
-    # unknown, so that unknown's y >= 0 row has a nonzero gradient.
-    interior_points = []
+    if not grads:
+        # a kernel direction moves some unknown, whose y >= 0 row then has a gradient
+        raise InvariantError("no box row of an underdetermined system has a gradient")
+    rows = range(len(grads))
+    surplus = [[-int(i == j) for j in rows] for i in rows]
+    split = [[*g, *(-x for x in g)] for g in grads]
+    z = nonneg_solution([g + s for g, s in zip(split, surplus)], rests)
+    if z is None:
+        return None
+    num = [u - v for u, v in zip(z, z[dim_a:2 * dim_a])]
+    den = 1
+    slack = {i for i in rows if z[2 * dim_a + i]}
+    homogenized = [g + [-h] + s for g, h, s in zip(split, rests, surplus)]
     implicit_grads = []
-    objective = (Fraction(0),) * dim_a + (Fraction(1),)
-    base_rows = [(tuple(g) + (Fraction(0),), bd) for g, bd in alpha_ineqs]
-    cap_row = ((Fraction(0),) * dim_a + (Fraction(-1),), Fraction(-1))  # s <= 1
-    for index, (grad, bound) in enumerate(alpha_ineqs):
-        # maximize s subject to grad . alpha - s >= bound, all constraints, s <= 1
-        rows = base_rows + [(tuple(grad) + (Fraction(-1),), bound), cap_row]
-        res = lp_solve(objective, [], rows)
-        if res.status == "infeasible" and index == 0:
-            return None
-        if res.status != "optimal":
-            raise InvariantError(
-                f"slack LP of a feasible polytope returned {res.status!r}"
-            )
-        if res.objective_value == 0:
-            implicit_grads.append(grad)
-        else:
-            interior_points.append(res.point[:dim_a])
-    if interior_points:
-        alpha = tuple(sum(xs) / len(interior_points) for xs in zip(*interior_points))
-    else:
-        # every row is tight, and the y >= 0 rows pin alpha: a single point
-        alpha = res.point[:dim_a]
+    for j in rows:
+        if j in slack:
+            continue
+        w = nonneg_solution(homogenized, [int(i == j) for i in rows])
+        if w is None:
+            implicit_grads.append(grads[j])
+            continue
+        num = [x + u - v for x, u, v in zip(num, w, w[dim_a:2 * dim_a])]
+        den += w[2 * dim_a]
+        slack.update(i for i in rows if w[2 * dim_a + 1 + i])
+    alpha = [x / den for x in num]
 
     # affine hull: alpha directions annihilating every implicit equality
     if implicit_grads:

@@ -11,16 +11,27 @@ so it serves only as the other side of a differential test.
 
 ndw_two_solutions builds the two-solution instance that the convexity
 suites build for a tuple without column ND-W.
+
+lp_solve is the two-phase LP over free variables that the package used
+before every LP it solves became a phase-1 problem: linprog's phase 1, the
+artificials driven out, and a phase 2 that can end unbounded.  Its pivots
+all go through linprog._pivot, so a spy on that counts them.
+affine_piece_lp is the solver's former _affine_piece on top of it: one
+slack-maximizing LP per box row with a gradient, and the average of the
+slack maximizers as the point.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 from typing import Optional
 
+from ehlcp import linprog
 from ehlcp.csw import check_column_ndw_def
-from ehlcp.errors import DimensionError, InputError
+from ehlcp.errors import DimensionError, InputError, InvariantError
 from ehlcp.harness import two_solutions
-from ehlcp.rational import Mat, Vec, vec
+from ehlcp.rational import Mat, Vec, identity, int_row, rat, solve_linear, vec, zeros
 from ehlcp.representatives import MatrixTuple, _det_numerators
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
 
@@ -103,3 +114,119 @@ def ndw_two_solutions(t: MatrixTuple) -> Optional[tuple]:
     if verdict.holds:
         return None
     return two_solutions(t, vec(chain.from_iterable(verdict.witness["x"])))
+
+
+@dataclass(frozen=True)
+class LpResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    point: Optional[Vec] = None
+    objective_value: Optional[Fraction] = None
+
+
+def _maximize(tab, basis, cost, prev) -> tuple:
+    """linprog._run_simplex with its unbounded exit: (status, new scale)."""
+    cost_int = int_row(cost) + [0]
+    tab.append([
+        cost_int[j] * prev - sum(cost_int[b] * row[j] for b, row in zip(basis, tab) if row[j])
+        for j in range(len(cost_int))
+    ])
+    m = len(basis)
+    status = "optimal"
+    while (enter := next((j for j in range(len(cost)) if tab[-1][j] > 0), -1)) >= 0:
+        leave = -1
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0 and (leave < 0 or (tab[i][-1] * tab[leave][enter], basis[i])
+                          < (tab[leave][-1] * a, basis[leave])):
+                leave = i
+        if leave < 0:
+            status = "unbounded"
+            break
+        prev = linprog._pivot(tab, basis, leave, enter, prev)
+    tab.pop()
+    return status, prev
+
+
+def lp_solve(objective: Vec, eq=(), ineq=()) -> LpResult:
+    """Maximize objective . x subject to eq rows (= rhs) and ineq rows (>= rhs)."""
+    dim, n_eq, n_ineq = len(objective), len(eq), len(ineq)
+    rows = [[*map(rat, row), rat(rhs)] for row, rhs in [*eq, *ineq]]
+    if any(len(row) != dim + 1 for row in rows):
+        raise DimensionError("constraint row dimension mismatch")
+    # standard form in integers, over one common scale of [A | b]: x = u - v
+    # with u, v >= 0, plus one surplus per inequality
+    n_std = 2 * dim + n_ineq
+    mult = lcm(*(v.denominator for row in rows for v in row))
+    rows = [x[:-1] + [-v for v in x[:-1]] + [-mult * (s == i - n_eq) for s in range(n_ineq)]
+            + x[-1:] for i, x in enumerate(int_row(row, mult) for row in rows)]
+    found = linprog._phase1(rows, n_std)
+    if found is None:
+        return LpResult("infeasible")
+    tab, basis, prev = found
+    # drive the remaining (zero-valued) artificials out of the basis; a row
+    # with no nonzero original column is redundant and is dropped
+    for i in range(len(rows)):
+        if basis[i] >= n_std:
+            col = next((j for j in range(n_std) if tab[i][j]), None)
+            if col is not None:
+                prev = linprog._pivot(tab, basis, i, col, prev)
+    keep = [i for i in range(len(rows)) if basis[i] < n_std]
+
+    # phase 2 on the original columns
+    tab, basis = [tab[i][:n_std] + tab[i][-1:] for i in keep], [basis[i] for i in keep]
+    obj = [rat(x) for x in objective]
+    status, prev = _maximize(tab, basis, obj + [-x for x in obj] + [0] * n_ineq, prev)
+    if status == "unbounded":
+        return LpResult("unbounded")
+    values = linprog._basic_point(tab, basis, prev, n_std)
+    point = tuple(values[j] - values[dim + j] for j in range(dim))
+    return LpResult("optimal", point, sum(o * p for o, p in zip(obj, point)))
+
+
+def affine_piece_lp(particular, kernel, box) -> Optional[tuple]:
+    """solver._affine_piece by slack-maximizing LPs: (point, basis) in the
+    free unknowns, or None when the polytope is empty."""
+    dim_a = len(kernel)
+    alpha_ineqs = []
+    for c, sign, bound in box:
+        grad = tuple(sign * direction[c] for direction in kernel)
+        rest = bound - sign * particular[c]
+        if any(grad):
+            alpha_ineqs.append((grad, rest))
+        elif rest > 0:
+            return None
+    # maximize s subject to grad . alpha - s >= bound, every row, s <= 1: an
+    # implicit equality has maximum 0; the first LP is infeasible iff the
+    # polytope is empty
+    interior_points = []
+    implicit_grads = []
+    objective = (Fraction(0),) * dim_a + (Fraction(1),)
+    base_rows = [(tuple(g) + (Fraction(0),), bd) for g, bd in alpha_ineqs]
+    cap_row = ((Fraction(0),) * dim_a + (Fraction(-1),), Fraction(-1))
+    for index, (grad, bound) in enumerate(alpha_ineqs):
+        row = (tuple(grad) + (Fraction(-1),), bound)
+        res = lp_solve(objective, [], base_rows + [row, cap_row])
+        if res.status == "infeasible" and index == 0:
+            return None
+        if res.status != "optimal":
+            raise InvariantError(f"slack LP of a feasible polytope returned {res.status!r}")
+        if res.objective_value == 0:
+            implicit_grads.append(grad)
+        else:
+            interior_points.append(res.point[:dim_a])
+    if interior_points:
+        alpha = tuple(sum(xs) / len(interior_points) for xs in zip(*interior_points))
+    else:
+        alpha = res.point[:dim_a]  # every row tight: a single point
+    if implicit_grads:
+        free = solve_linear(tuple(implicit_grads), zeros(len(implicit_grads))).kernel_basis
+    else:
+        free = identity(dim_a)
+    basis = tuple(
+        tuple(sum(beta[m] * kernel[m][j] for m in range(dim_a)) for j in range(len(particular)))
+        for beta in free
+    )
+    point = tuple(
+        x + sum(alpha[m] * kernel[m][j] for m in range(dim_a)) for j, x in enumerate(particular)
+    )
+    return point, basis

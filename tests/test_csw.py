@@ -20,10 +20,9 @@ from ehlcp.csw import (
 )
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
-from ehlcp.linprog import lp_solve
 from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
 from ehlcp.representatives import check_column_ndw_det, make_tuple
-from reference import representative_matrix
+from reference import lp_solve, representative_matrix
 
 
 MODES = ("csw", "cone", "ndw")

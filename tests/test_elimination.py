@@ -2,7 +2,9 @@
 
 The references below are the Fraction Gauss-Jordan RREF, the forward-only
 Bareiss determinant and the Fraction two-phase simplex that the integer
-step replaced, and that simplex's phase 1 alone.  The RREF is canonical:
+step replaced, and that simplex's phase 1 alone.  The integer two-phase
+simplex is reference.lp_solve: linprog's phase 1 and pivot under a
+phase 2 kept with the tests.  The RREF is canonical:
 it is _echelon's rows divided by the last pivot, and left_divide's result
 is its right block.  The integer tableau is the rational one times a
 positive scale, so pivots, determinants, LP results and pivot counts must
@@ -17,8 +19,9 @@ import pytest
 
 from ehlcp import linprog
 from ehlcp.errors import DimensionError
-from ehlcp.linprog import lp_solve, nonneg_solution
+from ehlcp.linprog import nonneg_solution
 from ehlcp.rational import _echelon, det, int_row, left_divide, rat
+from reference import lp_solve
 
 
 def ref_rref(rows, pivot_cols=None):

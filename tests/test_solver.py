@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ehlcp import solver
-from ehlcp.errors import CapExceeded, DimensionError, InputError
+from ehlcp.errors import CapExceeded, DimensionError, InputError, InvariantError
 from ehlcp.harness import (
     GenSpec,
     SplitMix64,
@@ -26,7 +27,7 @@ from ehlcp.solver import (
     solve_all,
     solve_branch,
 )
-from reference import ndw_two_solutions, representative_matrix
+from reference import affine_piece_lp, ndw_two_solutions, representative_matrix
 
 
 def F(x):
@@ -178,6 +179,12 @@ def golden_instance(label):
 
 # sha256 of dump_json([piece_to_json(p) for p in solve_all(inst)]), recorded
 # with the 2^(kn) wedge-branch solver that preceded the selector solver.
+# Nine were re-recorded when _affine_piece moved from slack-maximizing LPs
+# to phase-1 problems, which moves the point of some positive-dimensional
+# pieces: generic-n1k3, generic-n2k3, generic-n3k2, generic-n3k3,
+# segment-n1k2, segment-n1k3, segment-n3k1, segment-n3k3 and
+# z_structured-n3k2.  test_hulls_match_the_lp_reference keeps every
+# selector, dimension and basis tied to the LP form.
 GOLDEN_DIGESTS = {
     "generic-n1k1":
         "5bbc4d758d3cd5d520b36523805f9a07a10842c240d091a97a9a9d7917947e7c",
@@ -194,15 +201,15 @@ GOLDEN_DIGESTS = {
     "z_structured-n1k2":
         "95f3d3ba7294a3c4925f0172bec85914c0449c215ae3b8be4a7dbbf0535be5b4",
     "segment-n1k2":
-        "43cfc337608bab5d87af8f4b9543457daa88c5aefd84e4fa1fb6d82bb5802dde",
+        "c5de53e897689299be9013b2f37fec57de7dbbf4e1cf41947e4b8df8bc8702e6",
     "generic-n1k3":
-        "8ea5b08a7bfcdbfe19040b0e33d57edd8d159c11c6ce8580dcc52a3da84d3bd1",
+        "a1c0d0fe3b6d031cb29f81b92317579f35bbf115a6c73ceae15f1499292c7b43",
     "column_w_constructive-n1k3":
         "3c914c1d6e150abc2998c876c40a2613e85bf2bf5338deed9f266ced64d710c5",
     "z_structured-n1k3":
         "01c150fd96730edd526036770c8f67f035fac5962147710f1135317f939a966d",
     "segment-n1k3":
-        "c9efbfaa5e08ce0179d48c1c2847b07998348cd6c5aae7163217685a9cd86b16",
+        "0117f9d939debc955372237545f1825f745570d17bf785bae46c2253734609ee",
     "generic-n2k1":
         "b82353018751676cb626b425ca18e22525460cc77e866b00f72352d9ab7a5009",
     "column_w_constructive-n2k1":
@@ -220,7 +227,7 @@ GOLDEN_DIGESTS = {
     "segment-n2k2":
         "891601123baca4547c568163444aa575d931a992292f1637a6eadc6c6b8dac0a",
     "generic-n2k3":
-        "104f2c6238d4bbc81bd2bb8cad2b806fa3ee4142e47fbc45e817a088f8ae8b76",
+        "19a539d977018eb0d06e52c945db70a2dfb18872f1e8057dddc18962d06e6254",
     "column_w_constructive-n2k3":
         "f23c72f941d5fce4ee6fdfed2a89517c03268907fa19ff14f73ee5e76529eeea",
     "z_structured-n2k3":
@@ -234,23 +241,23 @@ GOLDEN_DIGESTS = {
     "z_structured-n3k1":
         "0c6085c7a4149b9a30adb5ec3f1b14035f4710f74d531cac05681b4f832dd526",
     "segment-n3k1":
-        "ea0c0bf231b7445fcdf7656395aaae7785337a21757d0bfb90f042b096003dd1",
+        "288fda3bf94924cbe4970b042f8f3aaf2fa34fc2abc5c9543bdb73c81d375bc8",
     "generic-n3k2":
-        "48a1e59d61f88ac0d82de6c8153add00b409856a67a103c90c186e618df6c568",
+        "03c32790c2e4f8aca49f08884ba27d704acaa8422989549519fc86e780a018a2",
     "column_w_constructive-n3k2":
         "a0f3c316bfcf7b7efd6dbe7fd8960617ff8b641578e7f5dbf9c3f38bdb90bca7",
     "z_structured-n3k2":
-        "8cb37c7c750f01c86100c59f4471d15cfc35b1f1293bea27823c7fdeae74edd9",
+        "ea7b0c32c04f33532770c605a8ce9617ef0c2cc4ef31cced1ce6e05e98f5eefe",
     "segment-n3k2":
         "b8449f343925e1738730fac99260f6ee13d517cbd326c2e347dfd5d44e81d58b",
     "generic-n3k3":
-        "5028fcdabf7cfd0c9b58506b0fbc0f5a0f58d66dec1b415c827db60e7dd0fda6",
+        "fec999b480eb983be66d59981140429ff5ed93a99f5d4e80d179732029dc3a9f",
     "column_w_constructive-n3k3":
         "d82168e388320d1b76515dbdb0e35311236174201b71884d241996d8677bad89",
     "z_structured-n3k3":
         "d942305edf0f59c98a09d0803e745d7030ff27daa25889dbde81eed9e18e3d91",
     "segment-n3k3":
-        "d0f6f1e897a91a0d28367fa6ea7d7b9c2ab68c35a1e39df03053b62d4b1233d9",
+        "1c7af31efd8b7271e30933995a1c14aec8592b8817844248a1195ca86889f5fe",
 }
 
 
@@ -475,13 +482,16 @@ class TestSolveBranch:
         assert piece.point == vec([0, "1/2", "1/2", 0])
 
     def test_affine_branch_solves_one_lp_per_bound_row(self, monkeypatch):
-        # both free unknowns move along the kernel, so each y >= 0 row has a
-        # gradient and one slack LP; an empty polytope stops at the first
+        # one phase-1 problem finds a point, then one per row not yet seen
+        # slack; an empty polytope stops at the first
         calls = []
-        real = solver.lp_solve
-        monkeypatch.setattr(solver, "lp_solve", lambda *a: calls.append(a) or real(*a))
+        real = solver.nonneg_solution
+        monkeypatch.setattr(solver, "nonneg_solution",
+                            lambda a, b: calls.append((a, real(a, b))) or calls[-1][1])
         assert solve_branch(segment_instance(), (1, 0)) is not None
-        assert len(calls) == 2
+        a, z = calls[0]
+        surplus = z[len(a[0]) - len(a):]  # one surplus per bound row
+        assert 1 < len(calls) <= 1 + sum(1 for v in surplus if v == 0)
         calls.clear()
         empty = EhlcpInstance(segment_instance().matrix_tuple, (), (F(0), F(-1)))
         assert solve_branch(empty, (1, 0)) is None
@@ -491,6 +501,80 @@ class TestSolveBranch:
     def test_invalid_selector_rejected(self, selector):
         with pytest.raises(InputError):
             solve_branch(split_instance(), selector)
+
+
+def underdetermined_systems():
+    """(particular, kernel, box) of the consistent singular selectors of
+    generated degenerate and two-solution instances (k = 1 gives unbounded
+    pieces), then of random underdetermined systems with a right-hand side
+    through a random point that may break its bounds."""
+    for n, k in TREE_SHAPES:
+        for seed in range(2):
+            i = 100 * seed + 10 * n + k
+            t = gen_tuple(GenSpec(n, k, "degenerate", 2, subseed(71, i)))
+            for inst in (gen_instance(t, subseed(72, i), 2),
+                         instance_through_point(t, subseed(73, i)),
+                         ndw_two_solutions(t)[0]):
+                for s in consistent_singular(inst):
+                    _, a, rhs, _, box = solver._selector_system(inst, s)
+                    res = solve_linear(a, rhs)
+                    yield res.particular, res.kernel_basis, box
+    rng = random.Random(74)
+    for _ in range(300):
+        width = rng.randint(2, 5)
+        height = rng.randint(1, width - 1)
+        a = [[F(rng.randint(-2, 2)) for _ in range(width)] for _ in range(height)]
+        y = [Fraction(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(width)]
+        res = solve_linear(a, mat_vec(a, y))
+        if not res.kernel_basis:
+            continue
+        box = [(c, 1, F(0)) for c in range(width)] + [
+            (c, -1, F(-rng.randint(1, 2))) for c in range(width) if rng.random() < 0.5
+        ]
+        yield res.particular, res.kernel_basis, box
+
+
+def strict_rows(y, box):
+    return [sign * y[c] > bound for c, sign, bound in box]
+
+
+class TestAffinePiece:
+    """_affine_piece, one phase-1 problem per row, against affine_piece_lp,
+    the slack-maximizing LPs it replaced: the same emptiness and hull, and a
+    point in the polytope strict on exactly the reference point's strict
+    rows, so relative-interior like it."""
+
+    def test_matches_the_lp_reference(self):
+        seen = Counter()
+        for particular, kernel, box in underdetermined_systems():
+            got = solver._affine_piece(particular, kernel, box)
+            ref = affine_piece_lp(particular, kernel, box)
+            assert (got is None) == (ref is None)
+            if ref is None:
+                seen["empty"] += 1
+                continue
+            (point, basis), (ref_point, ref_basis) = got, ref
+            assert basis == ref_basis
+            assert all(sign * point[c] >= bound for c, sign, bound in box)
+            assert strict_rows(point, box) == strict_rows(ref_point, box)
+            seen["point" if not basis else "piece"] += 1
+            seen["moved"] += point != ref_point
+            # unbounded along a basis direction, as k = 1 pieces can be
+            seen["unbounded"] += any(all(e * sign * v[c] >= 0 for c, sign, _ in box)
+                                     for v in basis for e in (1, -1))
+        # every kind occurs: empty, a single point of a positive-dimensional
+        # kernel, positive-dimensional and unbounded pieces, and points
+        # that differ
+        assert all(seen[kind] >= 5 for kind in ("empty", "point", "piece", "moved", "unbounded"))
+
+    def test_single_point_in_alpha(self):
+        # y = alpha * (1, -1) >= 0 pins alpha = 0
+        box = [(0, 1, F(0)), (1, 1, F(0))]
+        assert solver._affine_piece(vec([0, 0]), (vec([1, -1]),), box) == (vec([0, 0]), ())
+
+    def test_no_row_with_a_gradient_is_an_invariant_error(self):
+        with pytest.raises(InvariantError):
+            solver._affine_piece(vec([0, 0]), (vec([0, 0]),), [(0, 1, F(0)), (1, 1, F(0))])
 
 
 class TestSolveAll:
@@ -670,6 +754,16 @@ class TestGoldenOutput:
         pieces = solve_all(golden_instance(label))
         text = dump_json([piece_to_json(p) for p in pieces])
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[label]
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_DIGESTS))
+    def test_hulls_match_the_lp_reference(self, label, monkeypatch):
+        # a re-recorded digest may move points only, never a hull
+        inst = golden_instance(label)
+        pieces = solve_all(inst)
+        monkeypatch.setattr(solver, "_affine_piece", affine_piece_lp)
+        assert [(p.selector, p.piece_dimension, p.kernel_basis) for p in pieces] == [
+            (p.selector, p.piece_dimension, p.kernel_basis) for p in solve_all(inst)
+        ]
 
 
 class TestClosedFormSolution:
