@@ -148,8 +148,13 @@ def dump_json(doc: Any) -> str:
 
     The bytes are exactly json.dumps(doc, indent=2, sort_keys=True) + "\n",
     built in one recursive pass: with an indent, json.dumps runs its
-    pure-Python encoder."""
-    return _encode(doc, "\n") + "\n"
+    pure-Python encoder.  A dict's text depends only on the dict and its
+    indent, so the pass keeps one slot per indent holding the last dict
+    encoded there and its text, and a dict that is that very object (is,
+    not ==) reuses the text: a report's violations share one conflict_with
+    dict, encoded once.  One slot, not a memo of every container, keeps
+    the pass's memory flat."""
+    return _encode(doc, "\n", {}) + "\n"
 
 
 def _json_float(x: float) -> str:
@@ -168,7 +173,7 @@ def _json_key(key: Any) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return '"' + _encode(key, "") + '"'
+        return '"' + _encode(key, "", {}) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
@@ -183,28 +188,36 @@ _SCALARS = {
 }
 
 
-def _encode(o: Any, newline: str) -> str:
-    """JSON text of o; newline is "\n" plus the indent of the line o starts on."""
+def _encode(o: Any, newline: str, last: dict) -> str:
+    """JSON text of o; newline is "\n" plus the indent of the line o starts on,
+    and last maps each newline to the (dict, text) encoded there last."""
     get = _SCALARS.get
     scalar = get(type(o))
     if scalar is not None:
         return scalar(o)
     inner = newline + "  "
-    sep = "," + inner
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        items = [scalar(v) if (scalar := get(type(v))) else _encode(v, inner) for v in o]
+        items = [scalar(v) if (scalar := get(type(v))) else _encode(v, inner, last) for v in o]
+        sep = "," + inner
         return f"[{inner}{sep.join(items)}{newline}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = [
-            f"{encode_basestring_ascii(k) if type(k) is str else _json_key(k)}: "
-            f"{scalar(v) if (scalar := get(type(v))) else _encode(v, inner)}"
-            for k, v in sorted(o.items())
-        ]
-        return f"{{{inner}{sep.join(items)}{newline}}}"
+        seen = last.get(newline)
+        if seen is not None and seen[0] is o:
+            return seen[1]
+        # a value's text is joined as it is, not copied into a "key: value"
+        # string, so the text its slot keeps costs no second copy
+        parts = ["{"]
+        for k, v in sorted(o.items()):
+            parts += (inner, encode_basestring_ascii(k) if type(k) is str else _json_key(k), ": ",
+                      scalar(v) if (scalar := get(type(v))) else _encode(v, inner, last), ",")
+        parts[-1] = newline + "}"
+        text = "".join(parts)
+        last[newline] = (o, text)
+        return text
     for base, scalar in _SCALARS.items():
         if isinstance(o, base):
             return scalar(o)

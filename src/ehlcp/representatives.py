@@ -9,11 +9,13 @@ the selectors.  Row i of every C_s is scaled to integers by one L_i.  A
 node at depth j holds the unused rows times the k+1 candidate columns of
 each position j..n-1; choosing s_j pivots (rational.pivot_step) on the
 first unused row nonzero in candidate column s_j, then drops that row and
-position j's columns.  At depth n-1 one row is left, and its k+1 entries
-are the leaf determinants.  Siblings share their parent's elimination, so
-each selector costs its path's pivots below the shared prefix, not a full
-n x n determinant.  A candidate column that is zero on every unused row
-makes every completion of the prefix singular.
+position j's columns.  At depth n-2 two rows are left, and the last two
+levels are read as 2 x 2 minors of them: each of the (k+1)^2 leaf
+determinants is one Bareiss 2 x 2 step, with no pivot_step and no
+sub-rows.  Siblings share their parent's elimination, so each selector
+costs its path's pivots below the shared prefix, not a full n x n
+determinant.  A candidate column that is zero on every unused row makes
+every completion of the prefix singular.
 
 The walk yields each determinant as a signed integer numerator over the
 common positive denominator prod(L_i), so every sign and zero test is an
@@ -156,7 +158,17 @@ def _det_numerators(t: MatrixTuple) -> tuple:
         rows over the candidate columns of positions len(prefix)..n-1,
         after fraction-free pivots whose last pivot is prev and whose row
         order has the given sign."""
-        if len(prefix) == n - 1:
+        if len(prefix) == n - 2:
+            # two rows left: the leaf (s, u) is their 2 x 2 minor on candidate
+            # columns s and u over prev, the Bareiss step with either row as
+            # pivot; a column s zero in both rows gives 0 with no special case
+            r0, r1 = rows
+            for s in range(width):
+                sel, x, y = prefix + (s,), r0[s], r1[s]
+                for u in range(width):
+                    yield sel + (u,), sign * ((x * r1[width + u] - y * r0[width + u]) // prev)
+            return
+        if len(prefix) == n - 1:  # n = 1: the root's one row holds the leaves
             for s, x in enumerate(rows[0]):
                 yield prefix + (s,), sign * x
             return

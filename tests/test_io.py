@@ -182,6 +182,11 @@ class _Float(float):
 
 _Pair = namedtuple("_Pair", "a b")
 
+# one dict object reused across a document, as a report's violations share
+# their conflict_with dict
+_SHARED = {"selector": [0, 1], "determinant": "-3/2"}
+_NESTING = {"inner": _SHARED, "list": [_SHARED]}
+
 
 class TestDumpJsonWriter:
     @settings(max_examples=300, deadline=None)
@@ -204,6 +209,35 @@ class TestDumpJsonWriter:
             "str-subclass", "int-subclass", "float-subclass", "float-subclass-keys",
             "bool-keys", "tuple-and-dict-subclasses"])
     def test_scalar_subclasses_match_json_dumps(self, doc):
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        [_SHARED, _SHARED, _SHARED],
+        {"violations": [{"conflict_with": _SHARED, "selector": [s]} for s in range(3)]},
+        [_SHARED, {"other": 1}, _SHARED, {"selector": [0]}, _SHARED],
+        {"a": _SHARED, "b": [_SHARED, {"c": _SHARED}], "d": _SHARED},
+        [{"value": _SHARED}, [_SHARED], {"value": _SHARED}],
+        [_NESTING, _SHARED, _NESTING],
+        [{"a": 1}, {"a": True}, {"a": 1.0}],
+    ], ids=["consecutive", "conflict-witnesses", "dict-in-between", "two-indents",
+            "list-item-and-dict-value", "nested", "equal-not-identical"])
+    def test_shared_dicts_match_json_dumps(self, doc):
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_text, _docs, min_size=1, max_size=3),
+           st.lists(st.integers(min_value=0, max_value=3), max_size=6))
+    def test_one_dict_at_drawn_depths_matches_json_dumps(self, shared, depths):
+        def wrap(depth):
+            return shared if depth == 0 else [{"x": wrap(depth - 1)}]
+        doc = [wrap(depth) for depth in depths]
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_no_text_is_kept_between_calls(self):
+        shared = {"a": 1}
+        doc = [shared, shared]
+        dump_json(doc)
+        shared["a"] = 2
         assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("doc", [

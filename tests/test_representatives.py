@@ -323,6 +323,22 @@ def _count_pivots(monkeypatch):
     return calls
 
 
+class TestLeafLevels:
+    """The last two tree levels are read as 2 x 2 minors of the two rows
+    left, with no pivot_step: a generic walk pivots only at depths 0..n-3."""
+
+    @pytest.mark.parametrize("n, k", [(8, 1), (5, 2)])
+    def test_exhaustive_walk_pivots_above_the_last_two_levels_only(self, monkeypatch, n, k):
+        rng = random.Random(f"leaf-levels-{n}-{k}")
+        # entries 1..9 with a random sign: no candidate column is zero
+        t = make_tuple([[[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
+                         for _ in range(n)] for _ in range(k + 1)])
+        expected = _per_selector_dets(t)
+        calls = _count_pivots(monkeypatch)
+        assert list(walk_dets(t)) == expected
+        assert 0 < len(calls) <= sum((k + 1) ** j for j in range(1, n - 1))
+
+
 class TestTreeIsLazy:
     n = 19  # 2^19 selectors, inside SELECTOR_CAP
 
