@@ -30,19 +30,24 @@ def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int, prev: int
     return abs(piv)
 
 
-def _run_simplex(tab: list[list[int]], basis: list[int], cost: list, prev: int) -> int:
-    """Maximize cost over the tableau rows [A | b] with Bland's rule, for a
-    cost bounded above on {z >= 0 : A z = b}, as phase 1's is, so that every
-    entering column has a leaving row; returns the tableau's new scale.  The
-    reduced-cost row, scaled to integers, is pivoted as the tableau's last
-    row during the run."""
-    cost_int = int_row(cost) + [0]
-    tab.append([
-        cost_int[j] * prev - sum(cost_int[b] * row[j] for b, row in zip(basis, tab) if row[j])
-        for j in range(len(cost_int))
-    ])
-    m = len(basis)
-    while (enter := next((j for j in range(len(cost)) if tab[-1][j] > 0), -1)) >= 0:
+def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
+    """Tableau, basis and scale of a basic z >= 0 with A z = b, A the first
+    n columns of the integer rows [A | b], or None if there is none: rows
+    with b_i < 0 negated, an unscaled artificial identity as first basis,
+    and minus the artificials' sum maximized with Bland's rule.  That cost
+    is bounded above by 0, so every entering column has a leaving row, and
+    it is a positive multiple of the rational one when [A | b] has one
+    common scale.  With every artificial basic, its reduced-cost row is
+    the column sums of [A | b], and 0 on the artificials; the row is
+    pivoted as the tableau's last row during the run."""
+    m = len(rows)
+    tab = [[v if row[-1] >= 0 else -v for v in row[:-1]] + [int(j == i) for j in range(m)]
+           + [abs(row[-1])] for i, row in enumerate(rows)]
+    basis = [n + i for i in range(m)]
+    tab.append([sum(row[j] for row in tab) for j in range(n)] + [0] * m
+               + [sum(row[-1] for row in tab)])
+    prev = 1
+    while (enter := next((j for j in range(n + m) if tab[-1][j] > 0), -1)) >= 0:
         leave = -1
         for i in range(m):
             # Bland: least ratio tab[i][-1] / tab[i][enter], then least basic index
@@ -52,20 +57,6 @@ def _run_simplex(tab: list[list[int]], basis: list[int], cost: list, prev: int) 
                 leave = i
         prev = _pivot(tab, basis, leave, enter, prev)
     tab.pop()
-    return prev
-
-
-def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
-    """Tableau, basis and scale of a basic z >= 0 with A z = b, A the first
-    n columns of the integer rows [A | b], or None if there is none: rows
-    with b_i < 0 negated, an unscaled artificial identity as first basis,
-    and minus the artificials' sum maximized, a positive multiple of the
-    rational one when [A | b] has one common scale."""
-    m = len(rows)
-    tab = [[v if row[-1] >= 0 else -v for v in row[:-1]] + [int(j == i) for j in range(m)]
-           + [abs(row[-1])] for i, row in enumerate(rows)]
-    basis = [n + i for i in range(m)]
-    prev = _run_simplex(tab, basis, [0] * n + [-1] * m, 1)
     return None if any(tab[i][-1] for i in range(m) if basis[i] >= n) else (tab, basis, prev)
 
 

@@ -12,8 +12,9 @@ linprog's simplex tableau is the rational tableau times it, and the trees of
 representatives._det_numerators (over column selectors) and
 representatives._cocircuits (over column subsets) pivot once per node.
 The tree of solver._selector_pieces (over column selectors, carrying the
-right-hand side) pivots only where the candidate column has a pivot, a
-nonzero entry on an unpivoted row.
+right-hand side and the columns of the free unknowns) pivots only where the
+candidate column has a pivot, a nonzero entry on an unpivoted row, and reads
+every leaf as solve_linear reads an RREF.
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ n x n linear system, over the representative matrix of (C_0, -C_1, ..., -C_k),
 plus box inequalities.
 
 solve_all decides every selector in one fraction-free elimination tree that
-carries the right-hand side (_selector_pieces): a nonsingular selector reads
-its unique point off its leaf, and an inconsistent singular one is rejected
-there.  A consistent singular selector can contribute a whole polyhedral
-piece; solve_branch solves its system from scratch and computes the piece's
-dimension and a basis of its affine hull exactly.
+carries the right-hand side (_selector_pieces).  Each leaf holds the RREF of
+its selector's system: a nonsingular selector reads its unique point off it,
+an inconsistent singular one is rejected there, and a consistent singular
+one reads a particular point and a kernel basis off it, from which
+_affine_piece computes the polyhedral piece's dimension, a relative-interior
+point and a basis of its affine hull exactly.
 """
 
 from __future__ import annotations
@@ -83,72 +84,6 @@ def is_solution(inst: EhlcpInstance, x: Vec) -> bool:
     return not any(
         (x[i] if hi is None else hi - x[i]) * x[i + t.n]
         for i, hi in enumerate(inst.upper[: t.k * t.n])
-    )
-
-
-def _selector_system(inst: EhlcpInstance, selector: tuple):
-    """Reduced n x n system of one column selector, built from scratch for
-    solve_branch; solve_all calls that only for consistent singular leaves,
-    whose pieces the tree of _selector_pieces cannot finish.
-
-    With m = selector[r], the wedge conditions pin x_{0,r} = 0 (m > 0),
-    x_{j,r} = d_{j,r} (0 < j < m) and x_{j,r} = 0 (j > m), leaving x_{m,r}
-    free.  Returns the stacked indices i*n + r of the free unknowns in
-    increasing order (the order fixes which unknowns the RREF leaves free,
-    and so the reported point and basis), the matrix and right-hand side
-    over them, the stacked vector of pinned values, and the bounds on the
-    free unknowns as (column, sign, bound) meaning sign * y_column >= bound:
-    y >= 0 first, then y <= d_m for 0 < m < k.
-    """
-    t = inst.matrix_tuple
-    n = t.n
-    upper = inst.upper
-    free = sorted(m * n + r for r, m in enumerate(selector))
-    a = tuple(tuple(row[i] for i in free) for row in t.stacked)
-    pinned = [Fraction(0)] * len(upper)
-    for r, m in enumerate(selector):
-        for j in range(1, m):
-            pinned[j * n + r] = upper[j * n + r]
-    # the pinned d terms move to the right-hand side
-    rhs = tuple(
-        q - sum(row[i] * v for i, v in enumerate(pinned) if v)
-        for q, row in zip(inst.q, t.stacked)
-    )
-    box = [(c, 1, Fraction(0)) for c in range(n)] + [
-        (c, -1, -upper[i]) for c, i in enumerate(free) if upper[i] is not None
-    ]
-    return free, a, rhs, pinned, box
-
-
-def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece]:
-    """Solution piece of one column selector, or None when it is infeasible."""
-    t = inst.matrix_tuple
-    if len(selector) != t.n or any(not 0 <= m <= t.k for m in selector):
-        raise InputError("selector must have n entries in 0..k")
-    free, a, rhs, pinned, box = _selector_system(inst, selector)
-    res = solve_linear(a, rhs)
-    if res.kind == "inconsistent":
-        return None
-    if res.kind == "unique":
-        y, basis = res.particular, ()
-        if any(sign * y[c] < bound for c, sign, bound in box):
-            return None
-    else:
-        hull = _affine_piece(res.particular, res.kernel_basis, box)
-        if hull is None:
-            return None
-        y, basis = hull
-
-    def stacked(values, base):
-        out = list(base)
-        for i, v in zip(free, values):
-            out[i] = v
-        return tuple(out)
-
-    zero = (Fraction(0),) * len(pinned)
-    return SolutionPiece(
-        tuple(selector), stacked(y, pinned), len(basis),
-        tuple(stacked(v, zero) for v in basis),
     )
 
 
@@ -239,21 +174,23 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     One fraction-free tree walks the selectors as
     representatives._det_numerators does, with the right-hand side
     carried down.  Row i of a node holds the column last pivoted on (zero
-    at the root), the right-hand side, and then, for each position r not
-    yet chosen, the k+1 candidate columns A[i][s*n + r] and the
-    pinned-bound terms g_r(s)[i] = sum_{0<j<s} d_{j,r} C_j[i][r] for
-    s = 2..k (g_r(0) and g_r(1) are zero); the root rows hold q and are
-    scaled to integers.  Choosing s at depth r adds g_r(s) into the
-    right-hand side, drops position r's other columns and pivots
-    (rational.pivot_step) on the first unpivoted row nonzero in candidate
-    column s.  The pivoted rows stay and keep being reduced (Gauss-Jordan),
-    so at a leaf of full rank the row pivoted at position r holds y_r times
-    the last pivot.  A candidate column zero on every unpivoted row gets no
-    pivot: y_r is a free unknown, and the column stays zero on the
-    unpivoted rows, since every later update of such a row combines it with
-    another unpivoted one.  A leaf of rank below n is therefore
-    inconsistent iff an unpivoted row has a nonzero right-hand side; only
-    the consistent singular leaves go to solve_branch.
+    at the root), the right-hand side, then, for each position r not yet
+    chosen, the k+1 candidate columns A[i][s*n + r] and the pinned-bound
+    terms g_r(s)[i] = sum_{0<j<s} d_{j,r} C_j[i][r] for s = 2..k (g_r(0)
+    and g_r(1) are zero), and last the columns of the free positions
+    chosen so far; the root rows hold q and are scaled to integers.
+    Choosing s at depth r adds g_r(s) into the right-hand side, drops
+    position r's other columns and pivots (rational.pivot_step) on the
+    first unpivoted row nonzero in candidate column s.  The pivoted rows
+    stay and keep being reduced (Gauss-Jordan), so at a leaf they are the
+    last pivot times the RREF of the selector's system, the unknowns taken
+    in position order.  A candidate column zero on every unpivoted row gets
+    no pivot: y_r is a free unknown, and its column moves to the end of
+    every row, where later pivots reduce it with the rest.  It stays zero
+    on the unpivoted rows, since every later update of such a row combines
+    it with another unpivoted one.  A leaf of rank below n is therefore
+    inconsistent iff an unpivoted row has a nonzero right-hand side, and
+    every other leaf is read as solve_linear reads an RREF.
     """
     t = inst.matrix_tuple
     n, k = t.n, t.k
@@ -270,29 +207,62 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
                 cells.append(g)
         root.append(int_row(cells))
     zero = Fraction(0)
+    zero_point = (zero,) * len(upper)
 
-    def leaf_piece(sel, nums, last):
-        """Piece of a nonsingular selector with y_r = nums[r] / last, or
-        None when y breaks a bound; the point is built as solve_branch
-        builds it."""
+    def stacked(sel, values, base):
+        """base with x_{m,r} = values[r] for m = sel[r]."""
+        out = list(base)
+        for r, (m, v) in enumerate(zip(sel, values)):
+            out[m * n + r] = v
+        return tuple(out)
+
+    def leaf_piece(sel, rows, free, last):
+        """Piece of the selector at a consistent leaf, or None when no
+        solution of its system meets the box; rows are the pivoted rows,
+        one per position not in free, in position order.  The particular y
+        has y_r = row[1] / last on the pivoted positions and 0 on the free
+        ones; the free position f (column 2 + j, the j-th in free) gives
+        the direction with y_f = 1 and y_r = -row[2 + j] / last.  The box
+        is y_r >= 0, then y_r <= d_{m,r} for 0 < m = sel[r] < k, both in
+        position order."""
         if last < 0:
-            nums, last = [-v for v in nums], -last
-        if any(v < 0 for v in nums):
-            return None
-        point = [zero] * len(upper)
-        for r, (m, v) in enumerate(zip(sel, nums)):
-            for j in range(1, m):
-                point[j * n + r] = upper[j * n + r]
-            y = point[m * n + r] = Fraction(v, last)
-            if upper[m * n + r] is not None and y > upper[m * n + r]:
+            rows, last = [[-v for v in row] for row in rows], -last
+        if not free and any(row[1] < 0 for row in rows):
+            return None  # the unique y has a negative entry
+        pivots = [r for r in range(n) if r not in free]
+        y = [zero] * n
+        for r, row in zip(pivots, rows):
+            y[r] = Fraction(row[1], last)
+        caps = [(r, upper[m * n + r]) for r, m in enumerate(sel) if 0 < m < k]
+        basis = ()
+        if free:
+            kernel = []
+            for col, f in enumerate(free, 2):
+                v = [zero] * n
+                v[f] = Fraction(1)
+                for r, row in zip(pivots, rows):
+                    v[r] = Fraction(-row[col], last)
+                kernel.append(tuple(v))
+            box = [(r, 1, zero) for r in range(n)] + [(r, -1, -hi) for r, hi in caps]
+            hull = _affine_piece(tuple(y), tuple(kernel), box)
+            if hull is None:
                 return None
-        return SolutionPiece(sel, tuple(point), 0)
+            y, basis = hull
+        elif any(y[r] > hi for r, hi in caps):
+            return None
+        pinned = list(zero_point)
+        for r, m in enumerate(sel):
+            for j in range(1, m):
+                pinned[j * n + r] = upper[j * n + r]
+        return SolutionPiece(sel, stacked(sel, y, pinned), len(basis),
+                             tuple(stacked(sel, v, zero_point) for v in basis))
 
-    def subtree(rows, prefix, prev, rank):
+    def subtree(rows, prefix, prev, free):
         """(selector, piece) over the completions of prefix, given the
-        node's rows: rank pivoted ones, then the unpivoted ones; prev is the
-        last pivot."""
+        node's rows: the pivoted ones, one per position of prefix not in
+        free, then the unpivoted ones; prev is the last pivot."""
         depth = len(prefix)
+        rank = depth - len(free)
         for s in range(k + 1):
             sel = prefix + (s,)
             c = 2 + s
@@ -300,22 +270,23 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
                 a = [[row[c], row[1] + row[c + k - 1]] + row[2 + block:] for row in rows]
             else:
                 a = [[row[c], row[1]] + row[2 + block:] for row in rows]
-            last, pivoted = prev, rank  # y_r stays free if no row can pivot
             p = next((i for i in range(rank, n) if a[i][0]), None)
-            if p is not None:
+            if p is None:  # y_r is free: its column moves to the end of every row
+                for row in a:
+                    row.append(row[0])
+                last, pivoted, below = prev, rank, free + (depth,)
+            else:
                 a[rank], a[p] = a[p], a[rank]
                 pivot_step(a, rank, 0, prev)
-                last, pivoted = a[rank][0], rank + 1
+                last, pivoted, below = a[rank][0], rank + 1, free
             if depth < n - 1:
-                yield from subtree(a, sel, last, pivoted)
-            elif pivoted == n:
-                yield sel, leaf_piece(sel, [row[1] for row in a], last)
+                yield from subtree(a, sel, last, below)
             elif any(row[1] for row in a[pivoted:]):
                 yield sel, None  # inconsistent
             else:
-                yield sel, solve_branch(inst, sel)
+                yield sel, leaf_piece(sel, a[:pivoted], below, last)
 
-    return subtree(root, (), 1, 0)
+    return subtree(root, (), 1, ())
 
 
 def solve_all(inst: EhlcpInstance) -> list:

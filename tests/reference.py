@@ -12,6 +12,12 @@ so it serves only as the other side of a differential test.
 ndw_two_solutions builds the two-solution instance that the convexity
 suites build for a tuple without column ND-W.
 
+solve_branch is the per-selector path that the solver tree replaced: the
+selector's n x n system built from scratch by selector_system, solved by
+solve_linear and handed to solver._affine_piece.  It lists the free
+unknowns in position order, so its RREF leaves free the same unknowns as
+the tree, and the two give the same pieces byte for byte.
+
 lp_solve is the two-phase LP over free variables that the package used
 before every LP it solves became a phase-1 problem: linprog's phase 1, the
 artificials driven out, and a phase 2 that can end unbounded.  Its pivots
@@ -27,13 +33,13 @@ from itertools import chain, combinations
 from math import lcm
 from typing import Optional
 
-from ehlcp import linprog
+from ehlcp import linprog, solver
 from ehlcp.csw import check_column_ndw_def
 from ehlcp.errors import DimensionError, InputError, InvariantError
 from ehlcp.harness import two_solutions
 from ehlcp.rational import Mat, Vec, identity, int_row, rat, solve_linear, vec, zeros
 from ehlcp.representatives import MatrixTuple, _det_numerators
-from ehlcp.solver import EhlcpInstance, is_solution, solve_all
+from ehlcp.solver import EhlcpInstance, SolutionPiece, is_solution, solve_all
 
 
 def representative_matrix(t: MatrixTuple, selector: tuple) -> Mat:
@@ -44,6 +50,70 @@ def representative_matrix(t: MatrixTuple, selector: tuple) -> Mat:
         raise InputError("selector entry out of range")
     return tuple(
         tuple(t.mats[selector[j]][i][j] for j in range(t.n)) for i in range(t.n)
+    )
+
+
+def selector_system(inst: EhlcpInstance, selector: tuple):
+    """Reduced n x n system of one column selector, built from scratch.
+
+    With m = selector[r], the wedge conditions pin x_{0,r} = 0 (m > 0),
+    x_{j,r} = d_{j,r} (0 < j < m) and x_{j,r} = 0 (j > m), leaving x_{m,r}
+    free.  Returns the stacked indices m*n + r of the free unknowns in
+    position order (the order fixes which unknowns the RREF leaves free,
+    and so the reported point and basis), the matrix and right-hand side
+    over them, the stacked vector of pinned values, and the bounds on the
+    free unknowns as (column, sign, bound) meaning sign * y_column >= bound:
+    y >= 0 first, then y <= d_m for 0 < m < k.
+    """
+    t = inst.matrix_tuple
+    n = t.n
+    upper = inst.upper
+    free = [m * n + r for r, m in enumerate(selector)]
+    a = tuple(tuple(row[i] for i in free) for row in t.stacked)
+    pinned = [Fraction(0)] * len(upper)
+    for r, m in enumerate(selector):
+        for j in range(1, m):
+            pinned[j * n + r] = upper[j * n + r]
+    # the pinned d terms move to the right-hand side
+    rhs = tuple(
+        q - sum(row[i] * v for i, v in enumerate(pinned) if v)
+        for q, row in zip(inst.q, t.stacked)
+    )
+    box = [(c, 1, Fraction(0)) for c in range(n)] + [
+        (c, -1, -upper[i]) for c, i in enumerate(free) if upper[i] is not None
+    ]
+    return free, a, rhs, pinned, box
+
+
+def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece]:
+    """Solution piece of one column selector, or None when it is infeasible."""
+    t = inst.matrix_tuple
+    if len(selector) != t.n or any(not 0 <= m <= t.k for m in selector):
+        raise InputError("selector must have n entries in 0..k")
+    free, a, rhs, pinned, box = selector_system(inst, selector)
+    res = solve_linear(a, rhs)
+    if res.kind == "inconsistent":
+        return None
+    if res.kind == "unique":
+        y, basis = res.particular, ()
+        if any(sign * y[c] < bound for c, sign, bound in box):
+            return None
+    else:
+        hull = solver._affine_piece(res.particular, res.kernel_basis, box)
+        if hull is None:
+            return None
+        y, basis = hull
+
+    def stacked(values, base):
+        out = list(base)
+        for i, v in zip(free, values):
+            out[i] = v
+        return tuple(out)
+
+    zero = (Fraction(0),) * len(pinned)
+    return SolutionPiece(
+        tuple(selector), stacked(y, pinned), len(basis),
+        tuple(stacked(v, zero) for v in basis),
     )
 
 
@@ -124,7 +194,8 @@ class LpResult:
 
 
 def _maximize(tab, basis, cost, prev) -> tuple:
-    """linprog._run_simplex with its unbounded exit: (status, new scale)."""
+    """The simplex loop of linprog._phase1 for a general cost, with an
+    unbounded exit: (status, new scale)."""
     cost_int = int_row(cost) + [0]
     tab.append([
         cost_int[j] * prev - sum(cost_int[b] * row[j] for b, row in zip(basis, tab) if row[j])

@@ -25,9 +25,14 @@ from ehlcp.solver import (
     branch_label,
     is_solution,
     solve_all,
+)
+from reference import (
+    affine_piece_lp,
+    ndw_two_solutions,
+    representative_matrix,
+    selector_system,
     solve_branch,
 )
-from reference import affine_piece_lp, ndw_two_solutions, representative_matrix
 
 
 def F(x):
@@ -83,13 +88,13 @@ def reference_solve_all(inst):
     return pieces
 
 
-def record_branches(monkeypatch):
-    """List that collects every selector solve_all sends to solve_branch."""
-    branched = []
-    real = solver.solve_branch
-    monkeypatch.setattr(solver, "solve_branch",
-                        lambda inst, s: branched.append(s) or real(inst, s))
-    return branched
+def assert_pieces_match_reference(inst):
+    """Every (selector, piece) of the tree, None included, is the
+    reference solve_branch's for that selector; returns the pairs."""
+    decided = list(solver._selector_pieces(inst))
+    for s, piece in decided:
+        assert piece == solve_branch(inst, s), s
+    return decided
 
 
 def from_scratch(inst, s):
@@ -97,7 +102,7 @@ def from_scratch(inst, s):
     "nonsingular" when its representative matrix is, else "inconsistent"
     or "singular" by solve_linear on its system; broken tells whether the
     unique point of a nonsingular selector breaks a bound."""
-    _, a, rhs, _, box = solver._selector_system(inst, s)
+    _, a, rhs, _, box = selector_system(inst, s)
     res = solve_linear(a, rhs)
     if det(representative_matrix(inst.matrix_tuple, s)):
         y = res.particular
@@ -184,7 +189,11 @@ def golden_instance(label):
 # pieces: generic-n1k3, generic-n2k3, generic-n3k2, generic-n3k3,
 # segment-n1k2, segment-n1k3, segment-n3k1, segment-n3k3 and
 # z_structured-n3k2.  test_hulls_match_the_lp_reference keeps every
-# selector, dimension and basis tied to the LP form.
+# selector, dimension and basis tied to the LP form.  generic-n3k2 was
+# re-recorded again when the selector tree began to finish its singular
+# leaves: its RREF now leaves free the unknowns in position order, not in
+# stacked order, which halves the one direction of its dimension-1 piece
+# (same point, same span).
 GOLDEN_DIGESTS = {
     "generic-n1k1":
         "5bbc4d758d3cd5d520b36523805f9a07a10842c240d091a97a9a9d7917947e7c",
@@ -243,7 +252,7 @@ GOLDEN_DIGESTS = {
     "segment-n3k1":
         "288fda3bf94924cbe4970b042f8f3aaf2fa34fc2abc5c9543bdb73c81d375bc8",
     "generic-n3k2":
-        "03c32790c2e4f8aca49f08884ba27d704acaa8422989549519fc86e780a018a2",
+        "38a354098f9c456c6f289e713ce9eb62431bfe06819f26b5bf1093211171b249",
     "column_w_constructive-n3k2":
         "a0f3c316bfcf7b7efd6dbe7fd8960617ff8b641578e7f5dbf9c3f38bdb90bca7",
     "z_structured-n3k2":
@@ -453,8 +462,8 @@ class TestSelectorOrder:
         def fail(*args):
             raise AssertionError("selector work ran above the cap")
 
-        monkeypatch.setattr(solver, "solve_branch", fail)
         monkeypatch.setattr(solver, "_selector_pieces", fail)
+        monkeypatch.setattr(solver, "_affine_piece", fail)
         t = make_tuple([identity(13)] * 3)
         inst = EhlcpInstance(t, ((F(1),) * 13,), (F(0),) * 13)
         with pytest.raises(CapExceeded, match="selector cap"):
@@ -516,7 +525,7 @@ def underdetermined_systems():
                          instance_through_point(t, subseed(73, i)),
                          ndw_two_solutions(t)[0]):
                 for s in consistent_singular(inst):
-                    _, a, rhs, _, box = solver._selector_system(inst, s)
+                    _, a, rhs, _, box = selector_system(inst, s)
                     res = solve_linear(a, rhs)
                     yield res.particular, res.kernel_basis, box
     rng = random.Random(74)
@@ -661,30 +670,26 @@ class TestSelectorTree:
         assert max(dims) >= 1
 
     @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 1), (3, 3)])
-    def test_zero_column_subtree(self, n, k, monkeypatch):
+    def test_zero_column_subtree(self, n, k):
         # C_1 with a zero last column: every selector ending in 1 is
-        # singular, and exactly the consistent singular selectors reach
-        # solve_branch
+        # singular, and the tree gives every selector the reference's piece
         t = gen_tuple(GenSpec(n, k, "generic", 2, subseed(67, 10 * n + k)))
         c1 = [list(row[:-1]) + [F(0)] for row in t.mats[1]]
         t = make_tuple([t.mats[0], c1, *t.mats[2:]])
         inst = instance_through_point(t, subseed(68, 10 * n + k))
-        expected = reference_solve_all(inst)
-        branched = record_branches(monkeypatch)
-        assert pieces_json(solve_all(inst)) == pieces_json(expected)
+        assert pieces_json(solve_all(inst)) == pieces_json(reference_solve_all(inst))
         assert all(from_scratch(inst, s)[0] != "nonsingular"
                    for s in selectors(n, k) if s[-1] == 1)
-        assert branched == consistent_singular(inst)
+        assert_pieces_match_reference(inst)
 
     @pytest.mark.parametrize("family, zeroed", [("degenerate", None), ("z_structured", None),
                                                 ("generic", 0), ("generic", -1)],
                              ids=["degenerate", "z_structured", "zero-C0", "zero-Ck"])
-    def test_inconsistent_leaves_agree_with_a_scratch_solve(self, family, zeroed, monkeypatch):
-        # the tree sends exactly the consistent singular selectors to
-        # solve_branch, and every other None it answers is a from-scratch
-        # system that is inconsistent or whose unique point breaks a bound;
-        # zeroed names C_0 or C_k, of which one column is set to zero
-        branched = record_branches(monkeypatch)
+    def test_inconsistent_leaves_agree_with_a_scratch_solve(self, family, zeroed):
+        # every selector's piece, or None, is the reference's; a None is a
+        # from-scratch system that is inconsistent, singular with an empty
+        # polytope, or whose unique point breaks a bound; zeroed names C_0
+        # or C_k, of which one column is set to zero
         kinds = Counter()
         for n, k in TREE_SHAPES:
             for seed in range(2):
@@ -697,16 +702,15 @@ class TestSelectorTree:
                     t = make_tuple(mats)
                 for inst in (gen_instance(t, subseed(74, i), 2),
                              instance_through_point(t, subseed(75, i))):
-                    branched.clear()
-                    decided = list(solver._selector_pieces(inst))
-                    assert branched == consistent_singular(inst)
-                    for s, piece in decided:
+                    for s, piece in assert_pieces_match_reference(inst):
                         kind, broken = from_scratch(inst, s)
-                        kinds[kind, s in branched, piece is None] += 1
-                        if piece is None and s not in branched:
-                            assert kind == "inconsistent" or (kind == "nonsingular" and broken)
-        assert kinds["inconsistent", False, True] > 0
-        assert kinds["singular", True, False] > 0
+                        kinds[kind, piece is None] += 1
+                        if kind == "inconsistent":
+                            assert piece is None
+                        elif kind == "nonsingular":
+                            assert (piece is None) == broken
+        assert kinds["inconsistent", True] > 0
+        assert kinds["singular", False] > 0
 
     def test_rational_data(self):
         # non-integer C entries, d and q: each root row is scaled by its own lcm
@@ -734,18 +738,61 @@ class TestSelectorTree:
 
     def test_nonsingular_tuple_needs_no_linear_solve(self, monkeypatch):
         # column W: every representative is nonsingular, so every piece is
-        # read off the tree
+        # read off the tree, with no polytope to decide
         t = gen_tuple(GenSpec(3, 2, "column_w_constructive", 2, 71))
         inst = instance_through_point(t, 72)
         expected = reference_solve_all(inst)
+        assert_pieces_match_reference(inst)
         calls = []
-        for name in ("solve_linear", "solve_branch"):
+        for name in ("solve_linear", "_affine_piece"):
             real = getattr(solver, name)
             monkeypatch.setattr(solver, name,
                                 lambda *a, name=name, real=real: calls.append(name) or real(*a))
         pieces = solve_all(inst)
         assert calls == []
         assert pieces and pieces_json(pieces) == pieces_json(expected)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("q", [(0, 0), (1, -1)], ids=["q=0", "q!=0"])
+    def test_rank_zero_leaf(self, k, q):
+        # C_1 = 0: selector (1, 1) chooses two zero columns, so its leaf has
+        # no pivot at all; q = 0 leaves both unknowns free, q != 0 is
+        # inconsistent
+        t = make_tuple([identity(2), [[0, 0], [0, 0]], *[identity(2)] * (k - 1)])
+        d = ((F(1), F(1)),) * (k - 1)
+        inst = EhlcpInstance(t, d, vec(q))
+        decided = dict(assert_pieces_match_reference(inst))
+        assert pieces_json(solve_all(inst)) == pieces_json(reference_solve_all(inst))
+        piece = decided[(1, 1)]
+        if any(q):
+            assert piece is None
+        else:
+            assert piece.piece_dimension == 2
+            assert {v.index(1) for v in piece.kernel_basis} == {2, 3}  # x_{1,0}, x_{1,1}
+
+    @pytest.mark.parametrize("p", [3, -3])
+    def test_free_position_before_a_pivot(self, p, monkeypatch):
+        # C_0 column 1 is twice column 0, so selector (0, 0, 0) pivots at
+        # position 0, leaves position 1 free with its column nonzero on the
+        # pivoted row, and pivots at position 2 on p: the carried column is
+        # reduced by that pivot, and the last pivot has p's sign
+        t = make_tuple([[[1, 2, 0], [0, 0, p], [1, 2, 1]], identity(3)])
+        inst = EhlcpInstance(t, (), mat_vec(t.mats[0], vec([1, 1, 1])))
+        pivots = []
+        real = solver.pivot_step
+
+        def spy(a, r, c, prev):
+            real(a, r, c, prev)
+            pivots.append(a[r][c])
+
+        monkeypatch.setattr(solver, "pivot_step", spy)
+        decided = dict(assert_pieces_match_reference(inst))
+        assert pivots[:2] == [1, p]  # the two pivots on the way to the first leaf
+        piece = decided[(0, 0, 0)]
+        # y_0 + 2 y_1 = 3 with y_2 = 1: a segment along (-2, 1, 0)
+        assert piece.piece_dimension == 1
+        assert piece.kernel_basis == (vec([-2, 1, 0, 0, 0, 0]),)
+        assert pieces_json(solve_all(inst)) == pieces_json(reference_solve_all(inst))
 
 
 class TestGoldenOutput:
