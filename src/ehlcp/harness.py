@@ -6,9 +6,9 @@ reports are reproducible bit-for-bit from (seed, trial index) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, count, repeat
 from typing import Optional
 
 from . import csw
@@ -454,24 +454,20 @@ _INJECTED = (paper_example_tuple, w0_not_csw_tuple, skew_pair_tuple)
 
 def verify_theorem(theorem_id: str, trials: int, spec: GenSpec) -> list:
     """Run one theorem's invariant suite over generated tuples plus the
-    injected golden tuples; return its violations, each payload replayable."""
+    injected golden tuples; return its violations, each payload replayable.
+    Trial i runs at subseed(seed, i), golden tuple o at subseed(seed, 900_000 + o)."""
     if theorem_id not in _SUITES:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
     check, default_family = _SUITES[theorem_id]
     if default_family is not None and spec.family == "generic":
-        spec = GenSpec(spec.n, spec.k, default_family, spec.entry_range, spec.seed)
+        spec = replace(spec, family=default_family)
     violations = []
-    for index in range(trials):
-        sub = GenSpec(spec.n, spec.k, spec.family, spec.entry_range, subseed(spec.seed, index))
-        t = gen_tuple(sub)
-        rng = SplitMix64(subseed(sub.seed, 999_983))
-        violations.extend(check(sub, index, t, rng))
-    for offset, golden in enumerate(_INJECTED):
-        t = golden()
-        sub = GenSpec(t.n, t.k, spec.family, spec.entry_range,
-                      subseed(spec.seed, 900_000 + offset))
-        rng = SplitMix64(subseed(sub.seed, 999_983))
-        violations.extend(check(sub, trials + offset, t, rng))
+    cases = chain(zip(range(trials), repeat(None)), zip(count(900_000), _INJECTED))
+    for index, (offset, golden) in enumerate(cases):
+        seed = subseed(spec.seed, offset)
+        t = gen_tuple(replace(spec, seed=seed)) if golden is None else golden()
+        sub = GenSpec(t.n, t.k, spec.family, spec.entry_range, seed)
+        violations.extend(check(sub, index, t, SplitMix64(subseed(seed, 999_983))))
     return violations

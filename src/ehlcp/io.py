@@ -2,13 +2,13 @@
 
 One schema serves check and solve: {"n", "k", "C", "d", "q"} with rational
 entries written as integers, decimal strings or "p/q" strings.  Rationals
-are serialized back as exact strings, never floats.
+are serialized back as exact strings, never floats: the one float a report
+holds is timing_seconds.  dump_json writes only ehlcp's own documents.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -146,55 +146,35 @@ def verdict_to_json(v: PropertyVerdict) -> dict:
 def dump_json(doc: Any) -> str:
     """Canonical serialization: sorted keys, two-space indent, newline end.
 
-    The bytes are exactly json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    built in one recursive pass: with an indent, json.dumps runs its
-    pure-Python encoder.  A dict's text depends only on the dict and its
-    indent, so the pass keeps one slot per indent holding the last dict
-    encoded there and its text, and a dict that is that very object (is,
-    not ==) reuses the text: a report's violations share one conflict_with
-    dict, encoded once.  One slot, not a memo of every container, keeps
-    the pass's memory flat."""
+    doc is a dict, list or tuple of str-keyed dicts, lists, tuples and
+    scalars of an exact type in _SCALARS; any other key or scalar is a
+    TypeError.  Its bytes are exactly json.dumps(doc, indent=2,
+    sort_keys=True) + "\n", built in one recursive pass: with an indent,
+    json.dumps runs its pure-Python encoder.  A dict's text depends only on
+    the dict and its indent, so the pass keeps one slot per indent holding
+    the last dict encoded there and its text, and a dict that is that very
+    object (is, not ==) reuses the text: a report's violations share one
+    conflict_with dict, encoded once.  One slot, not a memo of every
+    container, keeps the pass's memory flat."""
     return _encode(doc, "\n", {}) + "\n"
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key: Any) -> str:
-    """A dict key as json writes it: a scalar key becomes its JSON text in
-    quotes."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + _encode(key, "", {}) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-# JSON text of a scalar by its exact type; _encode finds the entry of a
-# subclass (IntEnum, str or float subclasses) by isinstance, as json does
+# JSON text of a scalar by its exact type: str, int, bool, None, and the
+# finite float of timing_seconds; a subclass (IntEnum, say) has no entry
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _json_float,
+    float: float.__repr__,
     bool: lambda o: "true" if o else "false",
     type(None): lambda o: "null",
 }
 
 
 def _encode(o: Any, newline: str, last: dict) -> str:
-    """JSON text of o; newline is "\n" plus the indent of the line o starts on,
-    and last maps each newline to the (dict, text) encoded there last."""
+    """JSON text of the list, tuple or dict o; newline is "\n" plus the
+    indent of the line o starts on, and last maps each newline to the
+    (dict, text) encoded there last."""
     get = _SCALARS.get
-    scalar = get(type(o))
-    if scalar is not None:
-        return scalar(o)
     inner = newline + "  "
     if isinstance(o, (list, tuple)):
         if not o:
@@ -212,13 +192,10 @@ def _encode(o: Any, newline: str, last: dict) -> str:
         # string, so the text its slot keeps costs no second copy
         parts = ["{"]
         for k, v in sorted(o.items()):
-            parts += (inner, encode_basestring_ascii(k) if type(k) is str else _json_key(k), ": ",
+            parts += (inner, encode_basestring_ascii(k), ": ",
                       scalar(v) if (scalar := get(type(v))) else _encode(v, inner, last), ",")
         parts[-1] = newline + "}"
         text = "".join(parts)
         last[newline] = (o, text)
         return text
-    for base, scalar in _SCALARS.items():
-        if isinstance(o, base):
-            return scalar(o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

@@ -20,14 +20,12 @@ from .rational import Vec, int_row, pivot_step
 
 def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int, prev: int) -> int:
     """One simplex pivot on the integer tableau tab = prev * (rational
-    tableau); returns the new scale, kept positive so that every sign test
+    tableau); returns the new scale, the pivot entry.  Phase 1 pivots only
+    on positive entries, so the scale stays positive and every sign test
     reads the rational tableau's sign."""
     pivot_step(tab, row, col, prev)
     basis[row] = col
-    piv = tab[row][col]
-    if piv < 0:
-        tab[:] = [[-x for x in r] for r in tab]
-    return abs(piv)
+    return tab[row][col]
 
 
 def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:

@@ -21,7 +21,10 @@ the tree, and the two give the same pieces byte for byte.
 lp_solve is the two-phase LP over free variables that the package used
 before every LP it solves became a phase-1 problem: linprog's phase 1, the
 artificials driven out, and a phase 2 that can end unbounded.  Its pivots
-all go through linprog._pivot, so a spy on that counts them.
+all go through linprog._pivot, so a spy on that counts them.  A drive-out
+pivot may be negative, and the reference negates the tableau after one so
+that its scale stays positive; linprog's phase 1 pivots only on positive
+entries and has no such step.
 affine_piece_lp is the solver's former _affine_piece on top of it: one
 slack-maximizing LP per box row with a gradient, and the average of the
 slack maximizers as the point.
@@ -241,6 +244,9 @@ def lp_solve(objective: Vec, eq=(), ineq=()) -> LpResult:
             col = next((j for j in range(n_std) if tab[i][j]), None)
             if col is not None:
                 prev = linprog._pivot(tab, basis, i, col, prev)
+                if prev < 0:
+                    tab[:] = [[-x for x in r] for r in tab]
+                    prev = -prev
     keep = [i for i in range(len(rows)) if basis[i] < n_std]
 
     # phase 2 on the original columns

@@ -579,3 +579,63 @@ class TestGen:
         assert code == 3
         assert out == ""
         assert "1000 draws" in err
+
+
+def _stdlib_text(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestReportsAreStdlibJson:
+    """Every command's stdout is the stdlib encoder's text of the document
+    it holds, on reports with timings, shared witness dicts, pieces and
+    violation payloads."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        paths = {}
+        for family, seed in (("generic", 5), ("degenerate", 2)):
+            paths[family] = str(tmp_path / f"{family}.json")
+            code, _, _ = run_main(["gen", "--family", family, "--n", "3", "--k", "2",
+                                   "--seed", str(seed), "--out", paths[family]], capsys)
+            assert code == 0
+        return paths
+
+    @pytest.mark.parametrize("flags", [[], ["--exhaustive"]], ids=["first", "exhaustive"])
+    def test_check_of_every_property(self, files, capsys, flags):
+        code, out, _ = run_main(
+            ["check", *flags, "--file", files["generic"], "--props", ",".join(cli.PROPERTIES)],
+            capsys,
+        )
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert len(verdicts) == 12
+        if flags:  # the exhaustive column W violations share one conflict_with dict
+            violations = verdicts["column_w"]["witness"]["violations"]
+            assert sum("conflict_with" in v for v in violations) > 1
+        assert out == _stdlib_text(out)
+
+    def test_solve_with_a_positive_dimensional_piece(self, files, capsys):
+        code, out, _ = run_main(["solve", "--file", files["degenerate"]], capsys)
+        assert code == 0
+        assert any(piece["dimension"] > 0 for piece in json.loads(out)["pieces"])
+        assert out == _stdlib_text(out)
+
+    def test_verify_with_a_violation(self, monkeypatch, capsys):
+        # every solution set reads as non-convex, so each trial with a piece
+        # reports the instance and a pair of points
+        monkeypatch.setattr(harness, "nonconvex_pair",
+                            lambda inst, pieces: (pieces[0].point, pieces[-1].point)
+                            if pieces else None)
+        code, out, _ = run_main(
+            ["verify", "--theorem", "T3.1-convex", "--trials", "5", "--seed", "3"], capsys,
+        )
+        assert code == 1
+        violations = json.loads(out)["violations"]
+        assert violations and all({"instance", "points"} <= set(v) for v in violations)
+        assert out == _stdlib_text(out)
+
+    def test_gen(self, capsys):
+        code, out, _ = run_main(["gen", "--family", "generic", "--n", "3", "--k", "2",
+                                 "--seed", "5"], capsys)
+        assert code == 0
+        assert out == _stdlib_text(out)

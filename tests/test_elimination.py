@@ -399,4 +399,5 @@ class TestNonnegSolution:
                 assert [sum(x * y for x, y in zip(row, z)) for row in a] == list(b)
             feasible.add(z is not None)
         assert feasible == {True, False}
-        assert pivots
+        # phase 1 pivots only on positive entries, so its scale stays positive
+        assert pivots and not any(pivots)
