@@ -448,7 +448,8 @@ _SUITES: dict = {
 
 THEOREM_IDS = tuple(sorted(_SUITES))
 
-# golden cases appended to every randomized suite
+# golden cases appended to every randomized suite; T3.2 reads only their
+# n and k, and checks an M-matrix tuple it builds of those sizes
 _INJECTED = (paper_example_tuple, w0_not_csw_tuple, skew_pair_tuple)
 
 

@@ -37,7 +37,8 @@ def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
     it is a positive multiple of the rational one when [A | b] has one
     common scale.  With every artificial basic, its reduced-cost row is
     the column sums of [A | b], and 0 on the artificials; the row is
-    pivoted as the tableau's last row during the run."""
+    pivoted as the tableau's last row during the run.  nonneg_solution is
+    the one caller, and nothing drives artificials out afterwards."""
     m = len(rows)
     tab = [[v if row[-1] >= 0 else -v for v in row[:-1]] + [int(j == i) for j in range(m)]
            + [abs(row[-1])] for i, row in enumerate(rows)]
@@ -58,19 +59,16 @@ def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
     return None if any(tab[i][-1] for i in range(m) if basis[i] >= n) else (tab, basis, prev)
 
 
-def _basic_point(tab: list[list[int]], basis: list[int], prev: int, n: int) -> list:
-    """The first n coordinates of the tableau's basic solution."""
-    point = [Fraction(0)] * n
-    for row, col in zip(tab, basis):
-        if col < n:
-            point[col] = Fraction(row[-1], prev)
-    return point
-
-
 def nonneg_solution(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
     """Some z >= 0 with a . z = b, exactly, or None if there is none: phase 1
     alone, on the (nonempty) rows of a scaled with b to integers by one
-    common factor, and z the basic solution it ends on."""
+    common factor, and z the basic solution it ends on.  The tests'
+    Fraction phase 1 reaches the same z in the same number of pivots."""
+    n = len(a[0])
     mult = lcm(*(v.denominator for v in chain(b, *a)))
-    found = _phase1([int_row([*row, rhs], mult) for row, rhs in zip(a, b)], len(a[0]))
-    return None if found is None else tuple(_basic_point(*found, len(a[0])))
+    found = _phase1([int_row([*row, rhs], mult) for row, rhs in zip(a, b)], n)
+    if found is None:
+        return None
+    tab, basis, prev = found
+    basic = {col: Fraction(row[-1], prev) for row, col in zip(tab, basis)}
+    return tuple(basic.get(j, Fraction(0)) for j in range(n))

@@ -13,11 +13,6 @@ def worked_triple():
 
 
 @pytest.fixture
-def skew_pair():
-    return make_tuple([identity(2), [[0, 1], [-1, 0]]])
-
-
-@pytest.fixture
 def zero_padded_identity():
     """(I, 0, 0): column W0 holds, column sufficient-W fails."""
     z = [[0, 0], [0, 0]]

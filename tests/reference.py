@@ -18,14 +18,13 @@ solve_linear and handed to solver._affine_piece.  It lists the free
 unknowns in position order, so its RREF leaves free the same unknowns as
 the tree, and the two give the same pieces byte for byte.
 
-lp_solve is the two-phase LP over free variables that the package used
-before every LP it solves became a phase-1 problem: linprog's phase 1, the
-artificials driven out, and a phase 2 that can end unbounded.  Its pivots
-all go through linprog._pivot, so a spy on that counts them.  A drive-out
-pivot may be negative, and the reference negates the tableau after one so
-that its scale stays positive; linprog's phase 1 pivots only on positive
-entries and has no such step.
-affine_piece_lp is the solver's former _affine_piece on top of it: one
+lp_solve is the one reference simplex: a two-phase LP over free variables
+on a Fraction tableau, Bland's rule throughout, the zero-valued artificials
+driven out after phase 1, and a phase 2 that can end unbounded.  It shares
+no code with ehlcp.linprog, whose integer tableau is the rational one times
+a positive scale; ref_nonneg_solution is its phase 1 alone, the reference
+of linprog.nonneg_solution down to the pivot count.
+affine_piece_lp is the solver's former _affine_piece on top of lp_solve: one
 slack-maximizing LP per box row with a gradient, and the average of the
 slack maximizers as the point.
 """
@@ -33,14 +32,13 @@ slack maximizers as the point.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
 from typing import Optional
 
-from ehlcp import linprog, solver
+from ehlcp import solver
 from ehlcp.csw import check_column_ndw_def
 from ehlcp.errors import DimensionError, InputError, InvariantError
 from ehlcp.harness import two_solutions
-from ehlcp.rational import Mat, Vec, identity, int_row, rat, solve_linear, vec, zeros
+from ehlcp.rational import Mat, Vec, identity, rat, solve_linear, vec, zeros
 from ehlcp.representatives import MatrixTuple, _det_numerators
 from ehlcp.solver import EhlcpInstance, SolutionPiece, is_solution, solve_all
 
@@ -196,29 +194,63 @@ class LpResult:
     objective_value: Optional[Fraction] = None
 
 
-def _maximize(tab, basis, cost, prev) -> tuple:
-    """The simplex loop of linprog._phase1 for a general cost, with an
-    unbounded exit: (status, new scale)."""
-    cost_int = int_row(cost) + [0]
-    tab.append([
-        cost_int[j] * prev - sum(cost_int[b] * row[j] for b, row in zip(basis, tab) if row[j])
-        for j in range(len(cost_int))
-    ])
-    m = len(basis)
-    status = "optimal"
-    while (enter := next((j for j in range(len(cost)) if tab[-1][j] > 0), -1)) >= 0:
-        leave = -1
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0 and (leave < 0 or (tab[i][-1] * tab[leave][enter], basis[i])
-                          < (tab[leave][-1] * a, basis[leave])):
-                leave = i
-        if leave < 0:
-            status = "unbounded"
-            break
-        prev = linprog._pivot(tab, basis, leave, enter, prev)
-    tab.pop()
-    return status, prev
+def _pivot(tab, basis, row, col) -> None:
+    """Gauss-Jordan pivot of the Fraction tableau on tab[row][col]."""
+    piv = tab[row][col]
+    tab[row] = [x / piv if x else x for x in tab[row]]
+    for i, other in enumerate(tab):
+        if i != row and other[col]:
+            f = other[col]
+            tab[i] = [x - f * y if y else x for x, y in zip(other, tab[row])]
+    basis[row] = col
+
+
+def _simplex(tab, basis, cost) -> tuple:
+    """Maximize cost . x from the basic tableau (tab, basis) with Bland's
+    rule, the least entering column and then the least ratio, ties to the
+    least basic index: ("optimal" | "unbounded", number of pivots)."""
+    m, n_vars = len(tab), len(cost)
+    reduced = [cost[j] - sum(cost[b] * row[j] for b, row in zip(basis, tab) if row[j])
+               for j in range(n_vars)]
+    pivots = 0
+    while (enter := next((j for j in range(n_vars) if reduced[j] > 0), -1)) >= 0:
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        if not rows:
+            return "unbounded", pivots
+        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        _pivot(tab, basis, leave, enter)
+        pivots += 1
+        f = reduced[enter]
+        reduced = [r - f * x if x else r for r, x in zip(reduced, tab[leave])]
+    return "optimal", pivots
+
+
+def _phase1(rows, n) -> tuple:
+    """Phase 1 on the Fraction rows [A | b], A of n columns, from an
+    artificial basis: ((tab, basis) of a basic z >= 0 with A z = b, or None
+    if there is none, number of pivots)."""
+    m = len(rows)
+    tab = [[x if row[-1] >= 0 else -x for x in row[:-1]] + [Fraction(j == i) for j in range(m)]
+           + [abs(row[-1])] for i, row in enumerate(rows)]
+    basis = [n + i for i in range(m)]
+    _, pivots = _simplex(tab, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+    if any(row[-1] for row, col in zip(tab, basis) if col >= n):
+        return None, pivots
+    return (tab, basis), pivots
+
+
+def _basic_point(tab, basis, n) -> list:
+    """The first n coordinates of the tableau's basic solution."""
+    basic = {col: row[-1] for row, col in zip(tab, basis)}
+    return [basic.get(j, Fraction(0)) for j in range(n)]
+
+
+def ref_nonneg_solution(a, b) -> tuple:
+    """(some z >= 0 with a . z = b, or None, number of pivots): phase 1
+    alone, ending on the basic solution, as linprog.nonneg_solution."""
+    n = len(a[0])
+    found, pivots = _phase1([[*map(rat, row), rat(rhs)] for row, rhs in zip(a, b)], n)
+    return (None if found is None else tuple(_basic_point(*found, n))), pivots
 
 
 def lp_solve(objective: Vec, eq=(), ineq=()) -> LpResult:
@@ -227,35 +259,30 @@ def lp_solve(objective: Vec, eq=(), ineq=()) -> LpResult:
     rows = [[*map(rat, row), rat(rhs)] for row, rhs in [*eq, *ineq]]
     if any(len(row) != dim + 1 for row in rows):
         raise DimensionError("constraint row dimension mismatch")
-    # standard form in integers, over one common scale of [A | b]: x = u - v
-    # with u, v >= 0, plus one surplus per inequality
+    # standard form: x = u - v with u, v >= 0, plus one surplus per inequality
     n_std = 2 * dim + n_ineq
-    mult = lcm(*(v.denominator for row in rows for v in row))
-    rows = [x[:-1] + [-v for v in x[:-1]] + [-mult * (s == i - n_eq) for s in range(n_ineq)]
-            + x[-1:] for i, x in enumerate(int_row(row, mult) for row in rows)]
-    found = linprog._phase1(rows, n_std)
+    rows = [row[:-1] + [-x for x in row[:-1]] + [Fraction(-(s == i - n_eq)) for s in range(n_ineq)]
+            + row[-1:] for i, row in enumerate(rows)]
+    found, _ = _phase1(rows, n_std)
     if found is None:
         return LpResult("infeasible")
-    tab, basis, prev = found
+    tab, basis = found
     # drive the remaining (zero-valued) artificials out of the basis; a row
     # with no nonzero original column is redundant and is dropped
     for i in range(len(rows)):
         if basis[i] >= n_std:
             col = next((j for j in range(n_std) if tab[i][j]), None)
             if col is not None:
-                prev = linprog._pivot(tab, basis, i, col, prev)
-                if prev < 0:
-                    tab[:] = [[-x for x in r] for r in tab]
-                    prev = -prev
+                _pivot(tab, basis, i, col)
     keep = [i for i in range(len(rows)) if basis[i] < n_std]
 
     # phase 2 on the original columns
     tab, basis = [tab[i][:n_std] + tab[i][-1:] for i in keep], [basis[i] for i in keep]
     obj = [rat(x) for x in objective]
-    status, prev = _maximize(tab, basis, obj + [-x for x in obj] + [0] * n_ineq, prev)
+    status, _ = _simplex(tab, basis, obj + [-x for x in obj] + [Fraction(0)] * n_ineq)
     if status == "unbounded":
         return LpResult("unbounded")
-    values = linprog._basic_point(tab, basis, prev, n_std)
+    values = _basic_point(tab, basis, n_std)
     point = tuple(values[j] - values[dim + j] for j in range(dim))
     return LpResult("optimal", point, sum(o * p for o, p in zip(obj, point)))
 

@@ -22,7 +22,7 @@ from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
 from ehlcp.representatives import check_column_ndw_det, make_tuple
-from reference import lp_solve, representative_matrix
+from reference import representative_matrix
 
 
 MODES = ("csw", "cone", "ndw")
@@ -99,21 +99,6 @@ def assert_witness_valid(t, witness, conclusion):
         assert any(v != 0 for x in xs for v in x)
 
 
-def reference_realizable(t, flat):
-    """The max-t LP that built witnesses before the phase-1 form: each
-    support component e of the stacked pattern is a free variable with
-    flat[e] * x_e >= t, the kernel rows are equalities, and t <= 1; the
-    pattern is realizable iff the maximum of t is 1 (the kernel is a cone)."""
-    support = [e for e, s in enumerate(flat) if s != 0]
-    width = len(support) + 1  # support components plus t
-    eq = [(tuple(row[e] for e in support) + (0,), 0) for row in t.stacked]
-    ineq = [(tuple(flat[e] * (col == c) for c in range(len(support))) + (-1,), 0)
-            for col, e in enumerate(support)]
-    ineq.append(((0,) * (width - 1) + (-1,), -1))
-    res = lp_solve((0,) * (width - 1) + (1,), eq, ineq)
-    return res.status == "optimal" and res.objective_value == 1
-
-
 def assert_realizes(t, signs, x):
     """x is a stacked kernel vector with exactly the stacked pattern's signs
     and |x_e| >= 1 on the support."""
@@ -142,7 +127,10 @@ class TestPatternRealizable:
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (3, 1),
                                       (1, 5), (2, 3), (3, 2)])
     def test_agrees_with_the_max_t_lp_on_every_candidate(self, n, k):
-        # every candidate pattern of every mode, plus the all-zero pattern;
+        # the max-t LP of the name reaches t = 1 exactly when the pattern is
+        # orthogonal to every cocircuit of A (Bland & Las Vergnas 1978), so
+        # the brute-force cocircuits give its verdict with no LP at all.
+        # Every candidate pattern of every mode, plus the all-zero pattern;
         # the zero-column, rank-deficient and all-zero tuples up to
         # (k+1)n = 6, the generic tuple alone at 8 and 9
         tuples = list(tuple_kinds(n, k, subseed(59, 10 * n + k)))
@@ -150,10 +138,11 @@ class TestPatternRealizable:
             tuples = tuples[:1]
         outcomes = {True: 0, False: 0}
         for t in tuples:
+            cocircuits = reference_cocircuits(t)
             zero = ((0,) * ((k + 1) * n),)
             for signs in chain(zero, *(reference_patterns(t, mode) for mode in MODES)):
                 x = pattern_realizable(t, signs)
-                assert (x is not None) == reference_realizable(t, signs), (t, signs)
+                assert (x is not None) == orthogonal_to_all(signs, cocircuits), (t, signs)
                 if x is not None:
                     assert_realizes(t, signs, x)
                 outcomes[x is not None] += 1

@@ -1,14 +1,13 @@
 """The one fraction-free pivot step against Fraction references.
 
-The references below are the Fraction Gauss-Jordan RREF, the forward-only
-Bareiss determinant and the Fraction two-phase simplex that the integer
-step replaced, and that simplex's phase 1 alone.  The integer two-phase
-simplex is reference.lp_solve: linprog's phase 1 and pivot under a
-phase 2 kept with the tests.  The RREF is canonical:
-it is _echelon's rows divided by the last pivot, and left_divide's result
-is its right block.  The integer tableau is the rational one times a
-positive scale, so pivots, determinants, LP results and pivot counts must
-agree exactly.
+The references below are the Fraction Gauss-Jordan RREF and the
+forward-only Bareiss determinant that the integer step replaced; the
+Fraction phase 1 is reference.ref_nonneg_solution, the phase 1 of the
+tests' one reference simplex.  The RREF is canonical: it is _echelon's
+rows divided by the last pivot, and left_divide's result is its right
+block.  The integer tableau is the rational one times a positive scale,
+so pivots, determinants, phase-1 points and pivot counts must agree
+exactly.
 """
 
 import random
@@ -20,8 +19,8 @@ import pytest
 from ehlcp import linprog
 from ehlcp.errors import DimensionError
 from ehlcp.linprog import nonneg_solution
-from ehlcp.rational import _echelon, det, int_row, left_divide, rat
-from reference import lp_solve
+from ehlcp.rational import _echelon, det, int_row, left_divide
+from reference import ref_nonneg_solution
 
 
 def ref_rref(rows, pivot_cols=None):
@@ -76,117 +75,6 @@ def ref_det(m):
             a[r][i] = 0
         prev = a[i][i]
     return Fraction(sign * a[n - 1][n - 1], scale)
-
-
-def _ref_pivot(tab, basis, row, col, counter):
-    counter[0] += 1
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-    basis[row] = col
-
-
-def _ref_run_simplex(tab, basis, cost, counter):
-    m = len(tab)
-    n_vars = len(cost)
-    reduced = [
-        cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m) if tab[i][j])
-        for j in range(n_vars)
-    ]
-    while True:
-        enter = next((j for j in range(n_vars) if reduced[j] > 0), -1)
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _ref_pivot(tab, basis, leave, enter, counter)
-        f = reduced[enter]
-        if f:
-            for j in range(n_vars):
-                if tab[leave][j]:
-                    reduced[j] -= f * tab[leave][j]
-            reduced[enter] = Fraction(0)
-
-
-def ref_lp_solve(objective, eq=(), ineq=()):
-    """Fraction two-phase simplex with Bland's rule: (status, point, value,
-    number of pivots)."""
-    counter = [0]
-    dim = len(objective)
-    n_ineq = len(ineq)
-    n_std = 2 * dim + n_ineq
-    rows = []
-    for row, rhs in eq:
-        rows.append([rat(x) for x in row] + [-rat(x) for x in row]
-                    + [Fraction(0)] * n_ineq + [rat(rhs)])
-    for idx, (row, rhs) in enumerate(ineq):
-        surplus = [Fraction(0)] * n_ineq
-        surplus[idx] = Fraction(-1)
-        rows.append([rat(x) for x in row] + [-rat(x) for x in row] + surplus + [rat(rhs)])
-    for row in rows:
-        if row[-1] < 0:
-            row[:] = [-x for x in row]
-    m = len(rows)
-    tab = [row[:-1] + [Fraction(1 if j == i else 0) for j in range(m)] + [row[-1]]
-           for i, row in enumerate(rows)]
-    basis = [n_std + i for i in range(m)]
-    _ref_run_simplex(tab, basis, [Fraction(0)] * n_std + [Fraction(-1)] * m, counter)
-    if sum(tab[i][-1] for i in range(m) if basis[i] >= n_std) != 0:
-        return "infeasible", None, None, counter[0]
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n_std:
-            col = next((j for j in range(n_std) if tab[i][j] != 0), None)
-            if col is None:
-                drop_rows.append(i)
-            else:
-                _ref_pivot(tab, basis, i, col, counter)
-    for i in sorted(drop_rows, reverse=True):
-        del tab[i]
-        del basis[i]
-    tab = [row[:n_std] + [row[-1]] for row in tab]
-    obj = [rat(x) for x in objective]
-    cost2 = obj + [-x for x in obj] + [Fraction(0)] * n_ineq
-    if _ref_run_simplex(tab, basis, cost2, counter) == "unbounded":
-        return "unbounded", None, None, counter[0]
-    values = [Fraction(0)] * n_std
-    for i, b in enumerate(basis):
-        values[b] = tab[i][-1]
-    point = tuple(values[j] - values[dim + j] for j in range(dim))
-    return "optimal", point, sum(o * p for o, p in zip(obj, point)), counter[0]
-
-
-def ref_nonneg_solution(a, b):
-    """Fraction phase 1 with Bland's rule on a . z = b, z >= 0: (z or None,
-    number of pivots)."""
-    counter = [0]
-    n, m = len(a[0]), len(a)
-    rows = [[rat(x) for x in row] + [rat(rhs)] for row, rhs in zip(a, b)]
-    for row in rows:
-        if row[-1] < 0:
-            row[:] = [-x for x in row]
-    tab = [row[:-1] + [Fraction(1 if j == i else 0) for j in range(m)] + [row[-1]]
-           for i, row in enumerate(rows)]
-    basis = [n + i for i in range(m)]
-    _ref_run_simplex(tab, basis, [Fraction(0)] * n + [Fraction(-1)] * m, counter)
-    if sum(tab[i][-1] for i in range(m) if basis[i] >= n) != 0:
-        return None, counter[0]
-    z = [Fraction(0)] * n
-    for i, col in enumerate(basis):
-        if col < n:
-            z[col] = tab[i][-1]
-    return tuple(z), counter[0]
 
 
 def rand_rational(rng):
@@ -301,56 +189,6 @@ class TestDet:
             n = rng.randint(1, 6)
             m = tuple(map(tuple, rand_matrix(rng, n, n, rng.random() < 0.3)))
             assert det(m) == ref_det(m)
-
-
-def rand_lp(rng):
-    """A random LP with rational data; half of them get redundant
-    equalities (rational combinations of the others), which leave
-    zero-valued artificials for phase 1 to drive out."""
-    dim = rng.randint(1, 4)
-    eq = [([rand_rational(rng) for _ in range(dim)], rand_rational(rng))
-          for _ in range(rng.randint(0, 3))]
-    if eq and rng.random() < 0.5:
-        for _ in range(rng.randint(1, 2)):
-            combined = combination(rng, [row + [rhs] for row, rhs in eq])
-            eq.append((combined[:-1], combined[-1]))
-        rng.shuffle(eq)
-    ineq = [([rand_rational(rng) for _ in range(dim)], rand_rational(rng))
-            for _ in range(rng.randint(0, 4))]
-    if rng.random() < 0.6:  # a box keeps most of them bounded
-        for j in range(dim):
-            for sign in (1, -1):
-                row = [Fraction(0)] * dim
-                row[j] = Fraction(sign)
-                ineq.append((row, Fraction(-rng.randint(1, 6), rng.randint(1, 3))))
-    objective = tuple(rand_rational(rng) for _ in range(dim))
-    return objective, [(tuple(r), b) for r, b in eq], [(tuple(r), b) for r, b in ineq]
-
-
-class TestSimplex:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_the_fraction_reference(self, seed, monkeypatch):
-        pivots = []
-        original = linprog._pivot
-
-        def counting_pivot(tab, basis, row, col, prev):
-            pivots.append(tab[row][col] < 0)
-            return original(tab, basis, row, col, prev)
-
-        monkeypatch.setattr(linprog, "_pivot", counting_pivot)
-        rng = random.Random(200 + seed)
-        statuses = set()
-        for _ in range(250):
-            objective, eq, ineq = rand_lp(rng)
-            before = len(pivots)
-            res = lp_solve(objective, eq, ineq)
-            status, point, value, ref_pivots = ref_lp_solve(objective, eq, ineq)
-            assert (res.status, res.point, res.objective_value) == (status, point, value)
-            assert len(pivots) - before == ref_pivots
-            statuses.add(status)
-        assert statuses == {"optimal", "infeasible", "unbounded"}
-        # negative drive-out pivots occurred, so the scale normalisation ran
-        assert any(pivots)
 
 
 def rand_system(rng):

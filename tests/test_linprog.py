@@ -1,5 +1,6 @@
-"""Exact two-phase simplex (reference.lp_solve on linprog's phase 1):
-statuses, optimal points, constraint satisfaction."""
+"""The tests' one reference simplex, reference.lp_solve, a two-phase LP on
+a Fraction tableau that shares no code with ehlcp.linprog: statuses,
+optimal points, constraint satisfaction."""
 
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehlcp.errors import DimensionError
+from ehlcp.linprog import nonneg_solution
 from reference import lp_solve
 
 
-def F(x):
-    return Fraction(x)
+F = Fraction
 
 
 class TestStatuses:
@@ -142,3 +143,16 @@ class TestDegenerate:
         assert res.status == "optimal"
         x, y = res.point
         assert x + y == 1
+
+    def test_ties_break_to_the_least_basic_index(self):
+        # phase 1 meets tied ratios: Bland's rule ends on (2/3, -1/3), a
+        # largest-index tie-break on (1/2, -1/2), and linprog's integer
+        # phase 1 on the same point of the standard form [A | -A | -I] z = b
+        rows = [((F(1), F(-1)), F(1)), ((F(-1), F(-2)), F(0)),
+                ((F(1), F(1)), F(0)), ((F(0), F(-1)), F(0))]
+        res = lp_solve((F(0), F(0)), ineq=rows)
+        assert res.point == (F(2, 3), F(-1, 3))
+        a = [[*r, *(-x for x in r), *(F(-(s == i)) for s in range(4))]
+             for i, (r, _) in enumerate(rows)]
+        z = nonneg_solution(a, [b for _, b in rows])
+        assert (z[0] - z[2], z[1] - z[3]) == res.point

@@ -1,6 +1,8 @@
 """Package boundary: src/ehlcp holds no module-level function or class that
 only the tests use.  Each one must be named by other code of the package,
-or be exported by ehlcp/__init__.py (whose imports count as a use)."""
+or be exported by ehlcp/__init__.py (whose imports count as a use).  And
+the tests' reference code shares no code with ehlcp.linprog, the simplex
+that its reference LP checks."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import ehlcp
 
 SRC = Path(ehlcp.__file__).parent
+REFERENCE = Path(__file__).parent / "reference.py"
 
 
 def _names(node) -> set:
@@ -49,3 +52,17 @@ def test_a_definition_used_only_by_itself_is_reported(tmp_path):
     )
     (tmp_path / "__init__.py").write_text("from .a import Kept\n")
     assert unreferenced_definitions(tmp_path) == ["a.recursive"]
+
+
+def names_linprog(source: str) -> bool:
+    """True when source imports ehlcp.linprog, or names linprog at all."""
+    tree = ast.parse(source)
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    return any("linprog" in str(name).split(".") for name in _names(tree) | modules)
+
+
+def test_the_reference_simplex_shares_no_code_with_linprog():
+    assert not names_linprog(REFERENCE.read_text(encoding="utf-8"))
+    for source in ("from ehlcp import linprog", "import ehlcp.linprog as lp",
+                   "from ehlcp.linprog import _pivot", "import ehlcp\nehlcp.linprog._pivot"):
+        assert names_linprog(source), source
