@@ -14,7 +14,9 @@ representatives._cocircuits (over column subsets) pivot once per node.
 The tree of solver._selector_pieces (over column selectors, carrying the
 right-hand side and the columns of the free unknowns) pivots only where the
 candidate column has a pivot, a nonzero entry on an unpivoted row, and reads
-every leaf as solve_linear reads an RREF.
+every leaf as solve_linear reads an RREF; below a node with one unpivoted
+row and no free unknown it reads each nonsingular leaf's numerators off
+that row and the pivoted rows without a pivot.
 """
 
 from __future__ import annotations

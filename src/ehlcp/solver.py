@@ -12,7 +12,9 @@ its selector's system: a nonsingular selector reads its unique point off it,
 an inconsistent singular one is rejected there, and a consistent singular
 one reads a particular point and a kernel basis off it, from which
 _affine_piece computes the polyhedral piece's dimension, a relative-interior
-point and a basis of its affine hull exactly.
+point and a basis of its affine hull exactly.  Below a node at depth n - 1
+with no free unknown the tree takes no pivot: one row is left unpivoted, and
+each nonsingular leaf is decided from it and the pivoted rows in integers.
 """
 
 from __future__ import annotations
@@ -191,6 +193,13 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     it with another unpivoted one.  A leaf of rank below n is therefore
     inconsistent iff an unpivoted row has a nonzero right-hand side, and
     every other leaf is read as solve_linear reads an RREF.
+
+    The last level below a node with no free position (depth n - 1, rank
+    n - 1) builds no rows: a candidate column nonzero on the one unpivoted
+    row u gives a nonsingular leaf, whose pivot and numerators
+    last_piece reads off u and the pivoted rows as pivot_step would
+    compute them, and decides in integers.  A zero there, and every node
+    with a free position, takes the path above.
     """
     t = inst.matrix_tuple
     n, k = t.n, t.k
@@ -216,40 +225,9 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
             out[m * n + r] = v
         return tuple(out)
 
-    def leaf_piece(sel, rows, free, last):
-        """Piece of the selector at a consistent leaf, or None when no
-        solution of its system meets the box; rows are the pivoted rows,
-        one per position not in free, in position order.  The particular y
-        has y_r = row[1] / last on the pivoted positions and 0 on the free
-        ones; the free position f (column 2 + j, the j-th in free) gives
-        the direction with y_f = 1 and y_r = -row[2 + j] / last.  The box
-        is y_r >= 0, then y_r <= d_{m,r} for 0 < m = sel[r] < k, both in
-        position order."""
-        if last < 0:
-            rows, last = [[-v for v in row] for row in rows], -last
-        if not free and any(row[1] < 0 for row in rows):
-            return None  # the unique y has a negative entry
-        pivots = [r for r in range(n) if r not in free]
-        y = [zero] * n
-        for r, row in zip(pivots, rows):
-            y[r] = Fraction(row[1], last)
-        caps = [(r, upper[m * n + r]) for r, m in enumerate(sel) if 0 < m < k]
-        basis = ()
-        if free:
-            kernel = []
-            for col, f in enumerate(free, 2):
-                v = [zero] * n
-                v[f] = Fraction(1)
-                for r, row in zip(pivots, rows):
-                    v[r] = Fraction(-row[col], last)
-                kernel.append(tuple(v))
-            box = [(r, 1, zero) for r in range(n)] + [(r, -1, -hi) for r, hi in caps]
-            hull = _affine_piece(tuple(y), tuple(kernel), box)
-            if hull is None:
-                return None
-            y, basis = hull
-        elif any(y[r] > hi for r, hi in caps):
-            return None
+    def piece(sel, y, basis):
+        """SolutionPiece of sel with x_{sel[r],r} = y[r], the unknowns sel
+        pins at their bounds, and the directions basis, given like y."""
         pinned = list(zero_point)
         for r, m in enumerate(sel):
             for j in range(1, m):
@@ -257,15 +235,77 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
         return SolutionPiece(sel, stacked(sel, y, pinned), len(basis),
                              tuple(stacked(sel, v, zero_point) for v in basis))
 
+    def last_piece(sel, rows, prev):
+        """Piece of a nonsingular selector at depth n - 1 from a node with
+        no free position, or None when its unique y breaks a bound, decided
+        in integers with no pivot: rows end with the one unpivoted row u,
+        and u[c], c = 2 + s for s = sel[-1], is the pivot the leaf would
+        take.  y_r's numerator over that pivot is (rhs_i * u[c] - row_i[c]
+        * rhs_u) // prev for the pivoted row i of position r, and rhs_u for
+        r = n - 1; for s > 1 each right-hand side carries g_r(s), column g.
+        A Fraction is built only for a kept point."""
+        *pivoted, u = rows
+        c = 2 + sel[-1]
+        g = c + k - 1 if sel[-1] > 1 else None
+        piv = u[c]
+        sign = -1 if piv < 0 else 1
+        rhs_u = u[1] if g is None else u[1] + u[g]
+        if sign * rhs_u < 0:
+            return None
+        nums = []
+        for row in pivoted:
+            rhs = row[1] if g is None else row[1] + row[g]
+            num = sign * ((rhs * piv - row[c] * rhs_u) // prev)
+            if num < 0:
+                return None  # y_r < 0
+            nums.append(num)
+        nums.append(sign * rhs_u)
+        piv *= sign
+        for r, m in enumerate(sel):
+            if 0 < m < k:
+                hi = upper[m * n + r]
+                if nums[r] * hi.denominator > hi.numerator * piv:
+                    return None  # y_r > d_{m,r}
+        return piece(sel, [Fraction(num, piv) for num in nums], ())
+
+    def leaf_piece(sel, rows, free, last):
+        """Piece of the selector at a consistent leaf with a free position,
+        or None when no solution of its system meets the box; rows are the
+        pivoted rows, one per position not in free, in position order.
+        The particular y has y_r = row[1] / last on the pivoted positions
+        and 0 on the free ones; the free position f (column 2 + j, the
+        j-th in free) gives the direction with y_f = 1 and y_r = -row[2 +
+        j] / last.  The box is y_r >= 0, then y_r <= d_{m,r} for 0 < m =
+        sel[r] < k, both in position order."""
+        pivots = [r for r in range(n) if r not in free]
+        y = [zero] * n
+        for r, row in zip(pivots, rows):
+            y[r] = Fraction(row[1], last)
+        kernel = []
+        for col, f in enumerate(free, 2):
+            v = [zero] * n
+            v[f] = Fraction(1)
+            for r, row in zip(pivots, rows):
+                v[r] = Fraction(-row[col], last)
+            kernel.append(tuple(v))
+        box = [(r, 1, zero) for r in range(n)]
+        box += [(r, -1, -upper[m * n + r]) for r, m in enumerate(sel) if 0 < m < k]
+        hull = _affine_piece(tuple(y), tuple(kernel), box)
+        return None if hull is None else piece(sel, *hull)
+
     def subtree(rows, prefix, prev, free):
         """(selector, piece) over the completions of prefix, given the
         node's rows: the pivoted ones, one per position of prefix not in
         free, then the unpivoted ones; prev is the last pivot."""
         depth = len(prefix)
         rank = depth - len(free)
+        last_level = depth == n - 1 and not free
         for s in range(k + 1):
             sel = prefix + (s,)
             c = 2 + s
+            if last_level and rows[-1][c]:
+                yield sel, last_piece(sel, rows, prev)
+                continue
             if s > 1:  # g_r(s) joins the right-hand side
                 a = [[row[c], row[1] + row[c + k - 1]] + row[2 + block:] for row in rows]
             else:
@@ -303,11 +343,12 @@ def solve_all(inst: EhlcpInstance) -> list:
         key=lambda piece: branch_label(piece.selector, t.k),
     )
     pieces = []
-    seen_points = set()
+    seen_points = set()  # as (numerator, denominator) pairs: Fraction's hash is slow
     for piece in found:
         if piece.piece_dimension == 0:
-            if piece.point in seen_points:
+            key = tuple((x.numerator, x.denominator) for x in piece.point)
+            if key in seen_points:
                 continue
-            seen_points.add(piece.point)
+            seen_points.add(key)
         pieces.append(piece)
     return pieces

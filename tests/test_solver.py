@@ -795,6 +795,88 @@ class TestSelectorTree:
         assert pieces_json(solve_all(inst)) == pieces_json(reference_solve_all(inst))
 
 
+class TestLastLevel:
+    """At depth n - 1 a node with no free position has one unpivoted row,
+    and each selector below it is decided in integers with no pivot_step.
+    The instances are n = 2, k = 2 with C_2 = I; each names the selector
+    whose leaf it tests."""
+
+    @pytest.mark.parametrize("n, seed", [(3, 71), (4, 75)])
+    def test_pivots_above_the_last_level_only(self, n, seed, monkeypatch):
+        # every representative of a column W tuple is nonsingular, so every
+        # node above the last level pivots once per child, and no leaf does
+        k = 2
+        t = gen_tuple(GenSpec(n, k, "column_w_constructive", 2, seed))
+        inst = instance_through_point(t, seed + 1)
+        expected = reference_solve_all(inst)
+        calls = []
+        real = solver.pivot_step
+        monkeypatch.setattr(solver, "pivot_step", lambda *a: calls.append(a[1]) or real(*a))
+        pieces = solve_all(inst)
+        assert len(calls) == sum((k + 1) ** d for d in range(1, n))
+        assert pieces and pieces_json(pieces) == pieces_json(expected)
+
+    @staticmethod
+    def decide(c0, c1, d, y, sel):
+        """Piece of sel for the instance (c0, c1, I) with bound d and q
+        chosen so that sel's unknowns y solve its system; checks every
+        selector, and solve_all, against the reference."""
+        t = make_tuple([c0, c1, identity(2)])
+        x = [F(0)] * 6
+        for r, m in enumerate(sel):
+            for j in range(1, m):
+                x[j * 2 + r] = d[r]
+            x[m * 2 + r] = y[r]
+        inst = EhlcpInstance(t, (d,), mat_vec(t.stacked, tuple(x)))
+        decided = dict(assert_pieces_match_reference(inst))
+        assert pieces_json(solve_all(inst)) == pieces_json(reference_solve_all(inst))
+        return decided[sel]
+
+    @pytest.mark.parametrize("y", [(0, 1), (1, 0), (0, 0)])
+    def test_zero_numerator_is_kept(self, y):
+        # y on its lower bound, on the pivoted position, the last one or both
+        piece = self.decide([[2, 1], [1, 1]], identity(2), vec([1, 1]), vec(y), (0, 0))
+        assert piece is not None and piece.point[:2] == vec(y)
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_cap(self, r, excess):
+        # selector (1, 1) caps both unknowns x_{1,r} by d_r; y_r = d_r + excess
+        d = vec(["3/2", "5/3"])
+        y = [F(1), F(1)]
+        y[r] = d[r] + excess
+        piece = self.decide(identity(2), [[2, 1], [1, 1]], d, tuple(y), (1, 1))
+        if excess:
+            assert piece is None
+        else:
+            assert piece.point[2:4] == tuple(y)
+
+    @pytest.mark.parametrize("y1", ["3/2", "-3/2"])
+    def test_negative_pivot(self, y1):
+        # selector (0, 0) pivots on 1, then takes -2 as its last pivot
+        y = vec([1, y1])
+        piece = self.decide([[1, 0], [1, -2]], identity(2), vec([1, 1]), y, (0, 0))
+        if y[1] < 0:
+            assert piece is None
+        else:
+            assert piece.point[:2] == y
+
+    @pytest.mark.parametrize("q", [(3, 3), (3, 4)], ids=["consistent", "inconsistent"])
+    def test_zero_pivot_at_rank_n_minus_1(self, q):
+        # C_0 column 1 is twice column 0: selector (0, 0) pivots at position
+        # 0 and finds a zero pivot at position 1, which is left free
+        t = make_tuple([[[1, 2], [1, 2]], identity(2), identity(2)])
+        inst = EhlcpInstance(t, (vec([1, 1]),), vec(q))
+        piece = dict(assert_pieces_match_reference(inst))[(0, 0)]
+        assert pieces_json(solve_all(inst)) == pieces_json(reference_solve_all(inst))
+        if q == (3, 3):
+            # y_0 + 2 y_1 = 3: a segment along (-2, 1)
+            assert piece.piece_dimension == 1
+            assert piece.kernel_basis == (vec([-2, 1, 0, 0, 0, 0]),)
+        else:
+            assert piece is None
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("label", sorted(GOLDEN_DIGESTS))
     def test_solve_all_bytes(self, label):
