@@ -98,8 +98,8 @@ def cmd_check(args) -> int:
         "timing_seconds": round(time.monotonic() - started, 6),
     }
     if args.recheck:
-        # a fresh instance: the cached determinant scan and cocircuits of
-        # the first pass are recomputed, not read back
+        # a fresh instance: the cached determinant scan, integer A and
+        # cocircuits of the first pass are recomputed, not read back
         again = _check_verdicts(load_instance(args.file), props, args)
         if again != verdicts:
             print("recheck mismatch: verdicts are not reproducible", file=sys.stderr)

@@ -10,16 +10,19 @@ row space.  The cocircuits are computed exactly once per tuple, as the
 signs of maximal minors (MatrixTuple.cocircuits); the pattern generator
 tests each by bit arithmetic where its support ends, so it yields only
 realizable patterns, and the first goes to pattern_realizable, one exact
-phase-1 simplex that builds the witness vector.
+phase-1 simplex that builds the witness vector.  Both read A in integers,
+as MatrixTuple.int_stacked, and the witness stays an integer vector over
+a positive scale until the report prints it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import InvariantError, UndecidedSize
-from .linprog import nonneg_solution
-from .rational import Mat, mat_vec, rat_str, zeros
+from .linprog import _phase1
+from .rational import Mat, rat_str
 from .representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -43,24 +46,29 @@ def _require_within_cap(t: MatrixTuple) -> None:
 
 
 def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
-    """Stacked vector realizing the stacked sign pattern exactly, or None.
+    """(X, scale): a stacked integer vector X with X / scale realizing the
+    stacked sign pattern exactly, scale > 0, or None.
 
     Entry i*n + r of signs is the sign of x_{i,r} over {-1, 0, 1}, S its
     support and sigma its signs there.  Since ker A is a cone, a realizing
     x scales to |x_e| >= 1, so one exists iff some z >= 0 has A_S
-    diag(sigma) (1 + z) = 0: one phase-1 simplex over the |S| unknowns z
-    (nonneg_solution), and x_S = sigma (1 + z).  The deciders call it once,
-    to build the witness.
+    diag(sigma) (1 + z) = 0: one phase-1 simplex (linprog._phase1) over the
+    |S| unknowns z, on the integer rows [A_S diag(sigma) | -A_S sigma] of
+    t.int_stacked.  It ends on a tableau of positive scale with z = Z /
+    scale, and X_S = sigma (scale + Z).  The deciders call it once, to
+    build the witness.
     """
     support = [e for e, s in enumerate(signs) if s != 0]
-    m = [[row[e] * signs[e] for e in support] for row in t.stacked]
-    z = nonneg_solution(m, [-sum(row) for row in m])
-    if z is None:
+    cols = [[row[e] if signs[e] > 0 else -row[e] for e in support] for row in t.int_stacked]
+    found = _phase1([m + [-sum(m)] for m in cols], len(support))
+    if found is None:
         return None
-    x = list(zeros(len(signs)))
-    for e, v in zip(support, z):
-        x[e] = signs[e] * (1 + v)
-    return tuple(x)
+    tab, basis, scale = found
+    z = {col: row[-1] for row, col in zip(tab, basis)}
+    x = [0] * len(signs)
+    for j, e in enumerate(support):
+        x[e] = signs[e] * (scale + z.get(j, 0))
+    return tuple(x), scale
 
 
 def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
@@ -121,18 +129,21 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
     """JSON-ready witness {"pattern", "x"} of the first realizable pattern.
 
     The cocircuit test inside _violating_patterns decides; the LP only
-    builds the vector, which is checked by the definition (A x = 0, with
-    the pattern's signs): an LP that disagrees is a bug, never a verdict.
-    Pattern and vector are stacked until the witness splits them."""
+    builds the vector, which is checked by the definition in integers
+    (int_stacked X = 0, with the pattern's signs): an LP that disagrees is
+    a bug, never a verdict.  Pattern and vector are stacked until the
+    witness splits them, and x_e = X_e / scale is built only to print."""
     signs = next(_violating_patterns(t, mode), None)
     if signs is None:
         return None
-    x = pattern_realizable(t, signs)
-    if x is None or any(mat_vec(t.stacked, x)) or tuple((v > 0) - (v < 0) for v in x) != signs:
+    # no vector reads as the empty one, which has no pattern's signs
+    x, scale = pattern_realizable(t, signs) or ((), 1)
+    if (tuple((v > 0) - (v < 0) for v in x) != signs
+            or any(sum(a * v for a, v in zip(row, x)) for row in t.int_stacked)):
         raise InvariantError(f"cocircuit test passes {signs}; the LP's vector does not")
     return {
         "pattern": [list(row) for row in unstack(signs, t.n)],
-        "x": [[rat_str(v) for v in row] for row in unstack(x, t.n)],
+        "x": [[rat_str(Fraction(v, scale)) for v in row] for row in unstack(x, t.n)],
     }
 
 

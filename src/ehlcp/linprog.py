@@ -37,8 +37,10 @@ def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
     it is a positive multiple of the rational one when [A | b] has one
     common scale.  With every artificial basic, its reduced-cost row is
     the column sums of [A | b], and 0 on the artificials; the row is
-    pivoted as the tableau's last row during the run.  nonneg_solution is
-    the one caller, and nothing drives artificials out afterwards."""
+    pivoted as the tableau's last row during the run.  Nothing drives
+    artificials out afterwards.  nonneg_solution calls it on rational rows
+    it scales, csw.pattern_realizable on rows of MatrixTuple.int_stacked,
+    and each reads z = b_i / scale off the basic rows."""
     m = len(rows)
     tab = [[v if row[-1] >= 0 else -v for v in row[:-1]] + [int(j == i) for j in range(m)]
            + [abs(row[-1])] for i, row in enumerate(rows)]

@@ -80,6 +80,15 @@ class MatrixTuple:
         )
 
     @cached_property
+    def int_stacked(self) -> tuple:
+        """stacked times one common factor, the lcm of all its denominators,
+        as rows of ints: every entry keeps its ratio to every other, so the
+        cocircuits and the witness simplex of csw read it in place of the
+        rational A.  Built once per tuple, like stacked."""
+        mult = lcm(*(x.denominator for row in self.stacked for x in row))
+        return tuple(tuple(int_row(row, mult)) for row in self.stacked)
+
+    @cached_property
     def det_scan(self) -> "DetScan":
         """The shared walk of _det_numerators; CapExceeded on every access
         while the tuple is over SELECTOR_CAP."""
@@ -316,14 +325,15 @@ def _cocircuits(t: MatrixTuple) -> tuple:
     """Cocircuits of A = t.stacked as (pos, neg) bitmasks, bit i*n + r for
     component (i, r), one of each pair +-Y, in order of first appearance.
 
-    B is an integer row basis of A, of rank d.  A tree over the subsets S of
+    B is an integer row basis of A, of rank d, eliminated from a copy of
+    t.int_stacked (_echelon works in place).  A tree over the subsets S of
     d - 1 columns, in combinations order, pivots (rational.pivot_step) at
     each node on the first unused row nonzero in its column and drops that
     row; a column zero on every unused row is dependent on S and ends its
     branch.  The one row left holds the maximal minors det[B_S | B_e] up to
     a common factor, so its sign vector is a cocircuit.
     """
-    a = [int_row(row) for row in t.stacked]
+    a = [list(row) for row in t.int_stacked]
     width = len(a[0])
     rank = len(_echelon(a, width)[0])
     found = {}

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -22,10 +23,12 @@ from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
 from ehlcp.representatives import check_column_ndw_det, make_tuple
-from reference import representative_matrix
+from reference import ref_nonneg_solution, representative_matrix
 
 
 MODES = ("csw", "cone", "ndw")
+# (n, k, seed) whose rational_rows tuple changes its witness under a factor per row
+RATIONAL_SEEDS = [(2, 2, 23), (3, 1, 2)]
 
 
 def identity_pair():
@@ -99,23 +102,33 @@ def assert_witness_valid(t, witness, conclusion):
         assert any(v != 0 for x in xs for v in x)
 
 
-def assert_realizes(t, signs, x):
-    """x is a stacked kernel vector with exactly the stacked pattern's signs
-    and |x_e| >= 1 on the support."""
-    assert len(x) == len(signs) and not any(mat_vec(t.stacked, x))
+def assert_realizes(t, signs, found):
+    """found = (X, scale) holds int numerators over a positive int scale,
+    and x = X / scale is a stacked kernel vector with exactly the stacked
+    pattern's signs and |x_e| >= 1 on the support."""
+    x, scale = found
+    assert all(type(v) is int for v in (*x, scale)) and scale > 0
+    assert len(x) == len(signs) and not any(mat_vec(t.stacked, [Fraction(v, scale) for v in x]))
     for v, s in zip(x, signs):
         assert (v > 0) - (v < 0) == s
-        assert s == 0 or abs(v) >= 1
+        assert s == 0 or abs(v) >= scale
+
+
+def rational_rows(t):
+    """t with row r of every matrix divided by r + 2, so its rows have
+    unequal denominators."""
+    return make_tuple([[[v / (r + 2) for v in row] for r, row in enumerate(m)] for m in t.mats])
 
 
 def tuple_kinds(n, k, seed):
-    """Generic, zero-column, rank-deficient and all-zero tuples."""
+    """Generic, rational, zero-column, rank-deficient and all-zero tuples."""
     generic = gen_tuple(GenSpec(n, k, "generic", 2, seed))
     zero_column = [
         [[0 if r == i % n else v for r, v in enumerate(row)] for row in m]
         for i, m in enumerate(generic.mats)
     ]
     yield generic
+    yield rational_rows(generic)
     yield make_tuple(zero_column)
     if n > 1:
         # row n-1 repeats row 0 in every matrix, so A has rank < n
@@ -150,24 +163,50 @@ class TestPatternRealizable:
 
     def test_all_zero_pattern_is_the_zero_tuple(self):
         t = identity_pair()
-        assert pattern_realizable(t, (0, 0, 0, 0)) == (Fraction(0),) * 4
+        assert pattern_realizable(t, (0, 0, 0, 0)) == ((0,) * 4, 1)
 
     def test_forced_equality_contradiction(self):
         t = identity_pair()
         assert pattern_realizable(t, (1, 0, 0, 0)) is None
 
     def test_zero_column_matrices_leave_later_vectors_free(self, zero_padded_identity):
-        x = pattern_realizable(zero_padded_identity, (0, 0, 1, 0, 1, 0))
-        assert x is not None
-        assert x[:2] == (Fraction(0), Fraction(0))
+        found = pattern_realizable(zero_padded_identity, (0, 0, 1, 0, 1, 0))
+        assert found is not None
+        x, _ = found
+        assert x[:2] == (0, 0)
         assert x[2] > 0 and x[4] > 0
 
     def test_strictness_is_exact_not_epsilon(self):
         # any realizing vector has every signed component at magnitude >= 1
         t = make_tuple([identity(2), [[0, 1], [-1, 0]]])
-        x = pattern_realizable(t, (0, 1, -1, 0))
-        assert x is not None
-        assert x[1] >= 1 and x[2] <= -1
+        found = pattern_realizable(t, (0, 1, -1, 0))
+        assert found is not None
+        x, scale = found
+        assert x[1] >= scale and x[2] <= -scale
+
+    @pytest.mark.parametrize("n, k, seed", RATIONAL_SEEDS)
+    def test_rational_rows_give_the_fraction_reference_vector(self, n, k, seed):
+        # one common factor over A keeps phase 1 on the Fraction simplex's
+        # pivot path, so every realizable candidate gets that simplex's
+        # sigma (1 + z); a factor per row changes the reduced-cost row, so
+        # Bland's entering column and, at these seeds, the vector
+        t = rational_rows(gen_tuple(GenSpec(n, k, "generic", 2, seed)))
+        candidates = dict.fromkeys(chain(*(reference_patterns(t, mode) for mode in MODES)))
+        realized = 0
+        for signs in candidates:
+            support = [e for e, s in enumerate(signs) if s]
+            m = [[row[e] * signs[e] for e in support] for row in t.stacked]
+            z, _ = ref_nonneg_solution(m, [-sum(row) for row in m])
+            found = pattern_realizable(t, signs)
+            assert (found is None) == (z is None), signs
+            if found is not None:
+                x, scale = found
+                expected = [Fraction(0)] * len(signs)
+                for e, v in zip(support, z):
+                    expected[e] = signs[e] * (1 + v)
+                assert [Fraction(v, scale) for v in x] == expected, signs
+                realized += 1
+        assert realized > 0
 
 
 def reference_cocircuits(t):
@@ -267,9 +306,42 @@ class TestCocircuitRealizability:
         assert main(["check", "--file", str(path), "--props", "csw"]) == 0
         witness = json.loads(capsys.readouterr().out)["verdicts"]["csw"]["witness"]
         assert witness == {"pattern": [[-1], [1]], "x": [["-1"], ["2"]]}
-        monkeypatch.setattr(csw, "nonneg_solution", lambda a, b: (Fraction(z),) * len(a[0]))
+        # a phase 1 that ends with every unknown basic at z, on scale 1
+        monkeypatch.setattr(csw, "_phase1", lambda rows, n: ([[z]] * n, list(range(n)), 1))
         assert main(["check", "--file", str(path), "--props", "csw"]) == 4
         assert "the LP's vector does not" in capsys.readouterr().err
+
+
+class TestIntegerWitness:
+    def test_failing_deciders_build_and_check_the_witness_in_integers(
+        self, zero_padded_identity, monkeypatch
+    ):
+        # the witness simplex and the A x = 0 check read int_stacked: no
+        # Fraction mat_vec, and no nonneg_solution scaling rational rows,
+        # through any module's binding of either
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ehlcp"]:
+            for name in ("mat_vec", "nonneg_solution"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        rational = make_tuple([[["1/2", 0], [0, "1/3"]], [["1/2", 0], [0, "-1/3"]]])
+        singular = make_tuple([[["1/2", 0], [0, "1/3"]], [[0, 0], [0, "-1/3"]]])
+        verdicts = [check_csw(zero_padded_identity), check_csw(rational),
+                    check_cone_csw(zero_padded_identity), check_column_ndw_def(zero_padded_identity),
+                    check_column_ndw_def(singular)]
+        assert [v.holds for v in verdicts] == [False] * 5
+        assert [v.decided_by for v in verdicts[:3]] == [
+            "pattern_enumeration", "fast_path_ndw_not_w", "pattern_enumeration"]
+        assert all("pattern" in v.witness for v in verdicts)
+        assert calls == []
+        assert_realizes(rational, (1, 1, 1, -1), pattern_realizable(rational, (1, 1, 1, -1)))
 
 
 class TestCheckCsw:
