@@ -17,12 +17,11 @@ a positive scale until the report prints it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import InvariantError, UndecidedSize
 from .linprog import _phase1
-from .rational import Mat, rat_str
+from .rational import Mat, ratio_str
 from .representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -132,7 +131,7 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
     builds the vector, which is checked by the definition in integers
     (int_stacked X = 0, with the pattern's signs): an LP that disagrees is
     a bug, never a verdict.  Pattern and vector are stacked until the
-    witness splits them, and x_e = X_e / scale is built only to print."""
+    witness splits them, and x_e = X_e / scale is printed from integers."""
     signs = next(_violating_patterns(t, mode), None)
     if signs is None:
         return None
@@ -143,7 +142,7 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
         raise InvariantError(f"cocircuit test passes {signs}; the LP's vector does not")
     return {
         "pattern": [list(row) for row in unstack(signs, t.n)],
-        "x": [[rat_str(Fraction(v, scale)) for v in row] for row in unstack(x, t.n)],
+        "x": [[ratio_str(v, scale) for v in row] for row in unstack(x, t.n)],
     }
 
 

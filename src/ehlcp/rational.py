@@ -8,9 +8,11 @@ The package has one elimination step, pivot_step: a fraction-free
 Gauss-Jordan pivot (Bareiss 1968) on rows scaled to integers, which keeps
 every entry an integer minor.  The determinant is the last pivot,
 solve_linear and left_divide read their results off the rows divided by it,
-linprog's simplex tableau is the rational tableau times it, and the trees of
-representatives._det_numerators (over column selectors) and
-representatives._cocircuits (over column subsets) pivot once per node.
+linprog's simplex tableau is the rational tableau times it, and the tree of
+representatives._cocircuits (over column subsets) pivots once per node.
+The tree of representatives._det_numerators (over column selectors)
+pivots once per node down to depth n-4 and reads the last three levels as
+3 x 3 minors of the three rows left, divided by the last pivot squared.
 The tree of solver._selector_pieces (over column selectors, carrying the
 right-hand side and the columns of the free unknowns) pivots only where the
 candidate column has a pivot, a nonzero entry on an unpivoted row, and reads
@@ -24,7 +26,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
@@ -81,6 +83,16 @@ def rat_str(x: Fraction) -> str:
     longer than Python's int-to-string digit limit is CapExceeded."""
     try:
         return str(x)
+    except ValueError:  # too many digits: ratio_str raises the CapExceeded
+        return ratio_str(x.numerator, x.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """rat_str(Fraction(num, den)) for ints num and den > 0, reduced by
+    their gcd with no Fraction built."""
+    g = gcd(num, den)
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
     except ValueError as exc:
         raise CapExceeded(f"a result exceeds Python's int-to-string limit of "
                           f"{sys.get_int_max_str_digits()} digits") from exc

@@ -9,18 +9,19 @@ the selectors.  Row i of every C_s is scaled to integers by one L_i.  A
 node at depth j holds the unused rows times the k+1 candidate columns of
 each position j..n-1; choosing s_j pivots (rational.pivot_step) on the
 first unused row nonzero in candidate column s_j, then drops that row and
-position j's columns.  At depth n-2 two rows are left, and the last two
-levels are read as 2 x 2 minors of them: each of the (k+1)^2 leaf
-determinants is one Bareiss 2 x 2 step, with no pivot_step and no
-sub-rows.  Siblings share their parent's elimination, so each selector
-costs its path's pivots below the shared prefix, not a full n x n
-determinant.  A candidate column that is zero on every unused row makes
-every completion of the prefix singular.
+position j's columns.  At depth n-3 three rows are left, and each leaf
+below is their 3 x 3 minor over the last pivot squared (Sylvester's
+identity, as Bareiss 1968 states it), expanded along position n-3 with
+the 2 x 2 minors of the last two positions computed once per node: three
+products per leaf, no pivot_step and no sub-rows.  Siblings share their
+parent's elimination, so each selector costs its path's pivots below the
+shared prefix, not a full n x n determinant.  A candidate column that is
+zero on every unused row makes every completion of the prefix singular.
 
 The walk yields each determinant as a signed integer numerator over the
 common positive denominator prod(L_i), so every sign and zero test is an
-integer test.  A Fraction is built only for a determinant a report prints
-(_det_json).
+integer test.  A determinant a report prints is formatted from its
+integers (_det_json, rational.ratio_str), with no Fraction.
 
 Each tuple walks that tree at most once for its non-exhaustive verdicts.
 MatrixTuple.det_scan is a resumable walk that keeps only the first
@@ -28,8 +29,9 @@ MatrixTuple.det_scan is a resumable walk that keeps only the first
 grow with (k+1)^n.  Because selectors compare in walk order, column W,
 column W0 and the determinant form of column ND-W are functions of those
 three first occurrences, and each verdict advances the walk only as far as
-it needs.  An exhaustive column W check keeps its own full walk and records
-it into the scan.
+it needs.  An exhaustive column W check keeps its own full walk, in one
+integer pass (_w_violations) that lists every violation and records the
+first determinant of each sign into the scan.
 
 MatrixTuple.cocircuits holds the cocircuits of A = [C_0 | -C_1 | ... | -C_k]
 that every sign-pattern decision in csw reads, computed once per tuple by
@@ -40,13 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import islice, product
 from math import lcm, prod
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
-from .rational import Mat, _echelon, int_row, mat, pivot_step, rat_str
+from .rational import Mat, _echelon, int_row, mat, pivot_step, ratio_str
 
 SELECTOR_CAP = 10**6
 
@@ -153,7 +154,8 @@ def _det_numerators(t: MatrixTuple) -> tuple:
     before any selector.
 
     The numerator is sign * last_pivot, with sign the parity of the order
-    in which the rows were pivoted."""
+    in which the rows were pivoted; below depth n-4 last_pivot is read as
+    a 3 x 3 minor over the pivot above it squared, with no pivot_step."""
     check_selector_cap(t)
     n, width = t.n, t.k + 1
     scales = [lcm(*(m[i][j].denominator for m in t.mats for j in range(n)))
@@ -161,16 +163,30 @@ def _det_numerators(t: MatrixTuple) -> tuple:
     # column j * width + s of the root holds column j of C_s
     root = [int_row([m[i][j] for j in range(n) for m in t.mats], scale)
             for i, scale in enumerate(scales)]
+    mid, last = range(width, 2 * width), range(2 * width, 3 * width)
 
     def subtree(rows, prefix, prev, sign):
         """Numerators of the completions of prefix, given rows: the unused
         rows over the candidate columns of positions len(prefix)..n-1,
         after fraction-free pivots whose last pivot is prev and whose row
         order has the given sign."""
-        if len(prefix) == n - 2:
-            # two rows left: the leaf (s, u) is their 2 x 2 minor on candidate
-            # columns s and u over prev, the Bareiss step with either row as
-            # pivot; a column s zero in both rows gives 0 with no special case
+        if len(prefix) == n - 3:
+            # three rows left: the leaf (s, u, v) is their 3 x 3 minor on
+            # candidate columns s, u, v over prev^2, expanded along column s
+            # with the 2 x 2 minors M12, M02, M01 shared by every s; the
+            # sign is folded into column s
+            r0, r1, r2 = rows
+            m12 = [r1[a] * r2[b] - r2[a] * r1[b] for a in mid for b in last]
+            m02 = [r0[a] * r2[b] - r2[a] * r0[b] for a in mid for b in last]
+            m01 = [r0[a] * r1[b] - r1[a] * r0[b] for a in mid for b in last]
+            leaves = list(zip(product(range(width), repeat=2), m12, m02, m01))
+            div = prev * prev
+            for s in range(width):
+                sel, x, y, z = prefix + (s,), sign * r0[s], -sign * r1[s], sign * r2[s]
+                for tail, a, b, c in leaves:
+                    yield sel + tail, (x * a + y * b + z * c) // div
+            return
+        if len(prefix) == n - 2:  # n = 2: each leaf is a 2 x 2 minor of the root
             r0, r1 = rows
             for s in range(width):
                 sel, x, y = prefix + (s,), r0[s], r1[s]
@@ -210,18 +226,13 @@ class DetScan:
         self.denom, self._dets = _det_numerators(t)
         self.first: dict = {}
 
-    def record(self, sel: tuple, num: int) -> tuple:
-        """Keep (sel, num) if it is the first of its sign; return it."""
-        self.first.setdefault((num > 0) - (num < 0), (sel, num))
-        return sel, num
-
     def advance(self, enough) -> dict:
         """Walk on until enough(first) is true or every selector has been
         seen; return first."""
         first = self.first
         if not enough(first):
             for sel, num in self._dets:
-                self.record(sel, num)
+                first.setdefault((num > 0) - (num < 0), (sel, num))
                 if enough(first):
                     break
         return first
@@ -232,42 +243,46 @@ class DetScan:
 
 
 def _det_json(sel: tuple, num: int, denom: int) -> dict:
-    """Report entry of the determinant num / denom: the one place the
-    checks build a Fraction, and none for a zero."""
-    return {"selector": list(sel), "determinant": rat_str(Fraction(num, denom)) if num else "0"}
+    """Report entry of the determinant num / denom, formatted from the
+    integers."""
+    return {"selector": list(sel), "determinant": ratio_str(num, denom)}
 
 
-def _w_violations(dets, denom: int) -> Iterator[dict]:
+def _w_violations(dets, denom: int, first: dict) -> Iterator[dict]:
     """The column W violations among (selector, numerator) pairs over denom,
     in their order: each zero, and each determinant whose sign differs
-    from the first nonzero one's."""
-    first = None
+    from the first nonzero one's.  first keeps the first (selector,
+    numerator) of each sign -1, 0, 1 seen, as DetScan.first does."""
+    conflict = None
     for sel, num in dets:
+        first.setdefault((num > 0) - (num < 0), (sel, num))
         if not num:
             yield _det_json(sel, num, denom)
-        elif first is None:
-            first, positive = _det_json(sel, num, denom), num > 0
+        elif conflict is None:
+            conflict, positive = _det_json(sel, num, denom), num > 0
         elif (num > 0) != positive:
-            yield {"conflict_with": first, **_det_json(sel, num, denom)}
+            yield {"conflict_with": conflict, "selector": list(sel),
+                   "determinant": ratio_str(num, denom)}
 
 
 def check_column_w(t: MatrixTuple, exhaustive: bool = False) -> PropertyVerdict:
     """Column W-property: every representative determinant strictly positive,
     or every one strictly negative.
 
-    exhaustive reports every violation, from a full walk of its own that it
-    records into the shared scan.  Otherwise the first violation is found
-    among the scan's first determinant of each sign, in walk order: the
-    earlier of the first zero and the first determinant of the second sign."""
+    exhaustive reports every violation, from a full walk of its own that
+    records the first determinant of each sign into the shared scan.
+    Otherwise the first violation is found among the scan's first
+    determinant of each sign, in walk order: the earlier of the first zero
+    and the first determinant of the second sign."""
     name = "column_w"
     scan = t.det_scan
     if exhaustive:
         denom, walk = _det_numerators(t)
-        violations = list(_w_violations((scan.record(sel, num) for sel, num in walk), denom))
+        violations = list(_w_violations(walk, denom, scan.first))
         scan.finish()
     else:
         first = scan.advance(lambda f: 0 in f or (1 in f and -1 in f))
-        violations = list(islice(_w_violations(sorted(first.values()), scan.denom), 1))
+        violations = list(islice(_w_violations(sorted(first.values()), scan.denom, {}), 1))
     if violations:
         return PropertyVerdict(
             name, False, {"violations": violations},

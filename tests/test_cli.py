@@ -157,12 +157,14 @@ class TestCheck:
 
         doc = {"n": n, "k": 1, "C": [diagonal("1e900"), diagonal("-1e900")]}
         path = write_doc(tmp_path, doc)
-        code, out, err = run_main(["check", "--file", path, "--props", "column_w"], capsys)
-        if 0 < INT_STR_DIGITS < 4501:
-            assert code == 3 and out == ""
-            assert f"int-to-string limit of {INT_STR_DIGITS} digits" in err
-        else:
-            assert code == 0
+        for argv in (["check", "--file", path, "--props", "column_w"],
+                     ["check", "--exhaustive", "--file", path, "--props", "column_w,column_w0"]):
+            code, out, err = run_main(argv, capsys)
+            if 0 < INT_STR_DIGITS < 4501:
+                assert code == 3 and out == "", argv
+                assert f"int-to-string limit of {INT_STR_DIGITS} digits" in err, argv
+            else:
+                assert code == 0, argv
 
     def test_check_selector_cap_exits_3(self, tmp_path, capsys):
         # 2^20 = 1 048 576 representatives exceed the same cap solve uses

@@ -324,11 +324,12 @@ def _count_pivots(monkeypatch):
 
 
 class TestLeafLevels:
-    """The last two tree levels are read as 2 x 2 minors of the two rows
-    left, with no pivot_step: a generic walk pivots only at depths 0..n-3."""
+    """The last three tree levels are read as 3 x 3 Laplace expansions of
+    the three rows left, with no pivot_step: a generic walk pivots only at
+    depths 0..n-4, and at n = 3 not at all."""
 
-    @pytest.mark.parametrize("n, k", [(8, 1), (5, 2)])
-    def test_exhaustive_walk_pivots_above_the_last_two_levels_only(self, monkeypatch, n, k):
+    @pytest.mark.parametrize("n, k", [(8, 1), (5, 2), (3, 2)])
+    def test_walk_pivots_above_the_last_three_levels_only(self, monkeypatch, n, k):
         rng = random.Random(f"leaf-levels-{n}-{k}")
         # entries 1..9 with a random sign: no candidate column is zero
         t = make_tuple([[[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
@@ -336,7 +337,8 @@ class TestLeafLevels:
         expected = _per_selector_dets(t)
         calls = _count_pivots(monkeypatch)
         assert list(walk_dets(t)) == expected
-        assert 0 < len(calls) <= sum((k + 1) ** j for j in range(1, n - 1))
+        bound = sum((k + 1) ** j for j in range(1, n - 2))
+        assert len(calls) <= bound and (len(calls) > 0) == (bound > 0)
 
 
 class TestTreeIsLazy:
