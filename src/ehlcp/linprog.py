@@ -1,21 +1,20 @@
 """Exact rational feasibility by the phase-1 simplex with Bland's rule.
 
-nonneg_solution finds some z >= 0 with a . z = b, or shows there is none,
-by phase 1 alone; no caller optimizes, so there is no phase 2.  The
-tableau, with the reduced-cost row as its last row, is held in integers as
-the rational tableau times a positive scale, and each pivot is
+nonneg_solution finds some z >= 0 with A z = b, or shows there is none,
+by phase 1 alone; no caller optimizes, so there is no phase 2.  Its
+callers hand it the integer rows [A | b] of a rational system times one
+positive factor, and it returns z as integer numerators over one positive
+scale.  The tableau, with the reduced-cost row as its last row, is held in
+integers as the rational tableau times a positive scale, and each pivot is
 rational.pivot_step, so every sign test, ratio and tie-break is the
 rational tableau's.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain
-from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
-from .rational import Vec, int_row, pivot_step
+from .rational import pivot_step
 
 
 def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int, prev: int) -> int:
@@ -38,9 +37,10 @@ def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
     common scale.  With every artificial basic, its reduced-cost row is
     the column sums of [A | b], and 0 on the artificials; the row is
     pivoted as the tableau's last row during the run.  Nothing drives
-    artificials out afterwards.  nonneg_solution calls it on rational rows
-    it scales, csw.pattern_realizable on rows of MatrixTuple.int_stacked,
-    and each reads z = b_i / scale off the basic rows."""
+    artificials out afterwards.  nonneg_solution and
+    csw.pattern_realizable call it, the latter on rows of
+    MatrixTuple.int_stacked, and each reads z = b_i / scale off the basic
+    rows."""
     m = len(rows)
     tab = [[v if row[-1] >= 0 else -v for v in row[:-1]] + [int(j == i) for j in range(m)]
            + [abs(row[-1])] for i, row in enumerate(rows)]
@@ -61,16 +61,19 @@ def _phase1(rows: list[list[int]], n: int) -> Optional[tuple]:
     return None if any(tab[i][-1] for i in range(m) if basis[i] >= n) else (tab, basis, prev)
 
 
-def nonneg_solution(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
-    """Some z >= 0 with a . z = b, exactly, or None if there is none: phase 1
-    alone, on the (nonempty) rows of a scaled with b to integers by one
-    common factor, and z the basic solution it ends on.  The tests'
-    Fraction phase 1 reaches the same z in the same number of pivots."""
-    n = len(a[0])
-    mult = lcm(*(v.denominator for v in chain(b, *a)))
-    found = _phase1([int_row([*row, rhs], mult) for row, rhs in zip(a, b)], n)
+def nonneg_solution(rows: list[list[int]]) -> Optional[tuple]:
+    """(Z, scale) with z = Z / scale some z >= 0 with A z = b, exactly, or
+    None if there is none: phase 1 alone on the (nonempty) integer rows
+    [A | b], which must be the rational rows times one positive factor, and
+    z the basic solution it ends on.  Any such factor gives the same z in
+    the same pivots; the tests' Fraction phase 1 reaches it too."""
+    n = len(rows[0]) - 1
+    found = _phase1(rows, n)
     if found is None:
         return None
-    tab, basis, prev = found
-    basic = {col: Fraction(row[-1], prev) for row, col in zip(tab, basis)}
-    return tuple(basic.get(j, Fraction(0)) for j in range(n))
+    tab, basis, scale = found
+    z = [0] * n
+    for row, col in zip(tab, basis):
+        if col < n:
+            z[col] = row[-1]
+    return z, scale

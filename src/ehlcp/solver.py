@@ -10,11 +10,13 @@ solve_all decides every selector in one fraction-free elimination tree that
 carries the right-hand side (_selector_pieces).  Each leaf holds the RREF of
 its selector's system: a nonsingular selector reads its unique point off it,
 an inconsistent singular one is rejected there, and a consistent singular
-one reads a particular point and a kernel basis off it, from which
-_affine_piece computes the polyhedral piece's dimension, a relative-interior
-point and a basis of its affine hull exactly.  Below a node at depth n - 1
-with no free unknown the tree takes no pivot: one row is left unpivoted, and
-each nonsingular leaf is decided from it and the pivoted rows in integers.
+one reads a particular point and a kernel basis off it, as integer
+numerators over the leaf's last pivot, from which _affine_piece computes
+the polyhedral piece's dimension, a relative-interior point and a basis of
+its affine hull exactly, by phase-1 problems on integer rows.  Below a node
+at depth n - 1 with no free unknown the tree takes no pivot: one row is
+left unpivoted, and each nonsingular leaf is decided from it and the
+pivoted rows in integers.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import lcm
 from typing import Iterator, Optional
 
 from .errors import DimensionError, InputError, InvariantError
 from .linprog import nonneg_solution
-from .rational import Vec, identity, int_row, mat_vec, pivot_step, solve_linear, zeros
+from .rational import Vec, int_row, mat_vec, pivot_step, solve_linear
 from .representatives import MatrixTuple, check_selector_cap
 
 
@@ -89,11 +92,14 @@ def is_solution(inst: EhlcpInstance, x: Vec) -> bool:
     )
 
 
-def _affine_piece(particular, kernel, box) -> Optional[tuple]:
+def _affine_piece(particular, kernel, last, box) -> Optional[tuple]:
     """Feasibility polytope P = {alpha : g_i . alpha >= h_i} of an
     underdetermined selector system, one row per box row, in the kernel
     coordinates alpha: a relative-interior point and a basis of the affine
-    hull, both in the free unknowns; None when P is empty.
+    hull, both in the free unknowns; None when P is empty.  The system's
+    solutions are y = (particular + sum_m alpha_m kernel[m]) / last, given
+    as integer numerators over the nonzero integer last; a box row (c,
+    side, bound) means side * y_c >= bound.
 
     Every LP is a phase-1 problem (nonneg_solution) over alpha = u - v and
     one surplus per row.  [G | -G | -I] z = h gives a point alpha_0 of P, or
@@ -104,63 +110,75 @@ def _affine_piece(particular, kernel, box) -> Optional[tuple]:
     j, so (alpha_0 + sum alpha_j) / (1 + sum t_j) is in P and strict on
     every row that is not implicit.  The hull is the kernel of the
     implicit rows.
+
+    Every LP is built in integers: each entry is its rational value times
+    one factor, |last| times the lcm of the used bounds' denominators, so
+    Bland's rule takes the path it takes on the rational rows (a factor
+    per row would change the reduced-cost row, and so the point).  alpha
+    is kept as integer numerators over a running scale, and a Fraction is
+    built only per output coordinate.
     """
     dim_a = len(kernel)
-    # box row c in alpha coordinates: grad . alpha >= bound - sign * particular[c]
-    grads, rests = [], []
-    for c, sign, bound in box:
-        grad = tuple(sign * direction[c] for direction in kernel)
-        rest = bound - sign * particular[c]
+    sign = -1 if last < 0 else 1
+    # box row c times |last|: grad . alpha >= bound * |last| - shift
+    used = []
+    for c, side, bound in box:
+        grad = [sign * side * direction[c] for direction in kernel]
+        shift = sign * side * particular[c]
         if any(grad):
-            grads.append(grad)
-            rests.append(rest)
-        elif rest > 0:
+            used.append((grad, shift, bound))
+        elif bound.numerator * abs(last) > shift * bound.denominator:
             return None  # an unknown outside the kernel violates its bound
-    if not grads:
+    if not used:
         # a kernel direction moves some unknown, whose y >= 0 row then has a gradient
         raise InvariantError("no box row of an underdetermined system has a gradient")
-    rows = range(len(grads))
-    surplus = [[-int(i == j) for j in rows] for i in rows]
-    split = [[*g, *(-x for x in g)] for g in grads]
-    z = nonneg_solution([g + s for g, s in zip(split, surplus)], rests)
-    if z is None:
+    mult = lcm(*(bound.denominator for _, _, bound in used))
+    scale = abs(last) * mult
+    rows = range(len(used))
+    split = [[mult * x for x in grad] + [-mult * x for x in grad] for grad, _, _ in used]
+    rests = [bound.numerator * (mult // bound.denominator) * abs(last) - mult * shift
+             for _, shift, bound in used]
+    surplus = [[-scale * (i == j) for j in rows] for i in rows]
+    found = nonneg_solution([g + s + [h] for g, s, h in zip(split, surplus, rests)])
+    if found is None:
         return None
+    z, den = found
+    # alpha = num / total: (alpha_0 + sum alpha_j) and (1 + sum t_j) over den
     num = [u - v for u, v in zip(z, z[dim_a:2 * dim_a])]
-    den = 1
+    total = den
     slack = {i for i in rows if z[2 * dim_a + i]}
     homogenized = [g + [-h] + s for g, h, s in zip(split, rests, surplus)]
-    implicit_grads = []
+    implicit = []
     for j in rows:
         if j in slack:
             continue
-        w = nonneg_solution(homogenized, [int(i == j) for i in rows])
-        if w is None:
-            implicit_grads.append(grads[j])
+        found = nonneg_solution([row + [scale * (i == j)] for i, row in enumerate(homogenized)])
+        if found is None:
+            implicit.append(split[j][:dim_a])
             continue
-        num = [x + u - v for x, u, v in zip(num, w, w[dim_a:2 * dim_a])]
-        den += w[2 * dim_a]
+        w, w_den = found
+        num = [x * w_den + (u - v) * den for x, u, v in zip(num, w, w[dim_a:2 * dim_a])]
+        total = total * w_den + w[2 * dim_a] * den
+        den *= w_den
         slack.update(i for i in rows if w[2 * dim_a + 1 + i])
-    alpha = [x / den for x in num]
-
-    # affine hull: alpha directions annihilating every implicit equality
-    if implicit_grads:
-        null = solve_linear(tuple(implicit_grads), zeros(len(implicit_grads)))
-        free = null.kernel_basis
-    else:
-        free = identity(dim_a)
-    basis = tuple(
-        tuple(
-            sum(beta[m] * kernel[m][j] for m in range(dim_a))
-            for j in range(len(particular))
-        )
-        for beta in free
-    )
 
     point = tuple(
-        x + sum(alpha[m] * kernel[m][j] for m in range(dim_a))
+        Fraction(x * total + sum(a * direction[j] for a, direction in zip(num, kernel)),
+                 last * total)
         for j, x in enumerate(particular)
     )
-    return point, basis
+    if not implicit:
+        return point, tuple(tuple(Fraction(x, last) for x in direction) for direction in kernel)
+    # affine hull: alpha directions beta annihilating every implicit equality
+    basis = []
+    for beta in solve_linear(tuple(implicit), (0,) * len(implicit)).kernel_basis:
+        beta_den = lcm(*(x.denominator for x in beta))
+        beta = int_row(beta, beta_den)
+        basis.append(tuple(
+            Fraction(sum(b * direction[j] for b, direction in zip(beta, kernel)), last * beta_den)
+            for j in range(len(particular))
+        ))
+    return point, tuple(basis)
 
 
 def branch_label(selector: tuple, k: int) -> list:
@@ -272,25 +290,26 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
         """Piece of the selector at a consistent leaf with a free position,
         or None when no solution of its system meets the box; rows are the
         pivoted rows, one per position not in free, in position order.
-        The particular y has y_r = row[1] / last on the pivoted positions
-        and 0 on the free ones; the free position f (column 2 + j, the
-        j-th in free) gives the direction with y_f = 1 and y_r = -row[2 +
-        j] / last.  The box is y_r >= 0, then y_r <= d_{m,r} for 0 < m =
-        sel[r] < k, both in position order."""
+        Over the last pivot last, the particular y has numerators row[1] on
+        the pivoted positions and 0 on the free ones; the free position f
+        (column 2 + j, the j-th in free) gives the direction with
+        numerators last at f and -row[2 + j] on the pivoted positions.  The
+        box is y_r >= 0, then y_r <= d_{m,r} for 0 < m = sel[r] < k, both in
+        position order."""
         pivots = [r for r in range(n) if r not in free]
-        y = [zero] * n
+        y = [0] * n
         for r, row in zip(pivots, rows):
-            y[r] = Fraction(row[1], last)
+            y[r] = row[1]
         kernel = []
         for col, f in enumerate(free, 2):
-            v = [zero] * n
-            v[f] = Fraction(1)
+            v = [0] * n
+            v[f] = last
             for r, row in zip(pivots, rows):
-                v[r] = Fraction(-row[col], last)
-            kernel.append(tuple(v))
+                v[r] = -row[col]
+            kernel.append(v)
         box = [(r, 1, zero) for r in range(n)]
         box += [(r, -1, -upper[m * n + r]) for r, m in enumerate(sel) if 0 < m < k]
-        hull = _affine_piece(tuple(y), tuple(kernel), box)
+        hull = _affine_piece(y, kernel, last, box)
         return None if hull is None else piece(sel, *hull)
 
     def subtree(rows, prefix, prev, free):

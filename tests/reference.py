@@ -14,9 +14,11 @@ suites build for a tuple without column ND-W.
 
 solve_branch is the per-selector path that the solver tree replaced: the
 selector's n x n system built from scratch by selector_system, solved by
-solve_linear and handed to solver._affine_piece.  It lists the free
-unknowns in position order, so its RREF leaves free the same unknowns as
-the tree, and the two give the same pieces byte for byte.
+solve_linear and handed to solver._affine_piece, its rational particular
+point and kernel put over one common denominator by
+over_common_denominator.  It lists the free unknowns in position order, so
+its RREF leaves free the same unknowns as the tree, and the two give the
+same pieces byte for byte.
 
 lp_solve is the one reference simplex: a two-phase LP over free variables
 on a Fraction tableau, Bland's rule throughout, the zero-valued artificials
@@ -26,12 +28,14 @@ a positive scale; ref_nonneg_solution is its phase 1 alone, the reference
 of linprog.nonneg_solution down to the pivot count.
 affine_piece_lp is the solver's former _affine_piece on top of lp_solve: one
 slack-maximizing LP per box row with a gradient, and the average of the
-slack maximizers as the point.
+slack maximizers as the point.  It takes _affine_piece's integer
+numerators and denominator and divides them out first.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 from typing import Optional
 
 from ehlcp import solver
@@ -86,6 +90,15 @@ def selector_system(inst: EhlcpInstance, selector: tuple):
     return free, a, rhs, pinned, box
 
 
+def over_common_denominator(particular, kernel) -> tuple:
+    """(particular, kernel, den) of solver._affine_piece for a rational
+    particular point and kernel directions: their integer numerators over
+    den, the least common positive denominator."""
+    den = lcm(*(x.denominator for x in chain(particular, *kernel)))
+    return ([x.numerator * (den // x.denominator) for x in particular],
+            [[x.numerator * (den // x.denominator) for x in v] for v in kernel], den)
+
+
 def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece]:
     """Solution piece of one column selector, or None when it is infeasible."""
     t = inst.matrix_tuple
@@ -100,7 +113,7 @@ def solve_branch(inst: EhlcpInstance, selector: tuple) -> Optional[SolutionPiece
         if any(sign * y[c] < bound for c, sign, bound in box):
             return None
     else:
-        hull = solver._affine_piece(res.particular, res.kernel_basis, box)
+        hull = solver._affine_piece(*over_common_denominator(res.particular, res.kernel_basis), box)
         if hull is None:
             return None
         y, basis = hull
@@ -287,9 +300,11 @@ def lp_solve(objective: Vec, eq=(), ineq=()) -> LpResult:
     return LpResult("optimal", point, sum(o * p for o, p in zip(obj, point)))
 
 
-def affine_piece_lp(particular, kernel, box) -> Optional[tuple]:
+def affine_piece_lp(particular, kernel, last, box) -> Optional[tuple]:
     """solver._affine_piece by slack-maximizing LPs: (point, basis) in the
     free unknowns, or None when the polytope is empty."""
+    particular = [Fraction(x, last) for x in particular]
+    kernel = [[Fraction(x, last) for x in v] for v in kernel]
     dim_a = len(kernel)
     alpha_ineqs = []
     for c, sign, bound in box:

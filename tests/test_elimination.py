@@ -12,6 +12,7 @@ exactly.
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -225,10 +226,14 @@ class TestNonnegSolution:
         monkeypatch.setattr(linprog, "_pivot", counting_pivot)
         rng = random.Random(300 + seed)
         feasible = set()
-        for _ in range(300):
+        for i in range(300):
             a, b = rand_system(rng)
             before = len(pivots)
-            z = nonneg_solution(a, b)
+            # the rows times a positive multiple of their lcm: any one
+            # common factor gives the same z in the same pivots
+            mult = lcm(*(x.denominator for x in chain(b, *a))) * (1 + i % 3)
+            found = nonneg_solution([int_row([*row, rhs], mult) for row, rhs in zip(a, b)])
+            z = None if found is None else tuple(Fraction(x, found[1]) for x in found[0])
             ref_z, ref_pivots = ref_nonneg_solution(a, b)
             assert z == ref_z
             assert len(pivots) - before == ref_pivots

@@ -152,7 +152,7 @@ class TestDegenerate:
                 ((F(1), F(1)), F(0)), ((F(0), F(-1)), F(0))]
         res = lp_solve((F(0), F(0)), ineq=rows)
         assert res.point == (F(2, 3), F(-1, 3))
-        a = [[*r, *(-x for x in r), *(F(-(s == i)) for s in range(4))]
-             for i, (r, _) in enumerate(rows)]
-        z = nonneg_solution(a, [b for _, b in rows])
-        assert (z[0] - z[2], z[1] - z[3]) == res.point
+        int_rows = [[*map(int, r), *(-int(x) for x in r), *(-(s == i) for s in range(4)), int(b)]
+                    for i, (r, b) in enumerate(rows)]
+        z, scale = nonneg_solution(int_rows)
+        assert (F(z[0] - z[2], scale), F(z[1] - z[3], scale)) == res.point

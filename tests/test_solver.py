@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ehlcp import solver
+from ehlcp import linprog, solver
 from ehlcp.errors import CapExceeded, DimensionError, InputError, InvariantError
 from ehlcp.harness import (
     GenSpec,
@@ -29,6 +29,7 @@ from ehlcp.solver import (
 from reference import (
     affine_piece_lp,
     ndw_two_solutions,
+    over_common_denominator,
     representative_matrix,
     selector_system,
     solve_branch,
@@ -496,10 +497,10 @@ class TestSolveBranch:
         calls = []
         real = solver.nonneg_solution
         monkeypatch.setattr(solver, "nonneg_solution",
-                            lambda a, b: calls.append((a, real(a, b))) or calls[-1][1])
+                            lambda rows: calls.append((rows, real(rows))) or calls[-1][1])
         assert solve_branch(segment_instance(), (1, 0)) is not None
-        a, z = calls[0]
-        surplus = z[len(a[0]) - len(a):]  # one surplus per bound row
+        rows, (z, _) = calls[0]
+        surplus = z[len(rows[0]) - 1 - len(rows):]  # one surplus per bound row
         assert 1 < len(calls) <= 1 + sum(1 for v in surplus if v == 0)
         calls.clear()
         empty = EhlcpInstance(segment_instance().matrix_tuple, (), (F(0), F(-1)))
@@ -555,9 +556,13 @@ class TestAffinePiece:
 
     def test_matches_the_lp_reference(self):
         seen = Counter()
-        for particular, kernel, box in underdetermined_systems():
-            got = solver._affine_piece(particular, kernel, box)
-            ref = affine_piece_lp(particular, kernel, box)
+        for i, (particular, kernel, box) in enumerate(underdetermined_systems()):
+            particular, kernel, last = over_common_denominator(particular, kernel)
+            if i % 2:  # the tree's last pivot may be negative
+                particular, kernel, last = ([-x for x in particular],
+                                            [[-x for x in v] for v in kernel], -last)
+            got = solver._affine_piece(particular, kernel, last, box)
+            ref = affine_piece_lp(particular, kernel, last, box)
             assert (got is None) == (ref is None)
             if ref is None:
                 seen["empty"] += 1
@@ -579,11 +584,11 @@ class TestAffinePiece:
     def test_single_point_in_alpha(self):
         # y = alpha * (1, -1) >= 0 pins alpha = 0
         box = [(0, 1, F(0)), (1, 1, F(0))]
-        assert solver._affine_piece(vec([0, 0]), (vec([1, -1]),), box) == (vec([0, 0]), ())
+        assert solver._affine_piece([0, 0], [[1, -1]], 1, box) == (vec([0, 0]), ())
 
     def test_no_row_with_a_gradient_is_an_invariant_error(self):
         with pytest.raises(InvariantError):
-            solver._affine_piece(vec([0, 0]), (vec([0, 0]),), [(0, 1, F(0)), (1, 1, F(0))])
+            solver._affine_piece([0, 0], [[0, 0]], 1, [(0, 1, F(0)), (1, 1, F(0))])
 
 
 class TestSolveAll:
@@ -893,6 +898,43 @@ class TestGoldenOutput:
         assert [(p.selector, p.piece_dimension, p.kernel_basis) for p in pieces] == [
             (p.selector, p.piece_dimension, p.kernel_basis) for p in solve_all(inst)
         ]
+
+
+class TestIntegerHull:
+    @pytest.mark.parametrize("label", [x for x in sorted(GOLDEN_DIGESTS) if x.startswith("segment")])
+    def test_hull_lps_take_the_trees_integers(self, label, monkeypatch):
+        # every piece's LP rows are built as exact ints from the tree's
+        # rows, and linprog scales no rational row to integers itself
+        rows_seen = []
+        real = solver.nonneg_solution
+
+        def spy(*args):
+            rows_seen.extend(args[0])
+            return real(*args)
+
+        def fail(*args):
+            raise AssertionError("linprog scaled rational rows with int_row")
+
+        monkeypatch.setattr(solver, "nonneg_solution", spy)
+        monkeypatch.setattr(linprog, "int_row", fail, raising=False)
+        text = pieces_json(solve_all(golden_instance(label)))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[label]
+        assert rows_seen and all(type(x) is int for row in rows_seen for x in row)
+
+    def test_one_factor_for_every_row(self):
+        # a per-row factor on either LP's rows changes the reduced-cost row,
+        # so Bland's entering columns: under it the dimension-2 piece of
+        # selector (1, 1, 0, 0), whose system has two zero rows, ends on
+        # another point of its polytope
+        doc = {"n": 4, "k": 2,
+               "C": [[[1, 2, -2, 2], [1, 2, -1, -1], [1, -1, 0, 0], [2, 1, 0, 0]],
+                     [[1, 0, 1, 0], [2, 1, 1, 0], [0, 0, 1, 2], [0, 0, 1, 2]],
+                     [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]],
+               "d": [["4/3", "7", "1/2", "5/3"]], "q": ["-1/3", "-7/6", "0", "0"]}
+        pieces = {p.selector: p for p in solve_all(parse_instance(doc))}
+        piece = pieces[(1, 1, 0, 0)]
+        assert piece.piece_dimension == 2
+        assert piece.point == vec([0, 0, "4/69", "3/46", "8/23", "8/23", 0, 0, 0, 0, 0, 0])
 
 
 class TestClosedFormSolution:
