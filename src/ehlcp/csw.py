@@ -9,10 +9,11 @@ orthogonal to every cocircuit of A, the minimal-support sign vectors of its
 row space.  The cocircuits are computed exactly once per tuple, as the
 signs of maximal minors (MatrixTuple.cocircuits); the pattern generator
 tests each by bit arithmetic where its support ends, so it yields only
-realizable patterns, and the first goes to pattern_realizable, one exact
-phase-1 simplex that builds the witness vector.  Both read A in integers,
-as MatrixTuple.int_stacked, and the witness stays an integer vector over
-a positive scale until the report prints it.
+realizable patterns, and the first goes to pattern_realizable, which
+builds the witness vector by one linprog.nonneg_solution call, the
+package's one phase-1 simplex.  Both read A in integers, as
+MatrixTuple.int_stacked, and the witness stays an integer vector over a
+positive scale until the report prints it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .errors import InvariantError, UndecidedSize
-from .linprog import _phase1
+from .linprog import nonneg_solution
 from .rational import Mat, ratio_str
 from .representatives import (
     MatrixTuple,
@@ -51,22 +52,20 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     Entry i*n + r of signs is the sign of x_{i,r} over {-1, 0, 1}, S its
     support and sigma its signs there.  Since ker A is a cone, a realizing
     x scales to |x_e| >= 1, so one exists iff some z >= 0 has A_S
-    diag(sigma) (1 + z) = 0: one phase-1 simplex (linprog._phase1) over the
-    |S| unknowns z, on the integer rows [A_S diag(sigma) | -A_S sigma] of
-    t.int_stacked.  It ends on a tableau of positive scale with z = Z /
-    scale, and X_S = sigma (scale + Z).  The deciders call it once, to
-    build the witness.
+    diag(sigma) (1 + z) = 0: one linprog.nonneg_solution call over the |S|
+    unknowns z, on the integer rows [A_S diag(sigma) | -A_S sigma] of
+    t.int_stacked.  It gives z = Z / scale, and X_S = sigma (scale + Z).
+    The deciders call it once, to build the witness.
     """
     support = [e for e, s in enumerate(signs) if s != 0]
     cols = [[row[e] if signs[e] > 0 else -row[e] for e in support] for row in t.int_stacked]
-    found = _phase1([m + [-sum(m)] for m in cols], len(support))
+    found = nonneg_solution([m + [-sum(m)] for m in cols])
     if found is None:
         return None
-    tab, basis, scale = found
-    z = {col: row[-1] for row, col in zip(tab, basis)}
+    z, scale = found
     x = [0] * len(signs)
-    for j, e in enumerate(support):
-        x[e] = signs[e] * (scale + z.get(j, 0))
+    for e, v in zip(support, z):
+        x[e] = signs[e] * (scale + v)
     return tuple(x), scale
 
 

@@ -306,8 +306,8 @@ class TestCocircuitRealizability:
         assert main(["check", "--file", str(path), "--props", "csw"]) == 0
         witness = json.loads(capsys.readouterr().out)["verdicts"]["csw"]["witness"]
         assert witness == {"pattern": [[-1], [1]], "x": [["-1"], ["2"]]}
-        # a phase 1 that ends with every unknown basic at z, on scale 1
-        monkeypatch.setattr(csw, "_phase1", lambda rows, n: ([[z]] * n, list(range(n)), 1))
+        # a phase 1 that ends with every unknown at z, on scale 1
+        monkeypatch.setattr(csw, "nonneg_solution", lambda rows: ([z] * (len(rows[0]) - 1), 1))
         assert main(["check", "--file", str(path), "--props", "csw"]) == 4
         assert "the LP's vector does not" in capsys.readouterr().err
 
@@ -317,20 +317,20 @@ class TestIntegerWitness:
         self, zero_padded_identity, monkeypatch
     ):
         # the witness simplex and the A x = 0 check read int_stacked: no
-        # Fraction mat_vec, and no nonneg_solution scaling rational rows,
-        # through any module's binding of either
+        # Fraction mat_vec through any module's binding, and one
+        # nonneg_solution call per failing verdict, on exact int rows
         calls = []
 
         def spy(name, real):
             def wrapper(*args):
-                calls.append(name)
+                calls.append((name, args))
                 return real(*args)
             return wrapper
 
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ehlcp"]:
-            for name in ("mat_vec", "nonneg_solution"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+            if hasattr(module, "mat_vec"):
+                monkeypatch.setattr(module, "mat_vec", spy("mat_vec", module.mat_vec))
+        monkeypatch.setattr(csw, "nonneg_solution", spy("nonneg_solution", csw.nonneg_solution))
         rational = make_tuple([[["1/2", 0], [0, "1/3"]], [["1/2", 0], [0, "-1/3"]]])
         singular = make_tuple([[["1/2", 0], [0, "1/3"]], [[0, 0], [0, "-1/3"]]])
         verdicts = [check_csw(zero_padded_identity), check_csw(rational),
@@ -340,7 +340,8 @@ class TestIntegerWitness:
         assert [v.decided_by for v in verdicts[:3]] == [
             "pattern_enumeration", "fast_path_ndw_not_w", "pattern_enumeration"]
         assert all("pattern" in v.witness for v in verdicts)
-        assert calls == []
+        assert [name for name, _ in calls] == ["nonneg_solution"] * 5
+        assert all(type(v) is int for _, (rows,) in calls for row in rows for v in row)
         assert_realizes(rational, (1, 1, 1, -1), pattern_realizable(rational, (1, 1, 1, -1)))
 
 
