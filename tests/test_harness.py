@@ -23,7 +23,7 @@ from ehlcp.harness import (
     verify_theorem,
 )
 from ehlcp.io import parse_instance
-from ehlcp.rational import identity, inverse, mat_vec, vec, zeros
+from ehlcp.rational import det, identity, inverse, mat, mat_vec, vec, zeros
 from ehlcp.representatives import (
     PropertyVerdict,
     check_column_ndw_det,
@@ -31,7 +31,14 @@ from ehlcp.representatives import (
     make_tuple,
 )
 from ehlcp.solver import is_solution, solve_all
-from reference import combine, mat_mul, midpoints_solve, ndw_two_solutions, solution_points
+from reference import (
+    combine,
+    mat_mul,
+    midpoints_solve,
+    ndw_two_solutions,
+    representative_matrix,
+    solution_points,
+)
 
 
 class TestSplitMix64:
@@ -110,6 +117,94 @@ class TestNormalized:
                             assert _normalized(u) == expected, u
                         singular += inv is None
         assert singular > 0
+
+
+def diagonal_combination(t, diags):
+    """sum_i C_i D_i with D_i = diag(diags[i])."""
+    return mat([[sum(m[row][r] * d[r] for m, d in zip(t.mats, diags)) for r in range(t.n)]
+                for row in range(t.n)])
+
+
+def singular_combination(t):
+    """Diagonals D_0, ..., D_k, nonnegative with a positive entry in each
+    column, whose combination is singular, for a tuple that check_column_w
+    has found not column W.  From the scan's first determinants: the
+    indicator of the first zero selector, or else a walk from the first
+    positive selector to the first negative one, one position at a time,
+    to the first zero or sign change.  Where the sign changes from delta to
+    delta' at position r, column r takes 1 - lam on the block it leaves and
+    lam on the block it enters, lam = delta / (delta - delta'), so the
+    determinant (1 - lam) delta + lam delta' is 0 by multilinearity."""
+    def indicator(sel):
+        return [[Fraction(s == i) for s in sel] for i in range(t.k + 1)]
+
+    first = t.det_scan.first
+    if 0 in first:
+        return indicator(first[0][0])
+    sel, target = first[1][0], first[-1][0]
+    delta = det(representative_matrix(t, sel))
+    for r in range(t.n):
+        if sel[r] == target[r]:
+            continue
+        nxt = sel[:r] + (target[r],) + sel[r + 1:]
+        after = det(representative_matrix(t, nxt))
+        if after == 0:
+            return indicator(nxt)
+        if (after > 0) != (delta > 0):
+            lam = delta / (delta - after)
+            diags = indicator(sel)
+            diags[sel[r]][r], diags[nxt[r]][r] = 1 - lam, lam
+            return diags
+        sel, delta = nxt, after
+    raise AssertionError("selectors of opposite sign without a sign change between them")
+
+
+class TestDiagonalCombinations:
+    """T2.1's clause on diagonal combinations is column W both ways, checked
+    with rational.det, which shares no code with the determinant tree."""
+
+    SHAPES = ((1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+
+    def test_column_w_combinations_are_nonsingular_with_the_scan_sign(self):
+        tuples = [gen_tuple(GenSpec(n, k, "column_w_constructive", 2, subseed(61, 10 * n + k)))
+                  for n, k in self.SHAPES]
+        # a rational C, and the generic W tuples, which are not C_0 times diagonals
+        tuples.append(make_tuple([[[Fraction(v, i + 2) for v in row] for row in m]
+                                  for i, m in enumerate(tuples[-1].mats)]))
+        generic = [gen_tuple(GenSpec(n, k, "generic", 2, subseed(64, seed)))
+                   for n, k in ((2, 2), (3, 1)) for seed in range(300)]
+        tuples += [t for t in generic if check_column_w(t).holds]
+        assert len(tuples) == len(self.SHAPES) + 1 + 5  # 1 generic W tuple at (2,2), 4 at (3,1)
+        rng = SplitMix64(62)
+        for t in tuples:
+            assert check_column_w(t).holds
+            sign = 1 if 1 in t.det_scan.first else -1
+            for _ in range(40):
+                diags = [[Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(t.n)]
+                         for _ in range(t.k + 1)]
+                for r in range(t.n):
+                    if not any(d[r] for d in diags):
+                        diags[rng.randint(0, t.k)][r] = Fraction(1)
+                value = det(diagonal_combination(t, diags))
+                assert (value > 0) - (value < 0) == sign, (t, diags)
+
+    def test_non_w_tuples_have_a_singular_combination(self):
+        zeros_first = far_apart = 0
+        for family in ("generic", "degenerate", "z_structured"):
+            for n, k in self.SHAPES:
+                for seed in range(8):
+                    t = gen_tuple(GenSpec(n, k, family, 2, subseed(63, 100 * n + 10 * k + seed)))
+                    if check_column_w(t).holds:
+                        continue
+                    first = t.det_scan.first
+                    zeros_first += 0 in first
+                    far_apart += 0 not in first and sum(
+                        a != b for a, b in zip(first[1][0], first[-1][0])) >= 2
+                    diags = singular_combination(t)
+                    assert all(x >= 0 for d in diags for x in d)
+                    assert all(any(d[r] for d in diags) for r in range(t.n))
+                    assert det(diagonal_combination(t, diags)) == 0, t
+        assert zeros_first > 0 and far_apart > 0, (zeros_first, far_apart)
 
 
 class TestTwoSolutions:
@@ -272,7 +367,7 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(csw, "_first_violation", counted)
         spec = GenSpec(2, 2, "generic", 2, 0)
-        assert _check_t42(spec, 0, paper_example_tuple(), None) == []
+        assert _check_t42(spec, 0, paper_example_tuple()) == []
         assert calls == ["csw"]
 
     def test_reports_are_seed_deterministic(self):
