@@ -7,9 +7,12 @@ orthogonality of oriented matroids (Bland & Las Vergnas 1978; Björner et
 al., Oriented Matroids, section 3.4) that holds iff the pattern is
 orthogonal to every cocircuit of A, the minimal-support sign vectors of its
 row space.  The cocircuits are computed exactly once per tuple, as the
-signs of maximal minors (MatrixTuple.cocircuits); the pattern generator
-tests each by bit arithmetic where its support ends, so it yields only
-realizable patterns, and the first goes to pattern_realizable, which
+signs of maximal minors (MatrixTuple.cocircuits), and transposed into one
+bitmask over cocircuit indices per component and sign
+(MatrixTuple.cocircuit_bits).  The pattern generator walks each property's
+move table over column states, and at each component tests every
+cocircuit whose support ends there by one bitmask operation, so it yields
+only realizable patterns, and the first goes to pattern_realizable, which
 builds the witness vector by one linprog.nonneg_solution call, the
 package's one phase-1 simplex.  Both read A in integers, as
 MatrixTuple.int_stacked, and the witness stays an integer vector over a
@@ -69,58 +72,94 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     return tuple(x), scale
 
 
+def _move_table(later: tuple, disjoint: bool) -> tuple:
+    """A mode's column hypotheses as data: for each column state, the
+    allowed (symbol, next state, violates) moves in (-, 0, +) order.
+
+    State 0 is a column before block 0; the others stand for (signs, last),
+    the nonzero symbols its next block may take and whether its last block
+    is nonzero.  Blocks i >= 1 take their nonzero symbols from later, with
+    x_0 * x_i <= 0.  With disjoint (ndw) a column has at most one nonzero
+    block, and any nonzero violates the conclusion (not identically zero);
+    otherwise (csw, cone) the nonzero blocks i >= 1 share a sign, and a
+    nonzero right below another violates it (a consecutive product)."""
+    order = [None]  # states by number, appended to as they are reached
+    number = {None: 0}
+    rows = []
+    for state in order:
+        if state is None:
+            moves = [(s, (() if disjoint and s else tuple(x for x in later if x * s <= 0),
+                          s != 0), disjoint and s != 0) for s in SYMBOLS]
+        else:
+            signs, last = state
+            moves = [(s, (signs, False), False) if s == 0
+                     else (s, (() if disjoint else (s,), True), disjoint or last)
+                     for s in SYMBOLS if s == 0 or s in signs]
+        for _, after, _ in moves:
+            if after not in number:
+                number[after] = len(order)
+                order.append(after)
+        rows.append(tuple((s, number[after], hit) for s, after, hit in moves))
+    return tuple(rows)
+
+
+_MOVES = {
+    "csw": _move_table((-1, 1), False),  # (a) x_i * x_j >= 0, (b) x_0 * x_i <= 0
+    "cone": _move_table((1,), False),  # (b), and x_i >= 0 for i >= 1
+    "ndw": _move_table((-1, 1), True),  # pairwise-disjoint supports
+}
+
+
 def _violating_patterns(t: MatrixTuple, mode: str) -> Iterator[tuple]:
     """Realizable hypothesis-satisfying, conclusion-violating stacked
     patterns in canonical order.
 
     Components e = i*n + r are placed one at a time, row-major, with symbol
     order (-, 0, +), so the first realizable pattern is schedule-independent.
-    A symbol is placed only if it keeps the hypotheses with the rows above
-    it in its column: (a) x_i * x_j >= 0 for 1 <= i < j (csw), (b)
-    x_0 * x_i <= 0 (csw, cone; cone rows i >= 1 take only 0 and +), and
-    pairwise-disjoint supports (ndw); and if the prefix is orthogonal to
-    each cocircuit whose support ends at e, tested there once.  A complete
-    pattern must violate the conclusion: (c) some consecutive product
-    x_s * x_{s+1} nonzero (csw, cone), or not identically zero (ndw).
+    A component takes the moves its column's state allows in the mode's
+    table, _MOVES.  They keep the hypotheses with the blocks above: (a)
+    x_i * x_j >= 0 for 1 <= i < j (csw), (b) x_0 * x_i <= 0 (csw, cone;
+    cone blocks i >= 1 take only 0 and +), pairwise-disjoint supports (ndw).
+    They also flag the conclusion's violation, which a complete pattern
+    must carry: (c) some consecutive product x_s * x_{s+1} nonzero (csw,
+    cone), or not identically zero (ndw).
+
+    The prefix must be orthogonal to each cocircuit Y whose support ends at
+    e: its products X_e * Y_e take both signs or none.  hp and hn are the
+    cocircuits with a positive and with a negative product so far, as
+    bitmasks over cocircuit indices (MatrixTuple.cocircuit_bits); a nonzero
+    symbol ORs e's masks into them, and (hp ^ hn) & close[e] == 0 tests
+    every such Y at once.
     """
-    k, n = t.k, t.n
-    size = (k + 1) * n
-    closing = [[] for _ in range(size)]
-    for y_pos, y_neg in t.cocircuits:
-        closing[(y_pos | y_neg).bit_length() - 1].append((y_pos, y_neg))
+    n = t.n
+    size = (t.k + 1) * n
+    plus, minus, close = t.cocircuit_bits
+    moves = _MOVES[mode]
+    columns = [0] * n  # each column's state
+    flat = []
 
-    def fits(above: tuple, s: int) -> bool:
-        if mode == "ndw":
-            return s == 0 or not any(above)
-        if above and above[0] * s > 0:
-            return False
-        return mode != "csw" or all(a * s >= 0 for a in above[1:])
-
-    def violates(flat: tuple) -> bool:
-        if mode == "ndw":
-            return any(flat)
-        return any(flat[e] and flat[e + n] for e in range(k * n))
-
-    def extend(flat: tuple, pos: int, neg: int) -> Iterator[tuple]:
-        e = len(flat)
+    def extend(e: int, hp: int, hn: int, hit: bool) -> Iterator[tuple]:
         if e == size:
-            if violates(flat):
-                yield flat
+            if hit:
+                yield tuple(flat)
             return
-        domain = (0, 1) if mode == "cone" and e >= n else SYMBOLS
-        above = flat[e % n :: n]
-        bit = 1 << e
-        for s in domain:
-            if not fits(above, s):
-                continue
-            p = pos | bit if s > 0 else pos
-            q = neg | bit if s < 0 else neg
-            # orthogonal to Y: the products X_e * Y_e take both signs or none
-            if all(((p & y_pos) | (q & y_neg) == 0) == ((p & y_neg) | (q & y_pos) == 0)
-                   for y_pos, y_neg in closing[e]):
-                yield from extend(flat + (s,), p, q)
+        r = e % n
+        state = columns[r]
+        for s, after, violates in moves[state]:
+            if s > 0:
+                p, q = hp | plus[e], hn | minus[e]
+            elif s < 0:
+                p, q = hp | minus[e], hn | plus[e]
+            else:
+                p, q = hp, hn
+            if not (p ^ q) & close[e]:
+                columns[r] = after
+                flat.append(s)
+                yield from extend(e + 1, p, q, hit or violates)
+                flat.pop()
+        columns[r] = state
 
-    yield from extend((), 0, 0)
+    yield from extend(0, 0, 0, False)
 
 
 def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:

@@ -461,7 +461,12 @@ def verify_theorem(theorem_id: str, trials: int, spec: GenSpec) -> list:
     cases = chain(zip(range(trials), repeat(None)), zip(count(900_000), _INJECTED))
     for index, (offset, golden) in enumerate(cases):
         seed = subseed(spec.seed, offset)
-        t = gen_tuple(replace(spec, seed=seed)) if golden is None else golden()
-        sub = GenSpec(t.n, t.k, spec.family, spec.entry_range, seed)
+        if golden is None:
+            sub = GenSpec(spec.n, spec.k, spec.family, spec.entry_range, seed)
+            # T3.2 builds its own tuple from sub's n and k, so none is drawn
+            t = None if check is _check_t32 else gen_tuple(sub)
+        else:
+            t = golden()
+            sub = GenSpec(t.n, t.k, spec.family, spec.entry_range, seed)
         violations.extend(check(sub, index, t))
     return violations

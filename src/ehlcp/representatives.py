@@ -35,7 +35,9 @@ first determinant of each sign into the scan.
 
 MatrixTuple.cocircuits holds the cocircuits of A = [C_0 | -C_1 | ... | -C_k]
 that every sign-pattern decision in csw reads, computed once per tuple by
-_cocircuits in a second tree, over the column subsets of size rank(A) - 1.
+_cocircuits in a second tree, over the column subsets of size rank(A) - 1;
+MatrixTuple.cocircuit_bits holds them transposed, as the bitmasks that
+csw's pattern walk reads.
 """
 
 from __future__ import annotations
@@ -99,6 +101,23 @@ class MatrixTuple:
     def cocircuits(self) -> tuple:
         """Cocircuits of stacked, as _cocircuits computes them; once per tuple."""
         return _cocircuits(self)
+
+    @cached_property
+    def cocircuit_bits(self) -> tuple:
+        """cocircuits transposed: (plus, minus, close), each holding for
+        every component e a bitmask over cocircuit indices j, of the Y_j
+        with Y_j[e] = +, with Y_j[e] = -, and whose support ends at e."""
+        size = (self.k + 1) * self.n
+        plus, minus, close = [0] * size, [0] * size, [0] * size
+        for j, (pos, neg) in enumerate(self.cocircuits):
+            bit = 1 << j
+            close[(pos | neg).bit_length() - 1] |= bit
+            for e in range(size):
+                if pos >> e & 1:
+                    plus[e] |= bit
+                elif neg >> e & 1:
+                    minus[e] |= bit
+        return tuple(plus), tuple(minus), tuple(close)
 
 
 def unstack(flat, n: int) -> tuple:

@@ -139,10 +139,10 @@ def tuple_kinds(n, k, seed):
 class TestPatternRealizable:
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (3, 1),
                                       (1, 5), (2, 3), (3, 2)])
-    def test_agrees_with_the_max_t_lp_on_every_candidate(self, n, k):
-        # the max-t LP of the name reaches t = 1 exactly when the pattern is
-        # orthogonal to every cocircuit of A (Bland & Las Vergnas 1978), so
-        # the brute-force cocircuits give its verdict with no LP at all.
+    def test_agrees_with_cocircuit_orthogonality_on_every_candidate(self, n, k):
+        # a pattern is realizable exactly when it is orthogonal to every
+        # cocircuit of A (Bland & Las Vergnas 1978), so the brute-force
+        # cocircuits give the verdict with no LP at all.
         # Every candidate pattern of every mode, plus the all-zero pattern;
         # the zero-column, rank-deficient and all-zero tuples up to
         # (k+1)n = 6, the generic tuple alone at 8 and 9
@@ -469,15 +469,40 @@ class TestPruningSoundness:
             assert (csw._first_violation(t, "csw") is None) == self.unpruned_verdict(t)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 9)
+                                      if (k + 1) * n <= 9])
     def test_generator_yields_the_filtered_product_in_order(self, mode, n, k):
-        # exactly the realizable candidates, in the candidates' order
+        # exactly the realizable candidates, in the candidates' order: the
+        # whole sequence, on the identity tuple and the generic,
+        # rational-row, zero-column, rank-deficient and all-zero tuples (the
+        # last has no cocircuits)
+        yielded = 0
         for t in (make_tuple([identity(n)] * (k + 1)),
-                  gen_tuple(GenSpec(n, k, "generic", 2, subseed(53, 10 * n + k)))):
+                  *tuple_kinds(n, k, subseed(53, 10 * n + k))):
             cocircuits = reference_cocircuits(t)
             expected = [signs for signs in reference_patterns(t, mode)
                         if orthogonal_to_all(signs, cocircuits)]
-            assert list(_violating_patterns(t, mode)) == expected
+            assert list(_violating_patterns(t, mode)) == expected, t
+            yielded += len(expected)
+        assert yielded > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_first_pattern_past_64_cocircuits(self, mode):
+        # a generic 5 x 10 A: the cocircuit masks span more than one 64-bit
+        # word, and some candidate before the first pattern is orthogonal to
+        # the first 64 cocircuits but not to a later one
+        t = gen_tuple(GenSpec(5, 1, "generic", 2, subseed(67, 0)))
+        cocircuits = reference_cocircuits(t)
+        assert len(cocircuits) > 64
+        before = []
+        for signs in reference_patterns(t, mode):
+            if orthogonal_to_all(signs, cocircuits):
+                break
+            before.append(signs)
+        else:
+            signs = None
+        assert next(_violating_patterns(t, mode), None) == signs
+        assert any(orthogonal_to_all(b, cocircuits[:64]) for b in before)
 
     def test_canonical_pattern_order_is_row_major(self):
         # x_0 + x_1 = 0: the first hypothesis-satisfying violating pattern

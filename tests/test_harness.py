@@ -370,6 +370,26 @@ class TestVerifyTheorem:
         assert _check_t42(spec, 0, paper_example_tuple()) == []
         assert calls == ["csw"]
 
+    def test_t32_draws_no_tuple(self, monkeypatch):
+        # _check_t32 builds its own tuple from the case's n and k, so its
+        # trials draw none; each golden case supplies its own n and k
+        import ehlcp.harness as harness
+
+        def no_draw(spec):
+            raise AssertionError(f"T3.2 drew a tuple for {spec}")
+
+        sizes = []
+        m_matrix = harness._m_matrix
+
+        def spy(rng, n, b):
+            sizes.append(n)
+            return m_matrix(rng, n, b)
+
+        monkeypatch.setattr(harness, "gen_tuple", no_draw)
+        monkeypatch.setattr(harness, "_m_matrix", spy)
+        assert verify_theorem("T3.2-unique", 4, GenSpec(3, 2, "generic", 2, 0)) == []
+        assert sizes == [3] * 4 + [golden().n for golden in harness._INJECTED]
+
     def test_reports_are_seed_deterministic(self):
         spec = GenSpec(2, 1, "generic", 2, 33)
         assert verify_theorem("T4.3-chain", 15, spec) == verify_theorem("T4.3-chain", 15, spec)
