@@ -139,10 +139,11 @@ def tuple_kinds(n, k, seed):
 class TestPatternRealizable:
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (3, 1),
                                       (1, 5), (2, 3), (3, 2)])
-    def test_agrees_with_cocircuit_orthogonality_on_every_candidate(self, n, k):
-        # a pattern is realizable exactly when it is orthogonal to every
-        # cocircuit of A (Bland & Las Vergnas 1978), so the brute-force
-        # cocircuits give the verdict with no LP at all.
+    def test_agrees_with_the_max_t_lp_on_every_candidate(self, n, k):
+        # The name is historical: the package has no max-t LP. A pattern
+        # is realizable exactly when it is orthogonal to every cocircuit
+        # of A (Bland & Las Vergnas 1978), so the brute-force cocircuits
+        # give the verdict with no LP at all.
         # Every candidate pattern of every mode, plus the all-zero pattern;
         # the zero-column, rank-deficient and all-zero tuples up to
         # (k+1)n = 6, the generic tuple alone at 8 and 9
