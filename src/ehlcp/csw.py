@@ -14,9 +14,11 @@ move table over column states, and at each component tests every
 cocircuit whose support ends there by one bitmask operation, so it yields
 only realizable patterns, and the first goes to pattern_realizable, which
 builds the witness vector by one linprog.nonneg_solution call, the
-package's one phase-1 simplex.  Both read A in integers, as
-MatrixTuple.int_stacked, and the witness stays an integer vector over a
-positive scale until the report prints it.
+package's one phase-1 simplex.  That vector is built once per pattern and
+tuple (MatrixTuple.witnesses), so properties of one tuple that fail at the
+same pattern share it; each verdict still checks it by the definition.
+Both read A in integers, as MatrixTuple.int_stacked, and the witness stays
+an integer vector over a positive scale until the report prints it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def pattern_realizable(t: MatrixTuple, signs: tuple) -> Optional[tuple]:
     diag(sigma) (1 + z) = 0: one linprog.nonneg_solution call over the |S|
     unknowns z, on the integer rows [A_S diag(sigma) | -A_S sigma] of
     t.int_stacked.  It gives z = Z / scale, and X_S = sigma (scale + Z).
-    The deciders call it once, to build the witness.
+    The deciders call it once per pattern and tuple, to build the witness.
     """
     support = [e for e, s in enumerate(signs) if s != 0]
     cols = [[row[e] if signs[e] > 0 else -row[e] for e in support] for row in t.int_stacked]
@@ -166,15 +168,20 @@ def _first_violation(t: MatrixTuple, mode: str) -> Optional[dict]:
     """JSON-ready witness {"pattern", "x"} of the first realizable pattern.
 
     The cocircuit test inside _violating_patterns decides; the LP only
-    builds the vector, which is checked by the definition in integers
-    (int_stacked X = 0, with the pattern's signs): an LP that disagrees is
-    a bug, never a verdict.  Pattern and vector are stacked until the
-    witness splits them, and x_e = X_e / scale is printed from integers."""
+    builds the vector, once per pattern and tuple (MatrixTuple.witnesses
+    keeps it for the tuple's other properties).  Every verdict, memoized or
+    not, checks the vector by the definition in integers (int_stacked X =
+    0, with the pattern's signs): an LP that disagrees is a bug, never a
+    verdict.  Pattern and vector are stacked until the witness splits
+    them, and x_e = X_e / scale is printed from integers."""
     signs = next(_violating_patterns(t, mode), None)
     if signs is None:
         return None
+    memo = t.witnesses
+    if signs not in memo:
+        memo[signs] = pattern_realizable(t, signs)
     # no vector reads as the empty one, which has no pattern's signs
-    x, scale = pattern_realizable(t, signs) or ((), 1)
+    x, scale = memo[signs] or ((), 1)
     if (tuple((v > 0) - (v < 0) for v in x) != signs
             or any(sum(a * v for a, v in zip(row, x)) for row in t.int_stacked)):
         raise InvariantError(f"cocircuit test passes {signs}; the LP's vector does not")

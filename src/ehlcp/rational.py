@@ -9,7 +9,9 @@ Gauss-Jordan pivot (Bareiss 1968) on rows scaled to integers, which keeps
 every entry an integer minor.  The determinant is the last pivot,
 solve_linear and left_divide read their results off the rows divided by it,
 linprog's simplex tableau is the rational tableau times it, and the tree of
-representatives._cocircuits (over column subsets) pivots once per node.
+representatives._cocircuits (over column subsets) pivots once per node
+while more than three rows are left, then reads each leaf pair of columns
+as a 3 x 3 Laplace expansion of the three rows, with no division.
 The tree of representatives._det_numerators (over column selectors)
 pivots once per node down to depth n-4 and reads the last three levels as
 3 x 3 minors of the three rows left, divided by the last pivot squared.

@@ -35,9 +35,11 @@ first determinant of each sign into the scan.
 
 MatrixTuple.cocircuits holds the cocircuits of A = [C_0 | -C_1 | ... | -C_k]
 that every sign-pattern decision in csw reads, computed once per tuple by
-_cocircuits in a second tree, over the column subsets of size rank(A) - 1;
-MatrixTuple.cocircuit_bits holds them transposed, as the bitmasks that
-csw's pattern walk reads.
+_cocircuits in a second tree, over the column subsets of size rank(A) - 1,
+whose last two columns are read off 3 x 3 Laplace expansions with no
+pivot; MatrixTuple.cocircuit_bits holds them transposed, as the bitmasks
+that csw's pattern walk reads, and MatrixTuple.witnesses keeps csw's
+witness vector per sign pattern, so each is built once per tuple.
 """
 
 from __future__ import annotations
@@ -87,9 +89,14 @@ class MatrixTuple:
         """stacked times one common factor, the lcm of all its denominators,
         as rows of ints: every entry keeps its ratio to every other, so the
         cocircuits and the witness simplex of csw read it in place of the
-        rational A.  Built once per tuple, like stacked."""
-        mult = lcm(*(x.denominator for row in self.stacked for x in row))
-        return tuple(tuple(int_row(row, mult)) for row in self.stacked)
+        rational A.  Built once per tuple from mats, negated in ints, with
+        no Fraction stacked."""
+        mult = lcm(*(x.denominator for m in self.mats for row in m for x in row))
+        return tuple(
+            tuple(v if i == 0 else -v
+                  for i, m in enumerate(self.mats) for v in int_row(m[row], mult))
+            for row in range(self.n)
+        )
 
     @cached_property
     def det_scan(self) -> "DetScan":
@@ -118,6 +125,12 @@ class MatrixTuple:
                 elif neg >> e & 1:
                     minus[e] |= bit
         return tuple(plus), tuple(minus), tuple(close)
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """csw's witness memo: csw.pattern_realizable's result per stacked
+        sign pattern, so each pattern's LP runs once per tuple."""
+        return {}
 
 
 def unstack(flat, n: int) -> tuple:
@@ -359,25 +372,48 @@ def _cocircuits(t: MatrixTuple) -> tuple:
     """Cocircuits of A = t.stacked as (pos, neg) bitmasks, bit i*n + r for
     component (i, r), one of each pair +-Y, in order of first appearance.
 
-    B is an integer row basis of A, of rank d, eliminated from a copy of
-    t.int_stacked (_echelon works in place).  A tree over the subsets S of
-    d - 1 columns, in combinations order, pivots (rational.pivot_step) at
-    each node on the first unused row nonzero in its column and drops that
-    row; a column zero on every unused row is dependent on S and ends its
-    branch.  The one row left holds the maximal minors det[B_S | B_e] up to
-    a common factor, so its sign vector is a cocircuit.
+    B is an integer row basis of A, eliminated from a copy of
+    t.int_stacked (_echelon works in place).  Each subset S of rank(A) - 1
+    columns, in combinations order, that is independent in B gives the
+    cocircuit e -> det[B_S | B_e], up to a common factor; the factor may
+    be negative, but (pos, neg) keeps one of +-Y, so no leaf divides.  A
+    tree over S pivots (rational.pivot_step) at each node on the first
+    unused row nonzero in its column and drops that row while more than
+    three rows are left; a column zero on every unused row is dependent on
+    S and ends its branch.  With three rows r0, r1, r2 left, each pair
+    c < d of later columns is a leaf, expanded by Laplace along e: with
+    m0, m1, m2 the 2 x 2 minors on (c, d) of the row pairs (1, 2), (0, 2)
+    and (0, 1), Y = m0 r0 - m1 r1 + m2 r2, and a pair whose three minors
+    are zero is dependent.  At rank 2 each column c not zero on both rows
+    gives r1[c] r0 - r0[c] r1, and at rank 1 the row is the one cocircuit.
     """
     a = [list(row) for row in t.int_stacked]
     width = len(a[0])
     rank = len(_echelon(a, width)[0])
+    bits = [1 << e for e in range(width)]
     found = {}
 
+    def leaf(values):
+        pos = neg = 0
+        for bit, v in zip(bits, values):
+            if v > 0:
+                pos |= bit
+            elif v < 0:
+                neg |= bit
+        lowest = (pos | neg) & -(pos | neg)
+        found[(neg, pos) if neg & lowest else (pos, neg)] = None
+
     def subtree(rows, start, prev):
-        if len(rows) == 1:
-            pos = sum(1 << e for e, v in enumerate(rows[0]) if v > 0)
-            neg = sum(1 << e for e, v in enumerate(rows[0]) if v < 0)
-            lowest = (pos | neg) & -(pos | neg)
-            found[(neg, pos) if neg & lowest else (pos, neg)] = None
+        if len(rows) == 3:
+            cols = list(zip(*rows))
+            for c in range(start, width - 1):
+                x0, x1, x2 = cols[c]
+                if not (x0 or x1 or x2):
+                    continue
+                for y0, y1, y2 in cols[c + 1:]:
+                    m0, m1, m2 = x1 * y2 - x2 * y1, x0 * y2 - x2 * y0, x0 * y1 - x1 * y0
+                    if m0 or m1 or m2:
+                        leaf([m0 * v0 - m1 * v1 + m2 * v2 for v0, v1, v2 in cols])
             return
         for c in range(start, width - len(rows) + 2):  # leave room for the rest of S
             p = next((i for i, row in enumerate(rows) if row[c]), None)
@@ -386,6 +422,13 @@ def _cocircuits(t: MatrixTuple) -> tuple:
                 pivot_step(b, p, c, prev)
                 subtree(b, c + 1, b.pop(p)[c])
 
-    if rank:
+    if rank == 1:
+        leaf(a[0])
+    elif rank == 2:
+        r0, r1 = a[:2]
+        for x0, x1 in zip(r0, r1):
+            if x0 or x1:
+                leaf([x1 * v0 - x0 * v1 for v0, v1 in zip(r0, r1)])
+    elif rank:
         subtree(a[:rank], 0, 1)
     return tuple(found)

@@ -22,7 +22,7 @@ from ehlcp.csw import (
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
-from ehlcp.representatives import check_column_ndw_det, make_tuple
+from ehlcp.representatives import MatrixTuple, check_column_ndw_det, make_tuple
 from reference import ref_nonneg_solution, representative_matrix
 
 
@@ -313,6 +313,39 @@ class TestCocircuitRealizability:
         assert "the LP's vector does not" in capsys.readouterr().err
 
 
+def from_stacked(a, n, k):
+    """The tuple whose stacked matrix A = [C_0 | -C_1 | ... | -C_k] is a."""
+    return make_tuple([[[v if i == 0 else -v for v in row[i * n:(i + 1) * n]] for row in a]
+                       for i in range(k + 1)])
+
+
+# stacked matrices whose cocircuit tree reaches each kind of leaf
+LEAF_CASES = {
+    # rank 1: the row is the one cocircuit
+    "rank_1": ([[1, 0, -2, 3], [2, 0, -4, 6]], 2, 1),
+    # rank 2: column 1 is zero, columns 2 and 3 are parallel
+    "rank_2": ([[1, 0, 2, 4, 1, -3], [2, 0, 1, 2, 5, 0]], 2, 2),
+    # rank 3, three rows at the root: column 1 is zero on every row, so
+    # the pairs (1, d) are skipped and (0, 1) is dependent, and columns 2
+    # and 4 are parallel
+    "rank_3": ([[1, 0, 2, 0, 4, -1], [0, 0, 1, 1, 2, 3], [2, 0, -1, 1, -2, 1]], 3, 1),
+    # rank 4: column 6 is column 5 plus column 0, so the pair (5, 6) is
+    # dependent below the pivot on column 0, and more pairs below later ones
+    "rank_4": ([[1, 0, 0, 0, 1, 2, 3, 0], [0, 1, 0, 0, 1, 1, 1, 0],
+                [0, 0, 1, 0, 0, 1, 1, 2], [0, 0, 0, 1, 0, 2, 2, 0]], 4, 1),
+}
+
+
+class TestCocircuitLeaves:
+    @pytest.mark.parametrize("name", sorted(LEAF_CASES))
+    def test_hand_built_leaves_match_the_reference(self, name):
+        t = from_stacked(*LEAF_CASES[name])
+        rank = len(_echelon([list(row) for row in t.int_stacked], (t.k + 1) * t.n)[0])
+        assert rank == int(name[-1])
+        for u in (t, rational_rows(t)):
+            assert list(u.cocircuits) == reference_cocircuits(u)
+
+
 class TestIntegerWitness:
     def test_failing_deciders_build_and_check_the_witness_in_integers(
         self, zero_padded_identity, monkeypatch
@@ -344,6 +377,52 @@ class TestIntegerWitness:
         assert [name for name, _ in calls] == ["nonneg_solution"] * 5
         assert all(type(v) is int for _, (rows,) in calls for row in rows for v in row)
         assert_realizes(rational, (1, 1, 1, -1), pattern_realizable(rational, (1, 1, 1, -1)))
+
+
+class TestWitnessMemo:
+    # (2,2) generic, seed 17: column ND-W holds, and cS-W and its cone
+    # variant fail at the same first pattern
+    MATS = [[[2, 1], [-1, -1]], [[-1, 1], [2, 0]], [[-2, 1], [-2, -1]]]
+
+    def test_one_lp_per_pattern_and_tuple(self, monkeypatch):
+        calls = []
+        real = csw.nonneg_solution
+        monkeypatch.setattr(csw, "nonneg_solution", lambda rows: calls.append(rows) or real(rows))
+        t = make_tuple(self.MATS)
+        verdicts = [check_csw(t), check_cone_csw(t), check_column_ndw_def(t)]
+        assert [v.holds for v in verdicts] == [False, False, True]
+        assert verdicts[0].witness == verdicts[1].witness
+        assert len(calls) == 1
+        # a fresh tuple has its own memo, and builds the same witness
+        assert check_cone_csw(make_tuple(self.MATS)).witness == verdicts[1].witness
+        assert len(calls) == 2
+
+    def test_a_corrupted_memo_entry_is_an_invariant_error(self, tmp_path, capsys, monkeypatch):
+        t = make_tuple(self.MATS)
+        check_csw(t)
+        (signs, (x, scale)), = t.witnesses.items()
+        # the same signs, off the kernel
+        t.witnesses[signs] = ((x[0] - scale,) + x[1:], scale)
+        with pytest.raises(InvariantError):
+            check_cone_csw(t)
+        t.witnesses[signs] = None
+        with pytest.raises(InvariantError):
+            check_cone_csw(t)
+
+        class Corrupt(dict):
+            """Every pattern is cached, with the zero vector."""
+            def __contains__(self, signs):
+                return True
+
+            def __getitem__(self, signs):
+                return (0,) * len(signs), 1
+
+        monkeypatch.setattr(MatrixTuple, "witnesses", property(lambda self: Corrupt()))
+        path = tmp_path / "instance.json"
+        instance = {"n": 2, "k": 2, "C": self.MATS, "d": [[1, 1]], "q": [0, 0]}
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        assert main(["check", "--file", str(path), "--props", "cone_csw"]) == 4
+        assert "the LP's vector does not" in capsys.readouterr().err
 
 
 class TestCheckCsw:

@@ -4,13 +4,14 @@ import json
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
 import ehlcp.representatives as representatives
 from ehlcp.errors import CapExceeded, DimensionError, InputError
 from ehlcp.harness import FAMILIES, GenSpec, gen_tuple, subseed
-from ehlcp.rational import det, identity, mat
+from ehlcp.rational import det, identity, int_row, mat
 from ehlcp.representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -226,6 +227,20 @@ class TestStacked:
                 # the cached attribute is not a field: equality and hash ignore it
                 assert t == twin and hash(t) == hash(twin)
                 assert "stacked" in vars(t) and "stacked" not in vars(twin)
+
+    def test_int_stacked_is_stacked_over_one_common_factor(self):
+        for k in (1, 2):
+            for n in (1, 2, 3):
+                t = gen_tuple(GenSpec(n, k, "generic", 3, subseed(79, 10 * n + k)))
+                rational = make_tuple([[[v / (r + 2 + i) for v in row] for r, row in enumerate(m)]
+                                       for i, m in enumerate(t.mats)])
+                for u in (t, rational):
+                    mult = lcm(*(x.denominator for row in u.stacked for x in row))
+                    expected = tuple(tuple(int_row(row, mult)) for row in u.stacked)
+                    assert u.int_stacked == expected
+                    assert all(type(v) is int for row in u.int_stacked for v in row)
+                    assert u.int_stacked is u.int_stacked
+        assert make_tuple([[["1/2"]], [["-1/3"]]]).int_stacked == ((3, 2),)
 
     def test_unstack_splits_into_blocks(self):
         flat = tuple(Fraction(v) for v in range(6))
