@@ -244,9 +244,20 @@ def check_x_column_sufficiency(a: Mat, b: Mat) -> PropertyVerdict:
     """X-column-sufficiency of the pair (a, b): C_0 x_0 - C_1 x_1 = 0 and
     x_0 * x_1 <= 0 force x_0 * x_1 = 0.  This is the k = 1 specialization of
     the cS-W decision."""
-    verdict = check_csw(make_tuple([a, b]))
-    certificate = "decided by " + verdict.decided_by
-    if not verdict.holds:
-        certificate += ("; witness violates x_0 * x_1 = 0" if "pattern" in verdict.witness
-                        else "; witness: two representative determinants of opposite sign")
-    return PropertyVerdict("x_column_sufficiency", verdict.holds, verdict.witness, certificate)
+    return check_x_column_pairs(make_tuple([a, b]))[0]
+
+
+def check_x_column_pairs(t: MatrixTuple) -> list:
+    """check_x_column_sufficiency of each pair (C_i, C_{i+1}), i < k, on
+    t's validated matrices: at k = 1 the pair is t itself, whose cocircuits
+    and witness LPs check_csw(t) shares."""
+    verdicts = []
+    for i in range(t.k):
+        verdict = check_csw(t if t.k == 1 else MatrixTuple(t.n, 1, t.mats[i:i + 2]))
+        certificate = "decided by " + verdict.decided_by
+        if not verdict.holds:
+            certificate += ("; witness violates x_0 * x_1 = 0" if "pattern" in verdict.witness
+                            else "; witness: two representative determinants of opposite sign")
+        verdicts.append(PropertyVerdict("x_column_sufficiency", verdict.holds, verdict.witness,
+                                        certificate))
+    return verdicts

@@ -9,33 +9,24 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, count, repeat
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import csw
 from .classes import is_m, is_z
-from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_sufficiency
+from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_pairs
 from .errors import CapExceeded, InputError, InvariantError
 from .io import instance_to_json, tuple_to_json, vec_to_json
-from .rational import (
-    Mat,
-    Vec,
-    det,
-    identity,
-    inverse,
-    left_divide,
-    mat,
-    mat_vec,
-    vec,
-    zeros,
-)
+from .rational import (Mat, Vec, det, identity, int_row, inverse, left_divide, mat, mat_vec,
+                       vec, zeros)
 from .representatives import (
     MatrixTuple,
     check_column_ndw_det,
     check_column_w,
     check_column_w0,
-    make_tuple,
 )
-from .solver import EhlcpInstance, is_solution, solve_all
+from .solver import EhlcpInstance, is_solution, solve_all, solves_numerators
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,7 +87,7 @@ class GenSpec:
 
 
 def _random_matrix(rng: SplitMix64, n: int, lo: int, hi: int) -> Mat:
-    return mat([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+    return tuple(tuple(Fraction(rng.randint(lo, hi)) for _ in range(n)) for _ in range(n))
 
 
 def _column_scaled_tuple(rng: SplitMix64, c0: Mat, k: int, b: int) -> MatrixTuple:
@@ -104,7 +95,8 @@ def _column_scaled_tuple(rng: SplitMix64, c0: Mat, k: int, b: int) -> MatrixTupl
     drawn by rng.randint(1, b) in column order, D_1 first."""
     n = len(c0)
     diags = ([rng.randint(1, b) for _ in range(n)] for _ in range(k))
-    return make_tuple([c0] + [[[v * dj for v, dj in zip(row, d)] for row in c0] for d in diags])
+    return MatrixTuple(n, k, (c0, *(tuple(tuple(v * dj for v, dj in zip(row, d)) for row in c0)
+                                    for d in diags)))
 
 
 def gen_tuple(spec: GenSpec) -> MatrixTuple:
@@ -112,14 +104,13 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
     rng = SplitMix64(spec.seed)
     n, k, b = spec.n, spec.k, spec.entry_range
     if spec.family == "generic":
-        return make_tuple([_random_matrix(rng, n, -b, b) for _ in range(k + 1)])
+        return MatrixTuple(n, k, tuple(_random_matrix(rng, n, -b, b) for _ in range(k + 1)))
     if spec.family == "degenerate":
-        mats = [list(map(list, _random_matrix(rng, n, -b, b))) for _ in range(k + 1)]
+        mats = [_random_matrix(rng, n, -b, b) for _ in range(k + 1)]
         which = rng.randint(0, k)
         col = rng.randint(0, n - 1)
-        for row in mats[which]:
-            row[col] = 0
-        t = make_tuple(mats)
+        mats[which] = tuple(row[:col] + (Fraction(0),) + row[col + 1:] for row in mats[which])
+        t = MatrixTuple(n, k, tuple(mats))
         if check_column_ndw_det(t).holds:
             raise InvariantError("degenerate family produced a column ND-W tuple")
         return t
@@ -137,10 +128,9 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
     # z_structured: C_0 = I and every C_i a Z-matrix
     mats = [identity(n)]
     for _ in range(k):
-        rows = [[rng.randint(-b, b) if i == j else rng.randint(-b, 0)
-                 for j in range(n)] for i in range(n)]
-        mats.append(mat(rows))
-    t = make_tuple(mats)
+        mats.append(tuple(tuple(Fraction(rng.randint(-b, b) if i == j else rng.randint(-b, 0))
+                                for j in range(n)) for i in range(n)))
+    t = MatrixTuple(n, k, tuple(mats))
     if not all(is_z(m).holds for m in t.mats[1:]):
         raise InvariantError("z_structured family produced a non-Z matrix")
     return t
@@ -160,19 +150,21 @@ def gen_instance(t: MatrixTuple, seed: int, entry_range: int = 2) -> EhlcpInstan
 
 # --- golden data ------------------------------------------------------------
 
+_I2, _SKEW, _ZERO2 = identity(2), mat([[0, 1], [-1, 0]]), mat([[0, 0], [0, 0]])
+
+
 def paper_example_tuple() -> MatrixTuple:
     """The 2x2 triple (I, [[0,1],[-1,0]], I): cS-W without column W."""
-    return make_tuple([identity(2), [[0, 1], [-1, 0]], identity(2)])
+    return MatrixTuple(2, 2, (_I2, _SKEW, _I2))
 
 
 def skew_pair_tuple() -> MatrixTuple:
-    return make_tuple([identity(2), [[0, 1], [-1, 0]]])
+    return MatrixTuple(2, 1, (_I2, _SKEW))
 
 
 def w0_not_csw_tuple() -> MatrixTuple:
     """(I, 0, 0): column W0 holds but cS-W fails."""
-    z = [[0, 0], [0, 0]]
-    return make_tuple([identity(2), z, z])
+    return MatrixTuple(2, 2, (_I2, _ZERO2, _ZERO2))
 
 
 # --- two-solution instances -------------------------------------------------
@@ -200,7 +192,10 @@ def two_solutions(t: MatrixTuple, u: Vec) -> tuple:
             d[m - 1][r] = abs(v) + 1
     a = tuple(a)
     b = tuple(x + y for x, y in zip(a, u))
-    inst = EhlcpInstance(t, tuple(map(tuple, d)), mat_vec(t.stacked, a))
+    den = lcm(*(x.denominator for x in a))
+    nums, scale = int_row(a, den), t.int_scale * den
+    q = tuple(Fraction(sum(map(mul, row, nums)), scale) for row in t.int_stacked)
+    inst = EhlcpInstance(t, tuple(map(tuple, d)), q)
     if not (is_solution(inst, a) and is_solution(inst, b)):
         raise InvariantError("two_solutions: an endpoint does not solve the instance")
     return inst, a, b
@@ -223,17 +218,26 @@ def nonconvex_pair(inst: EhlcpInstance, pieces: list) -> Optional[tuple]:
     """The first pair (a, b) of piece points, in piece order, whose midpoint
     does not solve inst; None when the solution set is convex.
 
-    The midpoint of two solutions meets A x = q and the bounds, and each of
-    its wedge products is a quarter of the two solutions' cross products,
-    so is_solution at the midpoint is the cross-wedge test.  solve_all's
-    point is relative-interior to its piece, where every nonnegative
-    affine function on the piece (an entry or a slack d_j - x_j) has its
-    largest support, so the pieces' points decide every pair of solutions.
+    A midpoint of two solutions meets A x = q and the bounds, and its wedge
+    products are a quarter of the pair's cross products.  The pairs are
+    scanned only when the mean of the piece points fails, for the set is
+    convex iff that mean solves (Cottle, Pang and Stone 1992, section 3.5;
+    Rockafellar 1970, section 18): each piece point is relative-interior to
+    its piece, so an entry or slack d_j - x_j that is 0 at the mean is 0 on
+    every piece.  A solving mean so pins one side of every wedge pair, and
+    the set is {A x = q, 0 <= x <= upper, the pins}; a failing one has both
+    sides of a pair positive, each at some piece point, and those two points
+    fail at their midpoint.  Points are summed as integer numerators.
     """
-    for a, b in combinations([piece.point for piece in pieces], 2):
-        if not is_solution(inst, tuple((u + v) / 2 for u, v in zip(a, b))):
+    points = [piece.point for piece in pieces]
+    den = lcm(*(x.denominator for point in points for x in point))
+    nums = [int_row(point, den) for point in points]
+    if not nums or solves_numerators(inst, [sum(col) for col in zip(*nums)], den * len(nums)):
+        return None
+    for (a, u), (b, v) in combinations(zip(points, nums), 2):
+        if not solves_numerators(inst, [x + y for x, y in zip(u, v)], 2 * den):
             return a, b
-    return None
+    raise InvariantError("the mean of the piece points fails, but no midpoint does")
 
 
 def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) -> list:
@@ -288,7 +292,7 @@ def _check_t21(spec, index, t) -> list:
     w = check_column_w(t).holds
     normalized = _normalized(t)
     normalized_w = normalized is not None and check_column_w(
-        make_tuple([identity(t.n), *normalized])
+        MatrixTuple(t.n, t.k, (identity(t.n), *normalized))
     ).holds
     if w != normalized_w:
         out.append(_violation(spec, index, t, "W-property disagrees with the normalized tuple"))
@@ -367,14 +371,9 @@ def _check_t32(spec, index, t_ignored) -> list:
 def _check_p31(spec, index, t) -> list:
     if not check_csw(t).holds:
         return []
-    out = []
-    for i in range(t.k):
-        if not check_x_column_sufficiency(t.mats[i], t.mats[i + 1]).holds:
-            out.append(
-                _violation(spec, index, t,
-                           f"pair (C_{i}, C_{i+1}) fails X-column-sufficiency under cS-W")
-            )
-    return out
+    return [_violation(spec, index, t,
+                       f"pair (C_{i}, C_{i+1}) fails X-column-sufficiency under cS-W")
+            for i, verdict in enumerate(check_x_column_pairs(t)) if not verdict.holds]
 
 
 def _check_t41(spec, index, t) -> list:

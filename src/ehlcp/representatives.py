@@ -85,16 +85,20 @@ class MatrixTuple:
         )
 
     @cached_property
+    def int_scale(self) -> int:
+        """The lcm of every denominator in mats; int_stacked is stacked times it."""
+        return lcm(*(x.denominator for m in self.mats for row in m for x in row))
+
+    @cached_property
     def int_stacked(self) -> tuple:
-        """stacked times one common factor, the lcm of all its denominators,
-        as rows of ints: every entry keeps its ratio to every other, so the
-        cocircuits and the witness simplex of csw read it in place of the
-        rational A.  Built once per tuple from mats, negated in ints, with
-        no Fraction stacked."""
-        mult = lcm(*(x.denominator for m in self.mats for row in m for x in row))
+        """stacked times int_scale, as rows of ints: every entry keeps its
+        ratio to every other, so the cocircuits and the witness simplex of
+        csw, and solver.is_solution, read it in place of the rational A.
+        Built once per tuple from mats, negated in ints, with no Fraction
+        stacked."""
         return tuple(
             tuple(v if i == 0 else -v
-                  for i, m in enumerate(self.mats) for v in int_row(m[row], mult))
+                  for i, m in enumerate(self.mats) for v in int_row(m[row], self.int_scale))
             for row in range(self.n)
         )
 

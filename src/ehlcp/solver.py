@@ -26,11 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Iterator, Optional
 
 from .errors import DimensionError, InputError, InvariantError
 from .linprog import nonneg_solution
-from .rational import Vec, int_row, mat_vec, pivot_step, solve_linear
+from .rational import Vec, int_row, pivot_step, solve_linear
 from .representatives import MatrixTuple, check_selector_cap
 
 
@@ -79,17 +80,28 @@ def is_solution(inst: EhlcpInstance, x: Vec) -> bool:
     """Exact validity check of the EHLCP system for a stacked x = (x_0, ...,
     x_k): A x = q for A = t.stacked, 0 <= x <= inst.upper, and every wedge
     product x_{0,r} x_{1,r} and (d_{j,r} - x_{j,r}) x_{j+1,r} zero.  A
-    vector whose length is not (k+1)n raises DimensionError."""
+    vector whose length is not (k+1)n raises DimensionError.  Decided by
+    solves_numerators, on x's numerators over their lcm."""
+    den = lcm(*(v.denominator for v in x))
+    return solves_numerators(inst, int_row(x, den), den)
+
+
+def solves_numerators(inst: EhlcpInstance, nums: list, den: int) -> bool:
+    """is_solution at x = nums / den, for ints nums and den > 0, in ints: side
+    i is x_i, or the slack d_i - x_i times d_i's denominator, over den, and
+    row . nums * q_i's denominator == int_scale * den * q_i's numerator for
+    each row of t.int_stacked."""
     t = inst.matrix_tuple
-    if any(a != b for a, b in zip(mat_vec(t.stacked, x), inst.q)):
-        return False
-    if any(v < 0 or (hi is not None and v > hi) for v, hi in zip(x, inst.upper)):
-        return False
+    if len(nums) != (t.k + 1) * t.n:
+        raise DimensionError("matrix-vector dimension mismatch")
+    sides = [v if hi is None else hi.numerator * den - v * hi.denominator
+             for v, hi in zip(nums, inst.upper)]
     # wedge j pairs x_0 (j = 0) or the slack d_j - x_j with x_{j+1}
-    return not any(
-        (x[i] if hi is None else hi - x[i]) * x[i + t.n]
-        for i, hi in enumerate(inst.upper[: t.k * t.n])
-    )
+    if min(nums) < 0 or min(sides) < 0 or any(a and b for a, b in zip(sides, nums[t.n:])):
+        return False
+    scale = t.int_scale * den
+    return all(sum(map(mul, row, nums)) * q.denominator == scale * q.numerator
+               for row, q in zip(t.int_stacked, inst.q))
 
 
 def _affine_piece(particular, kernel, last, box) -> Optional[tuple]:

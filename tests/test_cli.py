@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, report documents, determinism."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -123,6 +124,29 @@ class TestCheck:
         code, out, _ = run_main(["check", "--file", path, "--props", props, "--recheck"], capsys)
         assert code == 0 and json.loads(out)["recheck"] == "ok"
         assert counts == {"_det_numerators": 3, "_cocircuits": 3}
+
+    def test_x_col_suff_at_k1_decides_the_tuple_itself(self, tmp_path, capsys, monkeypatch):
+        # at k = 1 the pair (C_0, C_1) is the tuple, so x_col_suff reads the
+        # cocircuits and the witness LP that csw computed for it; the digest
+        # is the report of the code that decided the pair on a new tuple
+        counts = {"_cocircuits": 0, "nonneg_solution": 0}
+        for module, name in ((representatives, "_cocircuits"), (csw, "nonneg_solution")):
+            def counted(arg, real=getattr(module, name), name=name):
+                counts[name] += 1
+                return real(arg)
+
+            monkeypatch.setattr(module, name, counted)
+        doc = {"n": 3, "k": 1, "q": [-2, 2, -2],
+               "C": [[[-2, 2, -2], [-2, -1, 1], [-2, 1, -2]],
+                     [[-2, 0, -2], [2, 0, -1], [2, -2, -1]]]}
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run_main(["check", "--file", path, "--props", "csw,x_col_suff"], capsys)
+        assert code == 0 and counts == {"_cocircuits": 1, "nonneg_solution": 1}
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts["x_col_suff"]["pair_0_1"]["witness"] == verdicts["csw"]["witness"]
+        text = "".join(line for line in out.splitlines(True) if '"timing_seconds"' not in line)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dad7536caa55ddb42348319c2f34a9ab2bdb1846fbd30cb997a07df86056fd38")
 
     def test_cap_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(csw, "PATTERN_CAP", 3)

@@ -301,6 +301,49 @@ class TestNonconvexPair:
                 assert not is_solution(inst, combine(a, b, half))
         assert nonconvex >= 100
 
+    def test_the_mean_point_decides_and_the_pairs_are_scanned_only_past_it(self, monkeypatch):
+        # the mean of the piece points solves exactly when no pair of them
+        # has a failing midpoint, and nonconvex_pair scans the pairs (one
+        # combinations call) only when that mean fails
+        half = Fraction(1, 2)
+        scans = []
+        real = harness.combinations
+        monkeypatch.setattr(harness, "combinations",
+                            lambda *args: scans.append(args) or real(*args))
+        outcomes = set()
+        for inst in sweep_instances():
+            pieces = solve_all(inst)
+            points = [piece.point for piece in pieces]
+            if not points:
+                continue
+            mean = tuple(sum(column) / len(points) for column in zip(*points))
+            no_pair = all(is_solution(inst, combine(a, b, half))
+                          for a, b in combinations(points, 2))
+            assert is_solution(inst, mean) == no_pair, inst
+            scans.clear()
+            assert (nonconvex_pair(inst, pieces) is None) == no_pair, inst
+            assert len(scans) == (not no_pair), inst
+            outcomes.add((no_pair, len(points) > 1))
+        assert outcomes == {(True, False), (True, True), (False, True)}
+
+    def test_a_failing_mean_with_no_failing_pair_is_an_invariant_error(self, monkeypatch):
+        # both tests are exact, so forcing the mean to fail on a convex
+        # solution set with several pieces is a contradiction the scan reports
+        inst, pieces = next((inst, pieces) for inst in sweep_instances()
+                            for pieces in [solve_all(inst)]
+                            if len(pieces) > 2 and nonconvex_pair(inst, pieces) is None)
+        real = harness.solves_numerators
+        calls = []
+
+        def mean_fails(inst, nums, den):
+            calls.append(den)
+            return len(calls) > 1 and real(inst, nums, den)
+
+        monkeypatch.setattr(harness, "solves_numerators", mean_fails)
+        with pytest.raises(InvariantError, match="no midpoint"):
+            nonconvex_pair(inst, pieces)
+        assert len(calls) == 1 + len(pieces) * (len(pieces) - 1) // 2
+
 
 class TestVerifyTheorem:
     def test_all_suites_pass_at_small_trial_counts(self):

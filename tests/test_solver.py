@@ -396,6 +396,43 @@ class TestIsSolution:
             with pytest.raises(DimensionError):
                 is_solution(inst, wrong)
 
+    def test_rational_data_at_and_past_each_bound(self):
+        # C with denominators 2, 3 and 4, so int_stacked is A times 12, and
+        # rational d and q: points exactly on each bound and one step of
+        # 1/12 past it, wedge violations, and A x = q off by one unit
+        t = make_tuple([[["1/2", "-1/3"], ["1/4", 1]], [["2/3", "1/4"], ["-1/2", "1/3"]],
+                        [[1, "3/4"], ["-2/3", "1/2"]]])
+        assert t.int_scale == 12
+        d = ((Fraction(3, 2), Fraction(5, 3)),)
+        step, third, fifth = Fraction(1, 12), Fraction(1, 3), Fraction(2, 5)
+        # x = (x_{0,0}, x_{0,1}, x_{1,0}, x_{1,1}, x_{2,0}, x_{2,1}), d_1 = (3/2, 5/3)
+        cases = [
+            ((0, third, 0, 0, 0, 0), True),  # x_{1,0} = x_{2,0} = 0 on their lower bounds
+            ((-step, third, 0, 0, 0, 0), False),
+            ((0, third, -step, 0, 0, 0), False),
+            ((0, 0, d[0][0], d[0][1], fifth, step), True),  # x_1 = d_1, x_2 > 0
+            ((0, 0, d[0][0] + step, 0, 0, 0), False),
+            ((0, 0, d[0][0], d[0][1] + step, 0, 0), False),
+            ((0, 0, d[0][0], d[0][1], fifth, -step), False),
+            ((0, 0, d[0][0] - step, 0, 0, 0), True),  # inside the box, x_{2,0} = 0
+            ((0, 0, d[0][0] - step, 0, fifth, 0), False),  # slack and x_{2,0} positive
+            ((0, 0, 0, d[0][1] - step, 0, step), False),
+            ((step, third, step, 0, 0, 0), False),  # x_{0,0} x_{1,0} > 0
+        ]
+        for x, expected in cases:
+            x = tuple(map(Fraction, x))
+            q = mat_vec(t.stacked, x)
+            inst = EhlcpInstance(t, d, q)
+            assert is_solution(inst, x) == self.per_matrix_reference(inst, x) == expected, x
+            for i in range(2):
+                # one unit of q_i's last place off, on either side
+                for unit in (Fraction(1, q[i].denominator), -Fraction(1, q[i].denominator)):
+                    off = EhlcpInstance(t, d, tuple(v + unit * (j == i) for j, v in enumerate(q)))
+                    assert not is_solution(off, x) and not self.per_matrix_reference(off, x)
+            for wrong in (x[:-1], x + (F(0),)):
+                with pytest.raises(DimensionError):
+                    is_solution(inst, wrong)
+
     def test_agrees_with_the_per_matrix_equation(self):
         # solution points and perturbed points; q given as a list or a tuple
         rng = SplitMix64(29)
