@@ -10,7 +10,10 @@ the same in gen_tuple and the T3.2 suite.  The check and verify digests
 were recorded before the verdict types and the check dispatch were
 unified, so they pin every report byte through that refactor.  One
 exhaustive report pins the full list of column W violations, each sign
-conflict with its ``conflict_with`` determinant.
+conflict with its ``conflict_with`` determinant.  Two rational documents,
+whose rows have different denominators, pin ``check``, ``check
+--exhaustive`` and ``solve`` where scaling each row to integers by its own
+factor and scaling A by one common factor are different computations.
 """
 
 import hashlib
@@ -184,6 +187,36 @@ GOLDEN_DIGESTS = {
 EXHAUSTIVE_DIGEST = "76ba0f7e69d4b56e00ccfdee9e301df0f06629796f2ff57f6b1ec4e9afc0dabc"
 
 
+# rational documents whose rows have different denominators: r31 has rows of
+# denominators 2, 3 and 4, r42 rational C and bounds d of denominators 2 and 3
+RATIONAL_DOCS = {
+    "r31": {"n": 3, "k": 1, "q": [0, 0, 0],
+            "C": [[["-1", "-1/2", "-1/2"], ["-1/3", "2/3", "2/3"], [0, "-1/2", "1/2"]],
+                  [[0, 1, -1], [0, "-1/3", "-2/3"], ["-1/4", "1/2", "-1/2"]]]},
+    "r42": {"n": 4, "k": 2, "q": ["-1/6", "-7/9", 0, 0], "d": [["4/3", 7, "1/2", "5/3"]],
+            "C": [[["1/2", 1, -1, 1], ["2/3", "4/3", "-2/3", "-2/3"], [1, -1, 0, 0], [2, 1, 0, 0]],
+                  [["1/2", 0, "1/2", 0], ["4/3", "2/3", "2/3", 0], [0, 0, 1, 2], [0, 0, 1, 2]],
+                  [["1/2", "1/2", 0, 0], [0, "2/3", "2/3", 0], [0, 0, 1, 1], [1, 0, 0, 1]]]},
+}
+
+RATIONAL_COMMANDS = {
+    "check": ["check", "--props", ALL_PROPS],
+    "exhaustive": ["check", "--exhaustive", "--props", "column_w,column_w0,column_ndw"],
+    "solve": ["solve"],
+}
+
+# recorded while the determinant tree scaled each row by its own factor and
+# the selector tree scaled the rows of the Fraction A one by one
+RATIONAL_DIGESTS = {
+    "r31-check": "1fd0f2fcf872d059bbfddea576c5a1ece1cc3b5d15c7646ad191b6e69c9de422",
+    "r31-exhaustive": "8dca7217ab15f33995fd451522188c976c776223e5a75c30d33877957a1ea4b4",
+    "r31-solve": "9d449f778c6657afbaa737d52860644afe8972b79ec2cb02f821939c403dc476",
+    "r42-check": "de587f1dcfc330bb70a04c97f2bb485474525ae0b911904f2b2f879e1eb7669d",
+    "r42-exhaustive": "2da38fbb0732a4d6495c292d2076b23e04ee3ee222098b9deb6a475bbcfda7bd",
+    "r42-solve": "e2b6e059d592b5c79c09258a9a8dee1ee6e5b8fc5e9bb6e542ed4ee2f2d305c8",
+}
+
+
 def canonical_check_report(tmp_path, family, n, k, seed, props=ALL_PROPS, flags=()):
     inst, out = tmp_path / "inst.json", tmp_path / "report.json"
     gen = ["gen", "--family", family, "--n", str(n), "--k", str(k),
@@ -208,6 +241,16 @@ class TestGoldenReports:
         violations = json.loads(text)["verdicts"]["column_w"]["witness"]["violations"]
         assert sum("conflict_with" in v for v in violations) == 12 and len(violations) == 13
         assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_DIGEST
+
+    @pytest.mark.parametrize("label", sorted(RATIONAL_DIGESTS))
+    def test_rational_report_bytes(self, tmp_path, label):
+        name, command = label.split("-")
+        inst, out = tmp_path / "inst.json", tmp_path / "report.json"
+        inst.write_text(json.dumps(RATIONAL_DOCS[name]), encoding="utf-8")
+        assert main([*RATIONAL_COMMANDS[command], "--file", str(inst), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        del doc["timing_seconds"]
+        assert hashlib.sha256(dump_json(doc).encode()).hexdigest() == RATIONAL_DIGESTS[label]
 
     @pytest.mark.parametrize("label", sorted(l for l in GOLDEN_DIGESTS if l[:4] == "gen-"))
     def test_gen_bytes(self, tmp_path, label):
