@@ -2,13 +2,13 @@
 
 Each candidate violation of a property is a {-, 0, +} pattern over the
 components (i, r) of (x_0, ..., x_k).  It is realizable when it is the sign
-vector of some x in ker A, A = MatrixTuple.stacked.  By the vector/covector
-orthogonality of oriented matroids (Bland & Las Vergnas 1978; Björner et
-al., Oriented Matroids, section 3.4) that holds iff the pattern is
-orthogonal to every cocircuit of A, the minimal-support sign vectors of its
-row space.  The cocircuits are computed exactly once per tuple, as the
-signs of maximal minors (MatrixTuple.cocircuits), and transposed into one
-bitmask over cocircuit indices per component and sign
+vector of some x in ker A, A = [C_0 | -C_1 | ... | -C_k].  By the
+vector/covector orthogonality of oriented matroids (Bland & Las Vergnas
+1978; Björner et al., Oriented Matroids, section 3.4) that holds iff the
+pattern is orthogonal to every cocircuit of A, the minimal-support sign
+vectors of its row space.  The cocircuits are computed exactly once per
+tuple, as the signs of maximal minors (MatrixTuple.cocircuits), and
+transposed into one bitmask over cocircuit indices per component and sign
 (MatrixTuple.cocircuit_bits).  The pattern generator walks each property's
 move table over column states, and at each component tests every
 cocircuit whose support ends there by one bitmask operation, so it yields

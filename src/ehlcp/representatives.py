@@ -5,22 +5,24 @@ matrices; their determinant signs decide the column W, column W0 and the
 determinant form of the column ND-W property.
 
 _det_numerators computes every determinant in one elimination tree over
-the selectors.  Row i of every C_s is scaled to integers by one L_i.  A
-node at depth j holds the unused rows times the k+1 candidate columns of
-each position j..n-1; choosing s_j pivots (rational.pivot_step) on the
-first unused row nonzero in candidate column s_j, then drops that row and
-position j's columns.  At depth n-3 three rows are left, and each leaf
-below is their 3 x 3 minor over the last pivot squared (Sylvester's
-identity, as Bareiss 1968 states it), expanded along position n-3 with
-the 2 x 2 minors of the last two positions computed once per node: three
-products per leaf, no pivot_step and no sub-rows.  Siblings share their
-parent's elimination, so each selector costs its path's pivots below the
-shared prefix, not a full n x n determinant.  A candidate column that is
-zero on every unused row makes every completion of the prefix singular.
+the selectors.  Its root is MatrixTuple.int_stacked, A = [C_0 | -C_1 |
+... | -C_k] times one common factor int_scale, with the blocks of C_1..C_k
+negated back.  A node at depth j holds the unused rows times the k+1
+candidate columns of each position j..n-1; choosing s_j pivots
+(rational.pivot_step) on the first unused row nonzero in candidate column
+s_j, then drops that row and position j's columns.  At depth n-3 three
+rows are left, and each leaf below is their 3 x 3 minor over the last
+pivot squared (Sylvester's identity, as Bareiss 1968 states it), expanded
+along position n-3 with the 2 x 2 minors of the last two positions
+computed once per node: three products per leaf, no pivot_step and no
+sub-rows.  Siblings share their parent's elimination, so each selector
+costs its path's pivots below the shared prefix, not a full n x n
+determinant.  A candidate column that is zero on every unused row makes
+every completion of the prefix singular.
 
 The walk yields each determinant as a signed integer numerator over the
-common positive denominator prod(L_i), so every sign and zero test is an
-integer test.  A determinant a report prints is formatted from its
+common positive denominator int_scale ** n, so every sign and zero test
+is an integer test.  A determinant a report prints is formatted from its
 integers (_det_json, rational.ratio_str), with no Fraction.
 
 Each tuple walks that tree at most once for its non-exhaustive verdicts.
@@ -33,11 +35,11 @@ it needs.  An exhaustive column W check keeps its own full walk, in one
 integer pass (_w_violations) that lists every violation and records the
 first determinant of each sign into the scan.
 
-MatrixTuple.cocircuits holds the cocircuits of A = [C_0 | -C_1 | ... | -C_k]
-that every sign-pattern decision in csw reads, computed once per tuple by
-_cocircuits in a second tree, over the column subsets of size rank(A) - 1,
-whose last two columns are read off 3 x 3 Laplace expansions with no
-pivot; MatrixTuple.cocircuit_bits holds them transposed, as the bitmasks
+MatrixTuple.cocircuits holds the cocircuits of A that every sign-pattern
+decision in csw reads, computed once per tuple by _cocircuits in a second
+tree, over the column subsets of size rank(A) - 1, whose last two columns
+are read off 3 x 3 Laplace expansions with no pivot;
+MatrixTuple.cocircuit_bits holds them transposed, as the bitmasks
 that csw's pattern walk reads, and MatrixTuple.witnesses keeps csw's
 witness vector per sign pattern, so each is built once per tuple.
 """
@@ -47,11 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from math import lcm, prod
+from math import lcm
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
-from .rational import Mat, _echelon, int_row, mat, pivot_step, ratio_str
+from .rational import _echelon, int_row, mat, pivot_step, ratio_str
 
 SELECTOR_CAP = 10**6
 
@@ -74,28 +76,17 @@ class MatrixTuple:
                 raise DimensionError("all matrices must be n x n")
 
     @cached_property
-    def stacked(self) -> Mat:
-        """A = [C_0 | -C_1 | ... | -C_k], so the EHLCP equation is A x = q for
-        the stacked vector x = (x_0, ..., x_k): column i*n + r of A belongs to
-        component (i, r).  Built once per tuple; not a dataclass field, so
-        == and hash ignore it."""
-        return tuple(
-            tuple(c if i == 0 else -c for i, m in enumerate(self.mats) for c in m[row])
-            for row in range(self.n)
-        )
-
-    @cached_property
     def int_scale(self) -> int:
-        """The lcm of every denominator in mats; int_stacked is stacked times it."""
+        """The lcm of every denominator in mats; int_stacked is A times it."""
         return lcm(*(x.denominator for m in self.mats for row in m for x in row))
 
     @cached_property
     def int_stacked(self) -> tuple:
-        """stacked times int_scale, as rows of ints: every entry keeps its
-        ratio to every other, so the cocircuits and the witness simplex of
-        csw, and solver.is_solution, read it in place of the rational A.
-        Built once per tuple from mats, negated in ints, with no Fraction
-        stacked."""
+        """A = [C_0 | -C_1 | ... | -C_k] times int_scale, as rows of ints, so
+        the EHLCP equation is A x = q for the stacked vector x = (x_0, ...,
+        x_k): column i*n + r of A belongs to component (i, r).  The one form
+        of A the package reads, built once per tuple; not a dataclass field,
+        so == and hash ignore it."""
         return tuple(
             tuple(v if i == 0 else -v
                   for i, m in enumerate(self.mats) for v in int_row(m[row], self.int_scale))
@@ -110,7 +101,7 @@ class MatrixTuple:
 
     @cached_property
     def cocircuits(self) -> tuple:
-        """Cocircuits of stacked, as _cocircuits computes them; once per tuple."""
+        """Cocircuits of A, as _cocircuits computes them; once per tuple."""
         return _cocircuits(self)
 
     @cached_property
@@ -144,7 +135,8 @@ def unstack(flat, n: int) -> tuple:
 
 def make_tuple(mats) -> MatrixTuple:
     ms = tuple(mat(m) for m in mats)
-    return MatrixTuple(n=len(ms[0]), k=len(ms) - 1, mats=ms)
+    # no matrices: k = -1, which MatrixTuple refuses as it refuses one matrix
+    return MatrixTuple(n=len(ms[0]) if ms else 0, k=len(ms) - 1, mats=ms)
 
 
 @dataclass(frozen=True)
@@ -184,21 +176,20 @@ def check_selector_cap(t: MatrixTuple) -> None:
 
 
 def _det_numerators(t: MatrixTuple) -> tuple:
-    """(prod(L_i), walk): walk iterates (selector, numerator) over all
-    representatives, in selectors order, lazily; the determinant is the
-    numerator over prod(L_i).  The call itself checks the selector cap,
-    before any selector.
+    """(int_scale ** n, walk): walk iterates (selector, numerator) over
+    all representatives, in selectors order, lazily; the determinant is the
+    numerator over int_scale ** n.  The call itself checks the selector
+    cap, before any selector.
 
     The numerator is sign * last_pivot, with sign the parity of the order
     in which the rows were pivoted; below depth n-4 last_pivot is read as
     a 3 x 3 minor over the pivot above it squared, with no pivot_step."""
     check_selector_cap(t)
     n, width = t.n, t.k + 1
-    scales = [lcm(*(m[i][j].denominator for m in t.mats for j in range(n)))
-              for i in range(n)]
-    # column j * width + s of the root holds column j of C_s
-    root = [int_row([m[i][j] for j in range(n) for m in t.mats], scale)
-            for i, scale in enumerate(scales)]
+    # column j * width + s of the root holds column j of C_s, times int_scale:
+    # int_stacked's blocks s >= 1 negated back
+    root = [[-row[s * n + j] if s else row[j] for j in range(n) for s in range(width)]
+            for row in t.int_stacked]
     mid, last = range(width, 2 * width), range(2 * width, 3 * width)
 
     def subtree(rows, prefix, prev, sign):
@@ -246,7 +237,7 @@ def _det_numerators(t: MatrixTuple) -> tuple:
                 yield from subtree([row[width:] for row in a], sel, pivot,
                                    -sign if p % 2 else sign)
 
-    return prod(scales), subtree(root, (), 1, 1)
+    return t.int_scale ** n, subtree(root, (), 1, 1)
 
 
 class DetScan:
@@ -373,8 +364,8 @@ def check_column_ndw_det(t: MatrixTuple) -> PropertyVerdict:
 
 
 def _cocircuits(t: MatrixTuple) -> tuple:
-    """Cocircuits of A = t.stacked as (pos, neg) bitmasks, bit i*n + r for
-    component (i, r), one of each pair +-Y, in order of first appearance.
+    """Cocircuits of A as (pos, neg) bitmasks, bit i*n + r for component
+    (i, r), one of each pair +-Y, in order of first appearance.
 
     B is an integer row basis of A, eliminated from a copy of
     t.int_stacked (_echelon works in place).  Each subset S of rank(A) - 1

@@ -78,10 +78,11 @@ class SolutionPiece:
 
 def is_solution(inst: EhlcpInstance, x: Vec) -> bool:
     """Exact validity check of the EHLCP system for a stacked x = (x_0, ...,
-    x_k): A x = q for A = t.stacked, 0 <= x <= inst.upper, and every wedge
-    product x_{0,r} x_{1,r} and (d_{j,r} - x_{j,r}) x_{j+1,r} zero.  A
-    vector whose length is not (k+1)n raises DimensionError.  Decided by
-    solves_numerators, on x's numerators over their lcm."""
+    x_k): A x = q for A = [C_0 | -C_1 | ... | -C_k], 0 <= x <= inst.upper,
+    and every wedge product x_{0,r} x_{1,r} and (d_{j,r} - x_{j,r})
+    x_{j+1,r} zero.  A vector whose length is not (k+1)n raises
+    DimensionError.  Decided by solves_numerators, on x's numerators over
+    their lcm."""
     den = lcm(*(v.denominator for v in x))
     return solves_numerators(inst, int_row(x, den), den)
 
@@ -210,7 +211,10 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     chosen, the k+1 candidate columns A[i][s*n + r] and the pinned-bound
     terms g_r(s)[i] = sum_{0<j<s} d_{j,r} C_j[i][r] for s = 2..k (g_r(0)
     and g_r(1) are zero), and last the columns of the free positions
-    chosen so far; the root rows hold q and are scaled to integers.
+    chosen so far.  Root row i is int_scale times that rational row,
+    read off row i of t.int_stacked; q and the bounds d in g may still
+    be rational, so int_row takes it to integers by a positive factor of
+    its own, which moves no leaf's RREF, only its last pivot.
     Choosing s at depth r adds g_r(s) into the right-hand side, drops
     position r's other columns and pivots (rational.pivot_step) on the
     first unpivoted row nonzero in candidate column s.  The pivoted rows
@@ -236,8 +240,8 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     upper = inst.upper
     block = 2 * k  # per position: k + 1 candidate columns, then g_r(2..k)
     root = []
-    for row, q in zip(t.stacked, inst.q):
-        cells = [0, q]
+    for row, q in zip(t.int_stacked, inst.q):
+        cells = [0, q * t.int_scale]
         for r in range(n):
             cells += [row[s * n + r] for s in range(k + 1)]
             g = 0

@@ -1,7 +1,10 @@
 """Reference code kept out of the package and shared by the tests.
 
-representative_matrix builds the column representative of one selector, the
-per-selector reference of the determinant walk.  walk_dets reads that walk,
+stacked_matrix builds A = [C_0 | -C_1 | ... | -C_k] from the tuple's
+matrices by the definition, as Fractions, with no scale; the package keeps
+A only in integers (MatrixTuple.int_stacked).  representative_matrix
+builds the column representative of one selector, the per-selector
+reference of the determinant walk.  walk_dets reads that walk,
 representatives._det_numerators, as (selector, Fraction determinant) pairs.
 mat_mul is the plain matrix product.  solution_points, _step, combine and
 midpoints_solve are the sampled convexity check that harness.nonconvex_pair
@@ -47,6 +50,15 @@ from ehlcp.representatives import MatrixTuple, _det_numerators
 from ehlcp.solver import EhlcpInstance, SolutionPiece, is_solution, solve_all
 
 
+def stacked_matrix(t: MatrixTuple) -> Mat:
+    """A = [C_0 | -C_1 | ... | -C_k]: column i*n + r is column r of C_i,
+    negated for i >= 1."""
+    return tuple(
+        tuple(m[r][c] if i == 0 else -m[r][c] for i, m in enumerate(t.mats) for c in range(t.n))
+        for r in range(t.n)
+    )
+
+
 def representative_matrix(t: MatrixTuple, selector: tuple) -> Mat:
     """Matrix whose column j is column j of C_{selector[j]}."""
     if len(selector) != t.n:
@@ -74,7 +86,8 @@ def selector_system(inst: EhlcpInstance, selector: tuple):
     n = t.n
     upper = inst.upper
     free = [m * n + r for r, m in enumerate(selector)]
-    a = tuple(tuple(row[i] for i in free) for row in t.stacked)
+    stacked = stacked_matrix(t)
+    a = tuple(tuple(row[i] for i in free) for row in stacked)
     pinned = [Fraction(0)] * len(upper)
     for r, m in enumerate(selector):
         for j in range(1, m):
@@ -82,7 +95,7 @@ def selector_system(inst: EhlcpInstance, selector: tuple):
     # the pinned d terms move to the right-hand side
     rhs = tuple(
         q - sum(row[i] * v for i, v in enumerate(pinned) if v)
-        for q, row in zip(inst.q, t.stacked)
+        for q, row in zip(inst.q, stacked)
     )
     box = [(c, 1, Fraction(0)) for c in range(n)] + [
         (c, -1, -upper[i]) for c, i in enumerate(free) if upper[i] is not None

@@ -23,7 +23,7 @@ from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
 from ehlcp.representatives import MatrixTuple, check_column_ndw_det, make_tuple
-from reference import ref_nonneg_solution, representative_matrix
+from reference import ref_nonneg_solution, representative_matrix, stacked_matrix
 
 
 MODES = ("csw", "cone", "ndw")
@@ -108,7 +108,7 @@ def assert_realizes(t, signs, found):
     pattern's signs and |x_e| >= 1 on the support."""
     x, scale = found
     assert all(type(v) is int for v in (*x, scale)) and scale > 0
-    assert len(x) == len(signs) and not any(mat_vec(t.stacked, [Fraction(v, scale) for v in x]))
+    assert len(x) == len(signs) and not any(mat_vec(stacked_matrix(t), [Fraction(v, scale) for v in x]))
     for v, s in zip(x, signs):
         assert (v > 0) - (v < 0) == s
         assert s == 0 or abs(v) >= scale
@@ -196,7 +196,7 @@ class TestPatternRealizable:
         realized = 0
         for signs in candidates:
             support = [e for e, s in enumerate(signs) if s]
-            m = [[row[e] * signs[e] for e in support] for row in t.stacked]
+            m = [[row[e] * signs[e] for e in support] for row in stacked_matrix(t)]
             z, _ = ref_nonneg_solution(m, [-sum(row) for row in m])
             found = pattern_realizable(t, signs)
             assert (found is None) == (z is None), signs
@@ -213,7 +213,7 @@ class TestPatternRealizable:
 def reference_cocircuits(t):
     """MatrixTuple.cocircuits without the zero-set skip: one solve per
     (rank-1)-subset."""
-    rows = [int_row(row) for row in t.stacked]
+    rows = [int_row(row) for row in stacked_matrix(t)]
     pivots, last, _ = _echelon(rows, len(rows[0]))
     rank = len(pivots)
     if rank == 0:

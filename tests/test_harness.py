@@ -38,6 +38,7 @@ from reference import (
     ndw_two_solutions,
     representative_matrix,
     solution_points,
+    stacked_matrix,
 )
 
 
@@ -212,7 +213,7 @@ class TestTwoSolutions:
         t = paper_example_tuple()
         _, a, b = ndw_two_solutions(t)
         assert a != b
-        assert not any(mat_vec(t.stacked, tuple(y - x for x, y in zip(a, b))))
+        assert not any(mat_vec(stacked_matrix(t), tuple(y - x for x, y in zip(a, b))))
 
     def test_endpoints_of_the_ndw_witness_solve(self):
         t = paper_example_tuple()

@@ -23,7 +23,7 @@ from ehlcp.representatives import (
     selectors,
     unstack,
 )
-from reference import representative_matrix, walk_dets
+from reference import representative_matrix, stacked_matrix, walk_dets
 
 
 class TestSelectors:
@@ -201,8 +201,9 @@ class TestImplications:
 
 class TestTupleValidation:
     def test_needs_k_plus_one_matrices(self):
-        with pytest.raises(InputError):
-            make_tuple([identity(2)])
+        for mats in ([identity(2)], []):
+            with pytest.raises(InputError, match="k >= 1"):
+                make_tuple(mats)
 
     def test_all_matrices_square_same_size(self):
         with pytest.raises(DimensionError):
@@ -222,11 +223,14 @@ class TestStacked:
                             expected[row][i * n + r] = value if i == 0 else -value
                 twin = gen_tuple(GenSpec(n, k, "generic", 3, subseed(71, 10 * n + k)))
                 assert t == twin and hash(t) == hash(twin)
-                assert t.stacked == tuple(tuple(row) for row in expected)
-                assert t.stacked is t.stacked  # computed once per tuple
+                assert stacked_matrix(t) == tuple(tuple(row) for row in expected)
+                assert t.int_stacked == tuple(tuple(t.int_scale * v for v in row)
+                                              for row in expected)
+                assert t.int_stacked is t.int_stacked  # computed once per tuple
                 # the cached attribute is not a field: equality and hash ignore it
                 assert t == twin and hash(t) == hash(twin)
-                assert "stacked" in vars(t) and "stacked" not in vars(twin)
+                assert "int_stacked" in vars(t) and "int_stacked" not in vars(twin)
+                assert not hasattr(t, "stacked")  # A is kept only in integers
 
     def test_int_stacked_is_stacked_over_one_common_factor(self):
         for k in (1, 2):
@@ -235,9 +239,10 @@ class TestStacked:
                 rational = make_tuple([[[v / (r + 2 + i) for v in row] for r, row in enumerate(m)]
                                        for i, m in enumerate(t.mats)])
                 for u in (t, rational):
-                    mult = lcm(*(x.denominator for row in u.stacked for x in row))
-                    expected = tuple(tuple(int_row(row, mult)) for row in u.stacked)
-                    assert u.int_stacked == expected
+                    a = stacked_matrix(u)
+                    mult = lcm(*(x.denominator for row in a for x in row))
+                    assert u.int_scale == mult
+                    assert u.int_stacked == tuple(tuple(int_row(row, mult)) for row in a)
                     assert all(type(v) is int for row in u.int_stacked for v in row)
                     assert u.int_stacked is u.int_stacked
         assert make_tuple([[["1/2"]], [["-1/3"]]]).int_stacked == ((3, 2),)
@@ -264,8 +269,8 @@ def _tuple_of_kind(kind, n, k, rng):
     if kind == "integer":
         mats = ints(-3, 3)
     elif kind == "rational":
-        # one base denominator per (matrix, row), varied per entry, so every
-        # row scale L_i is the lcm of different denominators across matrices
+        # one base denominator per (matrix, row), varied per entry, so rows
+        # differ in their denominators and int_scale is more than most rows need
         mats = [
             [[Fraction(rng.randint(-5, 5), base * rng.choice((1, 2, 3))) for _ in range(n)]
              for base in (rng.randint(1, 7) for _ in range(n))]
@@ -500,7 +505,7 @@ class TestSharedScan:
         # column W holds on the constructive tuples and fails on the others
         assert (True, True, True) in outcomes and len(outcomes) >= 2, outcomes
         if kind == "rational":
-            # witnesses print determinants reduced over prod(L_i) as "p/q"
+            # witnesses print determinants reduced over int_scale ** n as "p/q"
             assert "/" in printed
 
     def test_w_violation_is_the_earlier_of_zero_and_sign_conflict(self):

@@ -33,6 +33,7 @@ from reference import (
     representative_matrix,
     selector_system,
     solve_branch,
+    stacked_matrix,
 )
 
 
@@ -373,7 +374,7 @@ class TestIsSolution:
         def verdict(x):
             # q = A x, so the equation holds and bounds and wedges decide
             x = tuple(x)
-            inst = EhlcpInstance(t, d, mat_vec(t.stacked, x))
+            inst = EhlcpInstance(t, d, mat_vec(stacked_matrix(t), x))
             assert is_solution(inst, x) == self.per_matrix_reference(inst, x)
             return is_solution(inst, x)
 
@@ -391,7 +392,7 @@ class TestIsSolution:
             x[(j + 1) * n] = half
             assert not verdict(x)
         x = tuple(self.column_point(n, k, d, 0, half))
-        inst = EhlcpInstance(t, d, mat_vec(t.stacked, x))
+        inst = EhlcpInstance(t, d, mat_vec(stacked_matrix(t), x))
         for wrong in (x[:-1], x + (F(0),)):
             with pytest.raises(DimensionError):
                 is_solution(inst, wrong)
@@ -421,7 +422,7 @@ class TestIsSolution:
         ]
         for x, expected in cases:
             x = tuple(map(Fraction, x))
-            q = mat_vec(t.stacked, x)
+            q = mat_vec(stacked_matrix(t), x)
             inst = EhlcpInstance(t, d, q)
             assert is_solution(inst, x) == self.per_matrix_reference(inst, x) == expected, x
             for i in range(2):
@@ -771,7 +772,7 @@ class TestSelectorTree:
                 for j in range(1, m):
                     x[j * n + r] = d[j - 1][r]
                 x[m * n + r] = (d[m - 1][r] if 0 < m < k else Fraction(5, 2)) * Fraction(rng.randint(0, 3), 3)
-            inst = EhlcpInstance(t, d, mat_vec(t.stacked, tuple(x)))
+            inst = EhlcpInstance(t, d, mat_vec(stacked_matrix(t), tuple(x)))
             fractional += any(v.denominator > 1 for v in inst.q + sum(d, ()))
             pieces = solve_all(inst)
             assert pieces
@@ -869,7 +870,7 @@ class TestLastLevel:
             for j in range(1, m):
                 x[j * 2 + r] = d[r]
             x[m * 2 + r] = y[r]
-        inst = EhlcpInstance(t, (d,), mat_vec(t.stacked, tuple(x)))
+        inst = EhlcpInstance(t, (d,), mat_vec(stacked_matrix(t), tuple(x)))
         decided = dict(assert_pieces_match_reference(inst))
         assert pieces_json(solve_all(inst)) == pieces_json(reference_solve_all(inst))
         return decided[sel]
