@@ -13,7 +13,9 @@ exhaustive report pins the full list of column W violations, each sign
 conflict with its ``conflict_with`` determinant.  Two rational documents,
 whose rows have different denominators, pin ``check``, ``check
 --exhaustive`` and ``solve`` where scaling each row to integers by its own
-factor and scaling A by one common factor are different computations.
+factor and scaling A by one common factor are different computations; a
+third, with two bound blocks, pins ``solve`` where the same holds for q
+and the bounds d.
 """
 
 import hashlib
@@ -188,7 +190,10 @@ EXHAUSTIVE_DIGEST = "76ba0f7e69d4b56e00ccfdee9e301df0f06629796f2ff57f6b1ec4e9afc
 
 
 # rational documents whose rows have different denominators: r31 has rows of
-# denominators 2, 3 and 4, r42 rational C and bounds d of denominators 2 and 3
+# denominators 2, 3 and 4, r42 rational C and bounds d of denominators 2 and 3,
+# r33 two bound blocks, d of denominators 2 and 3 and q of denominator 5, so the
+# selector tree's root rows have their own lcms 10, 15 and 6 (times C's 2)
+# where one common factor for q and d is 30
 RATIONAL_DOCS = {
     "r31": {"n": 3, "k": 1, "q": [0, 0, 0],
             "C": [[["-1", "-1/2", "-1/2"], ["-1/3", "2/3", "2/3"], [0, "-1/2", "1/2"]],
@@ -197,6 +202,9 @@ RATIONAL_DOCS = {
             "C": [[["1/2", 1, -1, 1], ["2/3", "4/3", "-2/3", "-2/3"], [1, -1, 0, 0], [2, 1, 0, 0]],
                   [["1/2", 0, "1/2", 0], ["4/3", "2/3", "2/3", 0], [0, 0, 1, 2], [0, 0, 1, 2]],
                   [["1/2", "1/2", 0, 0], [0, "2/3", "2/3", 0], [0, 0, 1, 1], [1, 0, 0, 1]]]},
+    "r33": {"n": 3, "k": 3, "q": ["1/5", "-2/5", 1], "d": [["1/2", "1/3", 1], ["3/2", "2/3", 1]],
+            "C": [[[2, 1, 0], [1, -1, 1], [0, 1, 1]], [[1, 0, 2], [0, 1, 1], [1, 1, 0]],
+                  [[1, 0, -1], [0, 2, 0], [2, -1, 1]], [["1/2", 1, 0], [-1, 0, 1], [0, 1, "-1/2"]]]},
 }
 
 RATIONAL_COMMANDS = {
@@ -206,7 +214,8 @@ RATIONAL_COMMANDS = {
 }
 
 # recorded while the determinant tree scaled each row by its own factor and
-# the selector tree scaled the rows of the Fraction A one by one
+# the selector tree scaled the rows of the Fraction A one by one; r33-solve
+# while the selector tree's root scaled each row to integers by its own lcm
 RATIONAL_DIGESTS = {
     "r31-check": "1fd0f2fcf872d059bbfddea576c5a1ece1cc3b5d15c7646ad191b6e69c9de422",
     "r31-exhaustive": "8dca7217ab15f33995fd451522188c976c776223e5a75c30d33877957a1ea4b4",
@@ -214,6 +223,7 @@ RATIONAL_DIGESTS = {
     "r42-check": "de587f1dcfc330bb70a04c97f2bb485474525ae0b911904f2b2f879e1eb7669d",
     "r42-exhaustive": "2da38fbb0732a4d6495c292d2076b23e04ee3ee222098b9deb6a475bbcfda7bd",
     "r42-solve": "e2b6e059d592b5c79c09258a9a8dee1ee6e5b8fc5e9bb6e542ed4ee2f2d305c8",
+    "r33-solve": "dbad6004bee8f30f97c042bd4dd50c45785f48f97504a567fbefbed41ece48ec",
 }
 
 
