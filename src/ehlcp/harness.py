@@ -18,8 +18,7 @@ from .classes import is_m, is_z
 from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_pairs
 from .errors import CapExceeded, InputError, InvariantError
 from .io import instance_to_json, tuple_to_json, vec_to_json
-from .rational import (Mat, Vec, det, identity, int_row, inverse, left_divide, mat, mat_vec,
-                       vec, zeros)
+from .rational import Mat, Vec, _echelon, det, identity, int_row, inverse, mat, mat_vec, zeros
 from .representatives import (
     MatrixTuple,
     check_column_ndw_det,
@@ -244,14 +243,16 @@ def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) 
     """One violation, carrying the instance and the nonconvex_pair, when
     the solution set is not convex.  The instance is drawn at
     subseed(seed, salt + index) when t has column ND-W, and is otherwise
-    two_solutions of the definition decider's ND-W witness."""
+    two_solutions of the definition decider's ND-W witness, the integer
+    vector over its scale that t.witnesses keeps for its pattern."""
     if check_column_ndw_det(t).holds:
         inst = gen_instance(t, subseed(spec.seed, salt + index), spec.entry_range)
     else:
         ndw = check_column_ndw_def(t)
         if ndw.holds:
             raise InvariantError("definition ND-W holds on a tuple with a singular representative")
-        inst, _, _ = two_solutions(t, vec(chain.from_iterable(ndw.witness["x"])))
+        x, scale = t.witnesses[tuple(chain.from_iterable(ndw.witness["pattern"]))]
+        inst, _, _ = two_solutions(t, tuple(Fraction(v, scale) for v in x))
     pair = nonconvex_pair(inst, solve_all(inst))
     if pair is None:
         return []
@@ -261,25 +262,33 @@ def _convexity_violations(spec: GenSpec, index: int, t: MatrixTuple, salt: int) 
 
 
 def _normalized(t: MatrixTuple) -> Optional[tuple]:
-    """The matrices C_0^{-1} C_i for i = 1..k, or None when C_0 is singular:
-    the n-column blocks of C_0^{-1} [C_1 | ... | C_k]."""
+    """(s, (M_1, ..., M_k)), ints s > 0 and M_i = s C_0^{-1} C_i, or None
+    when C_0 is singular: rational._echelon on the first n columns of
+    t.int_stacked leaves last times [I | -C_0^{-1} C_1 | ...], and s =
+    |last|.  Scaling the normalized tuple by s > 0 multiplies each
+    representative determinant by s^n and keeps every off-diagonal sign,
+    so its column W and Z verdicts are the normalized tuple's."""
     n = t.n
-    right = left_divide(t.mats[0], [[v for m in t.mats[1:] for v in m[r]] for r in range(n)])
-    if right is None:
+    rows = list(t.int_stacked)
+    pivots, last, _ = _echelon(rows, n)
+    if len(pivots) < n:
         return None
-    return tuple(tuple(row[i : i + n] for row in right) for i in range(0, t.k * n, n))
+    sign = -1 if last > 0 else 1
+    return abs(last), tuple(tuple(tuple(sign * v for v in row[i : i + n]) for row in rows)
+                            for i in range(n, (t.k + 1) * n, n))
 
 
 def _z_normalized(t: MatrixTuple) -> bool:
     """Hypothesis of T4.4 and C4.1: C_0 is invertible and every
-    C_0^{-1} C_i is a Z-matrix."""
+    C_0^{-1} C_i is a Z-matrix, tested on _normalized's s C_0^{-1} C_i."""
     normalized = _normalized(t)
-    return normalized is not None and all(is_z(m).holds for m in normalized)
+    return normalized is not None and all(is_z(m).holds for m in normalized[1])
 
 
 def _check_t21(spec, index, t) -> list:
     """Column W agrees with column W of the normalized tuple, and each
-    column W tuple has one solution for three seeded (d, q).
+    column W tuple has one solution for three seeded (d, q).  The
+    normalized tuple is checked as _normalized's (s I, M_1, ..., M_k).
 
     The theorem's clause det(sum C_i D_i) != 0, for nonnegative diagonal
     D_i with a positive entry in each column, is column W itself, so it is
@@ -290,25 +299,21 @@ def _check_t21(spec, index, t) -> list:
     determinant 0."""
     out = []
     w = check_column_w(t).holds
-    normalized = _normalized(t)
-    normalized_w = normalized is not None and check_column_w(
-        MatrixTuple(t.n, t.k, (identity(t.n), *normalized))
-    ).holds
+    normalized_w = False
+    if (normalized := _normalized(t)) is not None:
+        s, blocks = normalized
+        s_identity = tuple(tuple(s * (i == j) for j in range(t.n)) for i in range(t.n))
+        normalized_w = check_column_w(MatrixTuple(t.n, t.k, (s_identity, *blocks))).holds
     if w != normalized_w:
         out.append(_violation(spec, index, t, "W-property disagrees with the normalized tuple"))
     if w:
         for trial in range(3):
             inst = gen_instance(t, subseed(spec.seed, 1000 + 10 * index + trial), spec.entry_range)
             pieces = solve_all(inst)
-            if (
-                len(pieces) != 1
-                or pieces[0].piece_dimension != 0
-                or not is_solution(inst, pieces[0].point)
-            ):
-                out.append(
-                    _violation(spec, index, t, "W tuple without a unique solution",
-                               instance=instance_to_json(inst))
-                )
+            if (len(pieces) != 1 or pieces[0].piece_dimension != 0
+                    or not is_solution(inst, pieces[0].point)):
+                out.append(_violation(spec, index, t, "W tuple without a unique solution",
+                                      instance=instance_to_json(inst)))
     return out
 
 

@@ -1,26 +1,19 @@
 """Exact rational vectors, dense matrices, determinants and linear solves.
 
-Scalars are ``fractions.Fraction`` throughout; vectors are tuples of
-Fractions and matrices are tuples of row tuples.  Nothing in this module
-ever rounds, so every sign test downstream is reliable.
+Scalars are ``fractions.Fraction``; vectors are tuples of them and matrices
+tuples of row tuples.  Nothing here rounds, so every sign test downstream
+is reliable.
 
 The package has one elimination step, pivot_step: a fraction-free
-Gauss-Jordan pivot (Bareiss 1968) on rows scaled to integers, which keeps
-every entry an integer minor.  The determinant is the last pivot,
-solve_linear and left_divide read their results off the rows divided by it,
-linprog's simplex tableau is the rational tableau times it, and the tree of
-representatives._cocircuits (over column subsets) pivots once per node
-while more than three rows are left, then reads each leaf pair of columns
-as a 3 x 3 Laplace expansion of the three rows, with no division.
-The tree of representatives._det_numerators (over column selectors)
-pivots once per node down to depth n-4 and reads the last three levels as
-3 x 3 minors of the three rows left, divided by the last pivot squared.
-The tree of solver._selector_pieces (over column selectors, carrying the
-right-hand side and the columns of the free unknowns) pivots only where the
-candidate column has a pivot, a nonzero entry on an unpivoted row, and reads
-every leaf as solve_linear reads an RREF; below a node with one unpivoted
-row and no free unknown it reads each nonsingular leaf's numerators off
-that row and the pivoted rows without a pivot.
+Gauss-Jordan pivot (Bareiss 1968) on integer rows, which keeps every entry
+an integer minor.  The determinant is the last pivot; solve_linear,
+left_divide and inverse read their results off the rows divided by it, and
+the harness's _normalized reads s C_0^{-1} C_i off the rows of A undivided,
+s the last pivot's absolute value.  linprog's tableau is the rational one
+times the last pivot, and the elimination trees over column subsets
+(representatives._cocircuits) and column selectors
+(representatives._det_numerators, solver._selector_pieces) pivot once per
+node and read their last levels off the rows left; their modules say how.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from math import lcm
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
-from .rational import _echelon, int_row, mat, pivot_step, ratio_str
+from .rational import _echelon, mat, pivot_step, ratio_str
 
 SELECTOR_CAP = 10**6
 
@@ -78,18 +78,20 @@ class MatrixTuple:
     @cached_property
     def int_scale(self) -> int:
         """The lcm of every denominator in mats; int_stacked is A times it."""
-        return lcm(*(x.denominator for m in self.mats for row in m for x in row))
+        return lcm(*{x.denominator for m in self.mats for row in m for x in row})
 
     @cached_property
     def int_stacked(self) -> tuple:
         """A = [C_0 | -C_1 | ... | -C_k] times int_scale, as rows of ints, so
         the EHLCP equation is A x = q for the stacked vector x = (x_0, ...,
-        x_k): column i*n + r of A belongs to component (i, r).  The one form
-        of A the package reads, built once per tuple; not a dataclass field,
-        so == and hash ignore it."""
+        x_k): column i*n + r of A belongs to component (i, r).  An entry is
+        its numerator times int_scale // its denominator, negated in blocks
+        i >= 1.  The one form of A the package reads, built once per tuple;
+        not a dataclass field, so == and hash ignore it."""
+        scale, signs = self.int_scale, (1,) + (-1,) * self.k
         return tuple(
-            tuple(v if i == 0 else -v
-                  for i, m in enumerate(self.mats) for v in int_row(m[row], self.int_scale))
+            tuple([sign * x.numerator * (scale // x.denominator)
+                   for sign, m in zip(signs, self.mats) for x in m[row]])
             for row in range(self.n)
         )
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 from operator import mul
 from typing import Iterator, Optional
@@ -211,10 +211,10 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     chosen, the k+1 candidate columns A[i][s*n + r] and the pinned-bound
     terms g_r(s)[i] = sum_{0<j<s} d_{j,r} C_j[i][r] for s = 2..k (g_r(0)
     and g_r(1) are zero), and last the columns of the free positions
-    chosen so far.  Root row i is int_scale times that rational row,
-    read off row i of t.int_stacked; q and the bounds d in g may still
-    be rational, so int_row takes it to integers by a positive factor of
-    its own, which moves no leaf's RREF, only its last pivot.
+    chosen so far.  Root row i is int_scale * f times that rational row, f
+    the lcm of the denominators of q and d, built in integers from row i of
+    t.int_stacked and q and d times f: a positive factor per row, which
+    moves no leaf's RREF, only its last pivot.
     Choosing s at depth r adds g_r(s) into the right-hand side, drops
     position r's other columns and pivots (rational.pivot_step) on the
     first unpivoted row nonzero in candidate column s.  The pivoted rows
@@ -239,16 +239,16 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     n, k = t.n, t.k
     upper = inst.upper
     block = 2 * k  # per position: k + 1 candidate columns, then g_r(2..k)
+    f = lcm(*{x.denominator for x in chain(inst.q, *inst.d)})
+    bounds = [[x.numerator * (f // x.denominator) for x in dj] for dj in inst.d]
     root = []
     for row, q in zip(t.int_stacked, inst.q):
-        cells = [0, q * t.int_scale]
+        cells = [0, q.numerator * (f // q.denominator) * t.int_scale]
         for r in range(n):
-            cells += [row[s * n + r] for s in range(k + 1)]
-            g = 0
-            for j in range(1, k):
-                g -= upper[j * n + r] * row[j * n + r]  # row holds -C_j[i][r]
-                cells.append(g)
-        root.append(int_row(cells))
+            column = row[r::n]  # A[i][s*n + r] for s = 0..k: C_0[i][r], then -C_s[i][r]
+            cells += [f * v for v in column]
+            cells += accumulate(-b[r] * v for b, v in zip(bounds, column[1:k]))
+        root.append(cells)
     zero = Fraction(0)
     zero_point = (zero,) * len(upper)
 

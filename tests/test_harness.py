@@ -1,7 +1,7 @@
 """Seeded generation, golden suites, and theorem verification plumbing."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -25,6 +25,7 @@ from ehlcp.harness import (
 from ehlcp.io import parse_instance
 from ehlcp.rational import det, identity, inverse, mat, mat_vec, vec, zeros
 from ehlcp.representatives import (
+    MatrixTuple,
     PropertyVerdict,
     check_column_ndw_det,
     check_column_w,
@@ -102,6 +103,8 @@ class TestGenerators:
 
 class TestNormalized:
     def test_matches_the_inverse_times_each_matrix(self):
+        # (s, M) with s > 0 an int and M_i == s * inverse(C_0) * C_i exactly,
+        # in ints, or None when C_0 is singular
         singular = 0
         for family in ("generic", "degenerate"):
             for n in (1, 2, 3):
@@ -113,11 +116,50 @@ class TestNormalized:
                                              for i, m in enumerate(t.mats)])
                         for u in (t, scaled):
                             inv = inverse(u.mats[0])
-                            expected = None if inv is None else tuple(
-                                mat_mul(inv, m) for m in u.mats[1:])
-                            assert _normalized(u) == expected, u
+                            found = _normalized(u)
+                            if inv is None:
+                                assert found is None, u
+                                continue
+                            s, blocks = found
+                            assert type(s) is int and s > 0, u
+                            assert all(type(v) is int for m in blocks for row in m for v in row)
+                            assert blocks == tuple(
+                                tuple(tuple(s * v for v in row) for row in mat_mul(inv, m))
+                                for m in u.mats[1:]), u
                         singular += inv is None
         assert singular > 0
+
+    def test_scaled_tuple_has_the_normalized_column_w_verdict(self):
+        # T2.1 checks (s I, M_1, ..., M_k) in place of the Fraction tuple
+        # (I, C_0^{-1} C_1, ...): every representative determinant is s^n
+        # times the normalized one, so the column W verdicts agree, on the
+        # tuples sweep_instances draws and on rational copies, row r of C_i
+        # divided by i + r + 2
+        shapes = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4) if (k + 1) ** n <= 27]
+        verdicts = set()
+        for family in FAMILIES:
+            for n, k in shapes:
+                for seed in range(4):
+                    t = gen_tuple(GenSpec(n, k, family, 2, subseed(1600, seed)))
+                    rational = make_tuple([[[v * Fraction(1, i + r + 2) for v in row]
+                                            for r, row in enumerate(m)]
+                                           for i, m in enumerate(t.mats)])
+                    for u in (t, rational):
+                        inv = inverse(u.mats[0])
+                        if inv is None:
+                            assert _normalized(u) is None
+                            continue
+                        exact = make_tuple([identity(n)] + [mat_mul(inv, m) for m in u.mats[1:]])
+                        s, blocks = _normalized(u)
+                        s_identity = tuple(tuple(s * (i == j) for j in range(n)) for i in range(n))
+                        ours = MatrixTuple(n, k, (s_identity, *blocks))
+                        for sel in product(range(k + 1), repeat=n):
+                            assert (det(representative_matrix(ours, sel))
+                                    == s ** n * det(representative_matrix(exact, sel))), u
+                        w = check_column_w(exact).holds
+                        assert check_column_w(ours).holds == w, u
+                        verdicts.add(w)
+        assert verdicts == {True, False}
 
 
 def diagonal_combination(t, diags):
