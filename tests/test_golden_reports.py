@@ -5,8 +5,10 @@ families at n = 1..3, k = 1..2, seeds 0 and 1, with ``timing_seconds``
 removed; the verify reports run every theorem for 3 trials at n = 2,
 k = 1 and 2, seed 0 (a passing verify report lists no trials, so those
 digests pin the verdict of each suite).  The gen digests pin the instance
-files of the column_w_constructive family, whose C_i = C_0 D_i draws are
-the same in gen_tuple and the T3.2 suite.  The check and verify digests
+files of all four families: column_w_constructive, whose C_i = C_0 D_i
+draws are the same in gen_tuple and the T3.2 suite, and generic,
+degenerate and z_structured at (n, k) = (2, 1) and (3, 2), recorded while
+every drawn entry was a Fraction.  The check and verify digests
 were recorded before the verdict types and the check dispatch were
 unified, so they pin every report byte through that refactor.  One
 exhaustive report pins the full list of column W violations, each sign
@@ -140,6 +142,30 @@ GOLDEN_DIGESTS = {
         "ac077e152e5002b105b2dfd3d623188cce0789f50bdbcdacd995174a61b7dcba",
     "gen-column_w_constructive-n4-k3-s1":
         "66731adde079376655042164c4f0f5f1adee9b2a253a9b7e1e5e12f84dc9cdba",
+    "gen-degenerate-n2-k1-s0":
+        "a1841993f7ce9a52290fafdc7bfa626b88798d500f5f88afcb4e3e403ea13234",
+    "gen-degenerate-n2-k1-s1":
+        "4776f03c3378b3d159922b83bc21c6637868a71f3714ee7fc3399e8ac2cd652e",
+    "gen-degenerate-n3-k2-s0":
+        "757603d2242deea673cc61d56eb700fa7e4ce8fe41c098652ae29930f11139b7",
+    "gen-degenerate-n3-k2-s1":
+        "1a8b753ee9a2966f2408268f849743b0c5ef8fe39b99719ea91c980086ce2fdb",
+    "gen-generic-n2-k1-s0":
+        "7852cc036008ab0cc00ac15c97c51e92323d4ad49581a41e35379c9ddc1d9a5e",
+    "gen-generic-n2-k1-s1":
+        "6d112587ad3a0f6b878faba2905e08dee863b76a304ae0f674ebcf12f9a5a0fb",
+    "gen-generic-n3-k2-s0":
+        "247586a44ced1fe86699308072319144aee27fd57c51184b1914dd496be184d9",
+    "gen-generic-n3-k2-s1":
+        "1f8490469b05d5f42b7164e9142e45ad3d2dbad27970c37594cd200c57c4f932",
+    "gen-z_structured-n2-k1-s0":
+        "b010b288472111fc009e9136a4b2b5d6d008ed20f4f22b6c0c540bf8b8c234d2",
+    "gen-z_structured-n2-k1-s1":
+        "bc044dd8ed357f0b57a99e193713b9221466739bbfd4e30255bc60446bbef81d",
+    "gen-z_structured-n3-k2-s0":
+        "5f53c46e6a9e3927888c31baca1c2853cb14840b0039f861aea75ee6cdd975d3",
+    "gen-z_structured-n3-k2-s1":
+        "c5e684d54699de40b6f3760d5e550d05319b9c3a66046a8f1af072f616a523ed",
     "verify-C4.1-zconvex-k1":
         "0e7249742e4465e409f45bc875f8be304b56b4604d471c04c9836997f88f6cdb",
     "verify-C4.1-zconvex-k2":

@@ -476,6 +476,29 @@ class TestVerifyTheorem:
         assert verify_theorem("T3.2-unique", 4, GenSpec(3, 2, "generic", 2, 0)) == []
         assert sizes == [3] * 4 + [golden().n for golden in harness._INJECTED]
 
+    def test_t21_solves_each_column_w_tuple(self, monkeypatch):
+        # every column_w_constructive tuple is column W, so each of the five
+        # trials runs the unique-solution check on three instances; none of
+        # the golden tuples is column W
+        calls = []
+        solve_all = harness.solve_all
+        monkeypatch.setattr(harness, "solve_all", lambda inst: calls.append(inst) or solve_all(inst))
+        assert verify_theorem("T2.1-equiv", 5, GenSpec(3, 2, "column_w_constructive", 2, 0)) == []
+        assert len(calls) == 15
+
+    def test_c41_tests_convexity_of_each_z_normalized_cone_csw_tuple(self, monkeypatch):
+        # C4.1 reaches its convexity test only where both hypotheses hold
+        trials = []
+        convexity = harness._convexity_violations
+
+        def spy(spec, index, t, salt):
+            trials.append(index)
+            return convexity(spec, index, t, salt)
+
+        monkeypatch.setattr(harness, "_convexity_violations", spy)
+        assert verify_theorem("C4.1-zconvex", 10, GenSpec(2, 1, "z_structured", 2, 0)) == []
+        assert trials == [3, 8, 9]
+
     def test_reports_are_seed_deterministic(self):
         spec = GenSpec(2, 1, "generic", 2, 33)
         assert verify_theorem("T4.3-chain", 15, spec) == verify_theorem("T4.3-chain", 15, spec)
