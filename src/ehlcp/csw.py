@@ -7,7 +7,7 @@ vector/covector orthogonality of oriented matroids (Bland & Las Vergnas
 1978; Björner et al., Oriented Matroids, section 3.4) that holds iff the
 pattern is orthogonal to every cocircuit of A, the minimal-support sign
 vectors of its row space.  The cocircuits are computed exactly once per
-tuple, as the signs of maximal minors (MatrixTuple.cocircuits), and
+tuple, as the signs of maximal minors (representatives._cocircuits), and
 transposed into one bitmask over cocircuit indices per component and sign
 (MatrixTuple.cocircuit_bits).  The pattern generator walks each property's
 move table over column states, and at each component tests every

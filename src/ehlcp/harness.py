@@ -86,7 +86,8 @@ class GenSpec:
 
 
 def _random_matrix(rng: SplitMix64, n: int, lo: int, hi: int) -> Mat:
-    return tuple(tuple(Fraction(rng.randint(lo, hi)) for _ in range(n)) for _ in range(n))
+    """n x n integer entries drawn by rng.randint(lo, hi) in row order."""
+    return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
 
 
 def _column_scaled_tuple(rng: SplitMix64, c0: Mat, k: int, b: int) -> MatrixTuple:
@@ -108,7 +109,7 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
         mats = [_random_matrix(rng, n, -b, b) for _ in range(k + 1)]
         which = rng.randint(0, k)
         col = rng.randint(0, n - 1)
-        mats[which] = tuple(row[:col] + (Fraction(0),) + row[col + 1:] for row in mats[which])
+        mats[which] = tuple(row[:col] + (0,) + row[col + 1:] for row in mats[which])
         t = MatrixTuple(n, k, tuple(mats))
         if check_column_ndw_det(t).holds:
             raise InvariantError("degenerate family produced a column ND-W tuple")
@@ -127,7 +128,7 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
     # z_structured: C_0 = I and every C_i a Z-matrix
     mats = [identity(n)]
     for _ in range(k):
-        mats.append(tuple(tuple(Fraction(rng.randint(-b, b) if i == j else rng.randint(-b, 0))
+        mats.append(tuple(tuple(rng.randint(-b, b) if i == j else rng.randint(-b, 0)
                                 for j in range(n)) for i in range(n)))
     t = MatrixTuple(n, k, tuple(mats))
     if not all(is_z(m).holds for m in t.mats[1:]):
@@ -341,8 +342,8 @@ def _check_t31(spec, index, t) -> list:
 def _m_matrix(rng: SplitMix64, n: int, b: int) -> Mat:
     nonneg = [[rng.randint(0, b) for _ in range(n)] for _ in range(n)]
     s = 1 + max(sum(row) for row in nonneg)
-    return mat([[s - nonneg[i][j] if i == j else -nonneg[i][j] for j in range(n)]
-                for i in range(n)])
+    return tuple(tuple(s - nonneg[i][j] if i == j else -nonneg[i][j] for j in range(n))
+                 for i in range(n))
 
 
 def _check_t32(spec, index, t_ignored) -> list:

@@ -35,18 +35,17 @@ it needs.  An exhaustive column W check keeps its own full walk, in one
 integer pass (_w_violations) that lists every violation and records the
 first determinant of each sign into the scan.
 
-MatrixTuple.cocircuits holds the cocircuits of A that every sign-pattern
-decision in csw reads, computed once per tuple by _cocircuits in a second
-tree, over the column subsets of size rank(A) - 1, whose last two columns
-are read off 3 x 3 Laplace expansions with no pivot;
-MatrixTuple.cocircuit_bits holds them transposed, as the bitmasks
-that csw's pattern walk reads, and MatrixTuple.witnesses keeps csw's
-witness vector per sign pattern, so each is built once per tuple.
+_cocircuits computes the cocircuits of A that every sign-pattern decision
+in csw reads, in a second tree, over the column subsets of size rank(A) -
+1, whose last two columns are read off 3 x 3 Laplace expansions with no
+pivot.  MatrixTuple.cocircuit_bits holds them transposed, as the bitmasks
+that csw's pattern walk reads, computed once per tuple, and
+MatrixTuple.witnesses keeps csw's witness vector per sign pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
 from math import lcm
@@ -60,40 +59,35 @@ SELECTOR_CAP = 10**6
 
 @dataclass(frozen=True)
 class MatrixTuple:
-    """Ordered tuple (C_0, ..., C_k) of square rational matrices, all n x n."""
+    """Ordered tuple (C_0, ..., C_k) of n x n matrices of int or Fraction
+    entries, trusted as given: make_tuple validates outside data.
+
+    Fields made with the tuple, which == and hash ignore: int_scale, the
+    lcm of every denominator, and int_stacked, A = [C_0 | -C_1 | ... |
+    -C_k] times int_scale as rows of ints, the one form of A the package
+    reads (column i*n + r belongs to component (i, r) of the stacked x);
+    witnesses, csw's witness per sign pattern.  det_scan and
+    cocircuit_bits are walks that only some verdicts read, each computed
+    on first access."""
 
     n: int
     k: int
     mats: tuple
+    int_scale: int = field(init=False, compare=False, repr=False)
+    int_stacked: tuple = field(init=False, compare=False, repr=False)
+    witnesses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputError("matrix tuple needs k >= 1")
-        if len(self.mats) != self.k + 1:
-            raise InputError("matrix tuple needs k + 1 matrices")
-        for m in self.mats:
-            if len(m) != self.n or any(len(row) != self.n for row in m):
-                raise DimensionError("all matrices must be n x n")
-
-    @cached_property
-    def int_scale(self) -> int:
-        """The lcm of every denominator in mats; int_stacked is A times it."""
-        return lcm(*{x.denominator for m in self.mats for row in m for x in row})
-
-    @cached_property
-    def int_stacked(self) -> tuple:
-        """A = [C_0 | -C_1 | ... | -C_k] times int_scale, as rows of ints, so
-        the EHLCP equation is A x = q for the stacked vector x = (x_0, ...,
-        x_k): column i*n + r of A belongs to component (i, r).  An entry is
-        its numerator times int_scale // its denominator, negated in blocks
-        i >= 1.  The one form of A the package reads, built once per tuple;
-        not a dataclass field, so == and hash ignore it."""
-        scale, signs = self.int_scale, (1,) + (-1,) * self.k
-        return tuple(
+        # an entry of int_stacked is its numerator times int_scale // its
+        # denominator, negated in blocks i >= 1
+        scale = lcm(*{x.denominator for m in self.mats for row in m for x in row})
+        signs = (1,) + (-1,) * self.k
+        object.__setattr__(self, "int_scale", scale)
+        object.__setattr__(self, "int_stacked", tuple(
             tuple([sign * x.numerator * (scale // x.denominator)
                    for sign, m in zip(signs, self.mats) for x in m[row]])
             for row in range(self.n)
-        )
+        ))
 
     @cached_property
     def det_scan(self) -> "DetScan":
@@ -102,18 +96,14 @@ class MatrixTuple:
         return DetScan(self)
 
     @cached_property
-    def cocircuits(self) -> tuple:
-        """Cocircuits of A, as _cocircuits computes them; once per tuple."""
-        return _cocircuits(self)
-
-    @cached_property
     def cocircuit_bits(self) -> tuple:
-        """cocircuits transposed: (plus, minus, close), each holding for
-        every component e a bitmask over cocircuit indices j, of the Y_j
-        with Y_j[e] = +, with Y_j[e] = -, and whose support ends at e."""
+        """The cocircuits of _cocircuits(self) transposed: (plus, minus,
+        close), each holding for every component e a bitmask over
+        cocircuit indices j, of the Y_j with Y_j[e] = +, with Y_j[e] = -,
+        and whose support ends at e."""
         size = (self.k + 1) * self.n
         plus, minus, close = [0] * size, [0] * size, [0] * size
-        for j, (pos, neg) in enumerate(self.cocircuits):
+        for j, (pos, neg) in enumerate(_cocircuits(self)):
             bit = 1 << j
             close[(pos | neg).bit_length() - 1] |= bit
             for e in range(size):
@@ -123,12 +113,6 @@ class MatrixTuple:
                     minus[e] |= bit
         return tuple(plus), tuple(minus), tuple(close)
 
-    @cached_property
-    def witnesses(self) -> dict:
-        """csw's witness memo: csw.pattern_realizable's result per stacked
-        sign pattern, so each pattern's LP runs once per tuple."""
-        return {}
-
 
 def unstack(flat, n: int) -> tuple:
     """The blocks (x_0, ..., x_k) of a stacked vector of length (k+1)n."""
@@ -136,9 +120,15 @@ def unstack(flat, n: int) -> tuple:
 
 
 def make_tuple(mats) -> MatrixTuple:
+    """The validating constructor: each matrix through rational.mat, then
+    k >= 1 (InputError) and every matrix n x n (DimensionError)."""
     ms = tuple(mat(m) for m in mats)
-    # no matrices: k = -1, which MatrixTuple refuses as it refuses one matrix
-    return MatrixTuple(n=len(ms[0]) if ms else 0, k=len(ms) - 1, mats=ms)
+    if len(ms) < 2:
+        raise InputError("matrix tuple needs k >= 1")
+    n = len(ms[0])
+    if any(len(m) != n or any(len(row) != n for row in m) for m in ms):
+        raise DimensionError("all matrices must be n x n")
+    return MatrixTuple(n, len(ms) - 1, ms)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, chain
 from math import lcm
 from operator import mul
@@ -31,17 +30,21 @@ from typing import Iterator, Optional
 
 from .errors import DimensionError, InputError, InvariantError
 from .linprog import nonneg_solution
-from .rational import Vec, int_row, pivot_step, solve_linear
+from .rational import Vec, _echelon, int_row, pivot_step
 from .representatives import MatrixTuple, check_selector_cap
 
 
 @dataclass(frozen=True)
 class EhlcpInstance:
-    """Problem data: matrix tuple, strictly positive bounds d_1..d_{k-1}, q."""
+    """Problem data: matrix tuple, strictly positive bounds d_1..d_{k-1}, q,
+    each checked against the tuple.  upper, a field that == and hash
+    ignore, bounds the stacked x: d_{j,r} at index j*n + r for 0 < j < k,
+    None (unbounded) in blocks 0 and k."""
 
     matrix_tuple: MatrixTuple
     d: tuple  # k-1 strictly positive vectors of dimension n
     q: Vec
+    upper: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = self.matrix_tuple
@@ -54,14 +57,8 @@ class EhlcpInstance:
                 raise InputError("d must be strictly positive")
         if len(self.q) != t.n:
             raise DimensionError("q must have dimension n")
-
-    @cached_property
-    def upper(self) -> tuple:
-        """Upper bounds of the stacked x = (x_0, ..., x_k): d_{j,r} at index
-        j*n + r for 0 < j < k, None (unbounded) in blocks 0 and k.  Not a
-        dataclass field, so == and hash ignore it."""
-        unbounded = (None,) * self.matrix_tuple.n
-        return unbounded + tuple(chain.from_iterable(self.d)) + unbounded
+        none = (None,) * t.n
+        object.__setattr__(self, "upper", none + tuple(chain.from_iterable(self.d)) + none)
 
 
 @dataclass(frozen=True)
@@ -182,13 +179,17 @@ def _affine_piece(particular, kernel, last, box) -> Optional[tuple]:
     )
     if not implicit:
         return point, tuple(tuple(Fraction(x, last) for x in direction) for direction in kernel)
-    # affine hull: alpha directions beta annihilating every implicit equality
+    # affine hull: alpha directions beta annihilating every implicit
+    # equality, last_i times the kernel of their RREF, in integers
+    pivots, last_i, _ = _echelon(implicit, dim_a)
     basis = []
-    for beta in solve_linear(tuple(implicit), (0,) * len(implicit)).kernel_basis:
-        beta_den = lcm(*(x.denominator for x in beta))
-        beta = int_row(beta, beta_den)
+    for f in (c for c in range(dim_a) if c not in pivots):
+        beta = [0] * dim_a
+        beta[f] = last_i
+        for row, c in zip(implicit, pivots):
+            beta[c] = -row[f]
         basis.append(tuple(
-            Fraction(sum(b * direction[j] for b, direction in zip(beta, kernel)), last * beta_den)
+            Fraction(sum(b * direction[j] for b, direction in zip(beta, kernel)), last * last_i)
             for j in range(len(particular))
         ))
     return point, tuple(basis)
@@ -226,7 +227,7 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     on the unpivoted rows, since every later update of such a row combines
     it with another unpivoted one.  A leaf of rank below n is therefore
     inconsistent iff an unpivoted row has a nonzero right-hand side, and
-    every other leaf is read as solve_linear reads an RREF.
+    every other leaf is read as rational.solve_linear reads an RREF.
 
     The last level below a node with no free position (depth n - 1, rank
     n - 1) builds no rows: a candidate column nonzero on the one unpivoted

@@ -22,7 +22,7 @@ from ehlcp.csw import (
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
 from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
-from ehlcp.representatives import MatrixTuple, check_column_ndw_det, make_tuple
+from ehlcp.representatives import MatrixTuple, _cocircuits, check_column_ndw_det, make_tuple
 from reference import ref_nonneg_solution, representative_matrix, stacked_matrix
 
 
@@ -211,7 +211,7 @@ class TestPatternRealizable:
 
 
 def reference_cocircuits(t):
-    """MatrixTuple.cocircuits without the zero-set skip: one solve per
+    """_cocircuits without the zero-set skip: one solve per
     (rank-1)-subset."""
     rows = [int_row(row) for row in stacked_matrix(t)]
     pivots, last, _ = _echelon(rows, len(rows[0]))
@@ -274,11 +274,11 @@ class TestCocircuitRealizability:
                 if (n, k) == (4, 2):
                     tuples.append(gen_tuple(GenSpec(n, k, "column_w_constructive", 2, seed)))
                 for t in tuples:
-                    assert list(t.cocircuits) == reference_cocircuits(t), t
+                    assert list(_cocircuits(t)) == reference_cocircuits(t), t
         # 1 365 subsets of 4 of the 15 columns span only 5 hyperplanes
         t = gen_tuple(GenSpec(5, 2, "column_w_constructive", 2, 0))
-        assert len(t.cocircuits) == 5
-        assert list(t.cocircuits) == reference_cocircuits(t)
+        assert len(_cocircuits(t)) == 5
+        assert list(_cocircuits(t)) == reference_cocircuits(t)
 
     def test_lp_disagreement_is_an_invariant_error(
         self, zero_padded_identity, tmp_path, capsys, monkeypatch
@@ -343,7 +343,7 @@ class TestCocircuitLeaves:
         rank = len(_echelon([list(row) for row in t.int_stacked], (t.k + 1) * t.n)[0])
         assert rank == int(name[-1])
         for u in (t, rational_rows(t)):
-            assert list(u.cocircuits) == reference_cocircuits(u)
+            assert list(_cocircuits(u)) == reference_cocircuits(u)
 
 
 class TestIntegerWitness:
@@ -417,7 +417,14 @@ class TestWitnessMemo:
             def __getitem__(self, signs):
                 return (0,) * len(signs), 1
 
-        monkeypatch.setattr(MatrixTuple, "witnesses", property(lambda self: Corrupt()))
+        # every tuple the CLI builds is made with the corrupt memo
+        post_init = MatrixTuple.__post_init__
+
+        def corrupt_memo(self):
+            post_init(self)
+            object.__setattr__(self, "witnesses", Corrupt())
+
+        monkeypatch.setattr(MatrixTuple, "__post_init__", corrupt_memo)
         path = tmp_path / "instance.json"
         instance = {"n": 2, "k": 2, "C": self.MATS, "d": [[1, 1]], "q": [0, 0]}
         path.write_text(json.dumps(instance), encoding="utf-8")

@@ -9,6 +9,7 @@ from math import lcm
 import pytest
 
 import ehlcp.representatives as representatives
+from ehlcp.csw import check_column_ndw_def
 from ehlcp.errors import CapExceeded, DimensionError, InputError
 from ehlcp.harness import FAMILIES, GenSpec, gen_tuple, subseed
 from ehlcp.rational import det, identity, int_row, mat
@@ -200,18 +201,34 @@ class TestImplications:
 
 
 class TestTupleValidation:
+    # make_tuple is the one place that checks shapes; MatrixTuple trusts them
     def test_needs_k_plus_one_matrices(self):
         for mats in ([identity(2)], []):
-            with pytest.raises(InputError, match="k >= 1"):
+            with pytest.raises(InputError, match="matrix tuple needs k >= 1"):
                 make_tuple(mats)
 
     def test_all_matrices_square_same_size(self):
-        with pytest.raises(DimensionError):
-            make_tuple([identity(2), [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+        for mats in ([identity(2), [[1, 2, 3], [4, 5, 6], [7, 8, 9]]],
+                     [[[1, 2, 3], [4, 5, 6], [7, 8, 9]], identity(2)],
+                     [[[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [4, 5, 6]]],
+                     [identity(2), [[1, 2, 3], [4, 5, 6]]]):
+            with pytest.raises(DimensionError, match="all matrices must be n x n"):
+                make_tuple(mats)
+
+    def test_a_document_with_a_non_square_matrix_exits_2(self, tmp_path, capsys):
+        from ehlcp.cli import main
+
+        path = tmp_path / "instance.json"
+        for bad in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [1, 2, 3]):
+            doc = {"n": 2, "k": 1, "C": [[[1, 0], [0, 1]], bad], "q": [0, 0]}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["check", "--file", str(path), "--props", "column_w"]) == 2
+            assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestStacked:
     def test_stacked_is_the_signed_block_row(self):
+        filled = 0
         for k in (1, 2, 3):
             for n in (1, 2, 3):
                 t = gen_tuple(GenSpec(n, k, "generic", 3, subseed(71, 10 * n + k)))
@@ -222,15 +239,24 @@ class TestStacked:
                             value = t.mats[i][row][r]
                             expected[row][i * n + r] = value if i == 0 else -value
                 twin = gen_tuple(GenSpec(n, k, "generic", 3, subseed(71, 10 * n + k)))
-                assert t == twin and hash(t) == hash(twin)
+                # int_scale, int_stacked and the witness memo are made with the tuple
+                assert {"int_scale", "int_stacked", "witnesses"} <= vars(twin).keys()
                 assert stacked_matrix(t) == tuple(tuple(row) for row in expected)
                 assert t.int_stacked == tuple(tuple(t.int_scale * v for v in row)
                                               for row in expected)
-                assert t.int_stacked is t.int_stacked  # computed once per tuple
-                # the cached attribute is not a field: equality and hash ignore it
-                assert t == twin and hash(t) == hash(twin)
-                assert "int_stacked" in vars(t) and "int_stacked" not in vars(twin)
+                # a tuple of int entries and its Fraction twin are equal, with one A
+                fractions = MatrixTuple(n, k, tuple(mat(m) for m in t.mats))
+                assert all(type(x) is int for m in t.mats for row in m for x in row)
+                assert fractions.int_scale == t.int_scale == 1
+                assert fractions.int_stacked == t.int_stacked
+                # equality and hash ignore the fields: a filled memo, or none
+                check_column_ndw_def(t)
+                filled += bool(t.witnesses)
+                object.__setattr__(twin, "int_stacked", ())
+                for u in (twin, fractions):
+                    assert t == u and hash(t) == hash(u)
                 assert not hasattr(t, "stacked")  # A is kept only in integers
+        assert filled > 0
 
     def test_int_stacked_is_stacked_over_one_common_factor(self):
         for k in (1, 2):
@@ -478,7 +504,7 @@ def _scan_tuples(kind):
 
 
 def _fresh(t):
-    """An equal tuple with nothing cached."""
+    """An equal tuple with no walk or witness computed."""
     return MatrixTuple(t.n, t.k, t.mats)
 
 
@@ -578,10 +604,18 @@ class TestSharedScan:
                         _CHECKS[name][0](t, exhaustive)
         assert "det_scan" not in vars(t)
 
-    def test_cached_walks_are_not_fields(self):
+    def test_cached_walks_are_not_fields(self, monkeypatch):
+        calls = []
+        for name in ("_det_numerators", "_cocircuits"):
+            real = getattr(representatives, name)
+            monkeypatch.setattr(representatives, name,
+                                lambda t, name=name, real=real: calls.append(name) or real(t))
         t = make_tuple([identity(2), [[0, 1], [-1, 0]]])
         twin = make_tuple([identity(2), [[0, 1], [-1, 0]]])
+        assert calls == [] and not {"det_scan", "cocircuit_bits"} & vars(t).keys()
         check_column_w(t)
-        assert t.det_scan is t.det_scan and t.cocircuits is t.cocircuits
+        assert t.det_scan is t.det_scan and t.cocircuit_bits is t.cocircuit_bits
+        assert calls == ["_det_numerators", "_cocircuits"]
         assert t == twin and hash(t) == hash(twin)
-        assert "det_scan" in vars(t) and "det_scan" not in vars(twin)
+        assert {"det_scan", "cocircuit_bits"} <= vars(t).keys()
+        assert not {"det_scan", "cocircuit_bits"} & vars(twin).keys()
