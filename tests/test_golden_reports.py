@@ -17,7 +17,8 @@ whose rows have different denominators, pin ``check``, ``check
 --exhaustive`` and ``solve`` where scaling each row to integers by its own
 factor and scaling A by one common factor are different computations; a
 third, with two bound blocks, pins ``solve`` where the same holds for q
-and the bounds d.
+and the bounds d.  A fourth, of two rational Z-matrices, pins the
+single-matrix classes, the M witness among them.
 """
 
 import hashlib
@@ -219,7 +220,9 @@ EXHAUSTIVE_DIGEST = "76ba0f7e69d4b56e00ccfdee9e301df0f06629796f2ff57f6b1ec4e9afc
 # denominators 2, 3 and 4, r42 rational C and bounds d of denominators 2 and 3,
 # r33 two bound blocks, d of denominators 2 and 3 and q of denominator 5, so the
 # selector tree's root rows have their own lcms 10, 15 and 6 (times C's 2)
-# where one common factor for q and d is 30
+# where one common factor for q and d is 30; rz two Z-matrices of rational
+# rows, C_0 an M-matrix and C_1 one whose inverse has entry (1, 1) = -80/83,
+# the one document that reaches is_m's inverse on rational rows
 RATIONAL_DOCS = {
     "r31": {"n": 3, "k": 1, "q": [0, 0, 0],
             "C": [[["-1", "-1/2", "-1/2"], ["-1/3", "2/3", "2/3"], [0, "-1/2", "1/2"]],
@@ -231,17 +234,22 @@ RATIONAL_DOCS = {
     "r33": {"n": 3, "k": 3, "q": ["1/5", "-2/5", 1], "d": [["1/2", "1/3", 1], ["3/2", "2/3", 1]],
             "C": [[[2, 1, 0], [1, -1, 1], [0, 1, 1]], [[1, 0, 2], [0, 1, 1], [1, 1, 0]],
                   [[1, 0, -1], [0, 2, 0], [2, -1, 1]], [["1/2", 1, 0], [-1, 0, 1], [0, 1, "-1/2"]]]},
+    "rz": {"n": 3, "k": 1, "q": [0, 0, 0],
+           "C": [[["3/2", "-1/3", 0], ["-1/4", 2, "-1/2"], [0, "-2/3", "5/6"]],
+                 [["1/2", "-1/3", "-1/5"], ["-3/4", "1/3", 0], [0, "-1/2", "2/7"]]]},
 }
 
 RATIONAL_COMMANDS = {
     "check": ["check", "--props", ALL_PROPS],
     "exhaustive": ["check", "--exhaustive", "--props", "column_w,column_w0,column_ndw"],
     "solve": ["solve"],
+    "classes": ["check", "--props", "m,z,p,nondegenerate,column_sufficient"],
 }
 
 # recorded while the determinant tree scaled each row by its own factor and
 # the selector tree scaled the rows of the Fraction A one by one; r33-solve
-# while the selector tree's root scaled each row to integers by its own lcm
+# while the selector tree's root scaled each row to integers by its own lcm;
+# rz-classes while is_m read the inverse off a Fraction solve
 RATIONAL_DIGESTS = {
     "r31-check": "1fd0f2fcf872d059bbfddea576c5a1ece1cc3b5d15c7646ad191b6e69c9de422",
     "r31-exhaustive": "8dca7217ab15f33995fd451522188c976c776223e5a75c30d33877957a1ea4b4",
@@ -250,6 +258,7 @@ RATIONAL_DIGESTS = {
     "r42-exhaustive": "2da38fbb0732a4d6495c292d2076b23e04ee3ee222098b9deb6a475bbcfda7bd",
     "r42-solve": "e2b6e059d592b5c79c09258a9a8dee1ee6e5b8fc5e9bb6e542ed4ee2f2d305c8",
     "r33-solve": "dbad6004bee8f30f97c042bd4dd50c45785f48f97504a567fbefbed41ece48ec",
+    "rz-classes": "476ba20ee13018bf2ee08f41afa7f93952dcf55ea424766c5da422ad09460034",
 }
 
 

@@ -1,5 +1,6 @@
 """Seeded generation, golden suites, and theorem verification plumbing."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -475,6 +476,26 @@ class TestVerifyTheorem:
         monkeypatch.setattr(harness, "_m_matrix", spy)
         assert verify_theorem("T3.2-unique", 4, GenSpec(3, 2, "generic", 2, 0)) == []
         assert sizes == [3] * 4 + [golden().n for golden in harness._INJECTED]
+
+    @pytest.mark.parametrize("block", [None, 0, 1])
+    def test_t32_flags_a_piece_other_than_the_unique_solution(self, monkeypatch, block):
+        # the true piece passes; moving one x_0 entry, or making one x_1
+        # entry nonzero, is the "solution not unique" violation
+        spec = GenSpec(3, 2, "generic", 2, 0)
+        solve_all = harness.solve_all
+
+        def mutated(inst):
+            pieces = solve_all(inst)
+            if block is not None:
+                point = list(pieces[0].point)
+                point[block * spec.n] += 1
+                pieces[0] = replace(pieces[0], point=tuple(point))
+            return pieces
+
+        monkeypatch.setattr(harness, "solve_all", mutated)
+        violations = harness._check_t32(spec, 0, None)
+        assert [v["detail"] for v in violations] == (
+            [] if block is None else ["solution not unique under M + cS-W + q > 0"])
 
     def test_t21_solves_each_column_w_tuple(self, monkeypatch):
         # every column_w_constructive tuple is column W, so each of the five
