@@ -32,10 +32,8 @@ from .harness import (
 from .rational import (
     det,
     identity,
-    inverse,
     mat,
     rat,
-    solve_linear,
     vec,
 )
 from .representatives import (

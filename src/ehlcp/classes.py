@@ -6,7 +6,7 @@ from itertools import combinations
 
 from .csw import check_csw
 from .errors import CapExceeded
-from .rational import Mat, det, identity, inverse, rat_str, require_square
+from .rational import Mat, _echelon, det, identity, int_row, rat_str, ratio_str, require_square
 from .representatives import PropertyVerdict, make_tuple
 
 MINOR_CAP = 16
@@ -27,19 +27,25 @@ def is_z(m: Mat) -> PropertyVerdict:
 
 
 def is_m(m: Mat) -> PropertyVerdict:
-    """M-matrix: Z-matrix with a nonnegative inverse."""
+    """M-matrix: Z-matrix with a nonnegative inverse.  The inverse is read
+    off _echelon of [m | I] in integers: fewer than n pivots means singular,
+    and row i of the inverse is row i's right block over the last pivot.
+    The witness is the first negative entry in row-major order."""
     z = is_z(m)
     if not z.holds:
         return PropertyVerdict("m", False, z.witness, "not a Z-matrix")
-    inv = inverse(m)
-    if inv is None:
+    n = len(m)
+    rows = [int_row([*row, *unit]) for row, unit in zip(m, identity(n))]
+    pivots, last, _ = _echelon(rows, n)
+    if len(pivots) < n:
         return PropertyVerdict("m", False, {"singular": True}, "matrix is singular")
-    for i, row in enumerate(inv):
-        for j, v in enumerate(row):
-            if v < 0:
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row[n:]):
+            if v * last < 0:
                 return PropertyVerdict(
                     "m", False,
-                    {"inverse_row": i + 1, "inverse_col": j + 1, "value": rat_str(v)},
+                    {"inverse_row": i + 1, "inverse_col": j + 1,
+                     "value": ratio_str(-abs(v), abs(last))},
                     "the inverse has a negative entry",
                 )
     return PropertyVerdict("m", True, None, "Z-matrix with nonnegative inverse")

@@ -18,7 +18,7 @@ from .classes import is_m, is_z
 from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_pairs
 from .errors import CapExceeded, InputError, InvariantError
 from .io import instance_to_json, tuple_to_json, vec_to_json
-from .rational import Mat, Vec, _echelon, det, identity, int_row, inverse, mat, mat_vec, zeros
+from .rational import Mat, Vec, _echelon, det, identity, int_row, mat, zeros
 from .representatives import (
     MatrixTuple,
     check_column_ndw_det,
@@ -347,8 +347,11 @@ def _m_matrix(rng: SplitMix64, n: int, b: int) -> Mat:
 
 
 def _check_t32(spec, index, t_ignored) -> list:
-    # generated in-suite from its own stream: C_0 an M-matrix, C_i = C_0 D_i
-    # so the tuple is certified column W (hence cS-W), q strictly positive
+    """The suite's own tuple, drawn from its own stream: C_0 an M-matrix and
+    C_i = C_0 D_i, so the tuple is certified column W (hence cS-W), and q
+    strictly positive.  The one piece must be the point with blocks 1..k
+    zero: C_0 is invertible, so that point has x_0 = C_0^{-1} q > 0, and it
+    solves because every wedge pair has a zero side."""
     n, k, b = spec.n, spec.k, spec.entry_range
     rng = SplitMix64(subseed(spec.seed, 999_983))
     c0 = _m_matrix(rng, n, b)
@@ -362,12 +365,12 @@ def _check_t32(spec, index, t_ignored) -> list:
     )
     q = tuple(Fraction(rng.randint(1, b)) for _ in range(n))
     inst = EhlcpInstance(t, d, q)
-    expected = mat_vec(inverse(c0), q) + zeros(k * n)
     pieces = solve_all(inst)
     if (
         len(pieces) != 1
         or pieces[0].piece_dimension != 0
-        or pieces[0].point != expected
+        or any(pieces[0].point[n:])
+        or not is_solution(inst, pieces[0].point)
     ):
         out.append(_violation(spec, index, t, "solution not unique under M + cS-W + q > 0",
                               instance=instance_to_json(inst)))

@@ -1,4 +1,4 @@
-"""Exact rational vectors, dense matrices, determinants and linear solves.
+"""Exact rational vectors, dense matrices and determinants.
 
 Scalars are ``fractions.Fraction``; vectors are tuples of them and matrices
 tuples of row tuples.  Nothing here rounds, so every sign test downstream
@@ -6,11 +6,13 @@ is reliable.
 
 The package has one elimination step, pivot_step: a fraction-free
 Gauss-Jordan pivot (Bareiss 1968) on integer rows, which keeps every entry
-an integer minor.  The determinant is the last pivot; solve_linear,
-left_divide and inverse read their results off the rows divided by it, and
-the harness's _normalized reads s C_0^{-1} C_i off the rows of A undivided,
-s the last pivot's absolute value.  linprog's tableau is the rational one
-times the last pivot, and the elimination trees over column subsets
+an integer minor.  _echelon pivots column by column; the RREF is its rows
+divided by the last pivot, and the determinant is that pivot.  Callers read
+their results off the rows undivided: classes.is_m the inverse off
+[m | I], the harness's _normalized s C_0^{-1} C_i off the rows of A, s the
+last pivot's absolute value, and solver._affine_piece a hull basis off the
+implicit rows.  linprog's tableau is the rational one times the last
+pivot, and the elimination trees over column subsets
 (representatives._cocircuits) and column selectors
 (representatives._det_numerators, solver._selector_pieces) pivot once per
 node and read their last levels off the rows left; their modules say how.
@@ -19,7 +21,6 @@ node and read their last levels off the rows left; their modules say how.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
@@ -120,12 +121,6 @@ def identity(n: int) -> Mat:
     )
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    if len(m[0]) != len(v):
-        raise DimensionError("matrix-vector dimension mismatch")
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 def require_square(m: Mat) -> int:
     """Order n of a square matrix; every row must have n entries."""
     n = len(m)
@@ -182,58 +177,3 @@ def det(m: Mat) -> Fraction:
     mults = [lcm(*(x.denominator for x in row)) for row in m]
     pivots, last, sign = _echelon([int_row(row, k) for row, k in zip(m, mults)], n)
     return Fraction(sign * last, prod(mults)) if len(pivots) == n else Fraction(0)
-
-
-@dataclass(frozen=True)
-class LinearSolveResult:
-    """Outcome of an exact linear solve.
-
-    kind is "unique", "affine" or "inconsistent".  For the affine case the
-    full solution set is particular + span(kernel_basis).
-    """
-
-    kind: str
-    particular: Optional[Vec] = None
-    kernel_basis: tuple = field(default_factory=tuple)
-
-
-def solve_linear(a: Mat, b: Vec) -> LinearSolveResult:
-    """Exact solve of a x = b with a full kernel basis in the affine case,
-    read off the echelon form of [a | b]."""
-    if len(a) != len(b):
-        raise DimensionError("rows of a must match dimension of b")
-    n_cols = len(a[0])
-    rows = [int_row([*row, x]) for row, x in zip(a, b)]
-    pivots, last, _ = _echelon(rows, n_cols)
-    if any(row[n_cols] for row in rows[len(pivots):]):
-        return LinearSolveResult("inconsistent")
-    particular = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        particular[c] = Fraction(rows[r][n_cols], last)
-    free_cols = [c for c in range(n_cols) if c not in set(pivots)]
-    kernel = []
-    for f in free_cols:
-        direction = [Fraction(0)] * n_cols
-        direction[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            direction[c] = Fraction(-rows[r][f], last)
-        kernel.append(tuple(direction))
-    return LinearSolveResult("affine" if kernel else "unique", tuple(particular), tuple(kernel))
-
-
-def left_divide(a: Mat, b: Mat) -> Optional[Mat]:
-    """Exact a^{-1} b for square a, read off the echelon form of [a | b], or
-    None when a is singular."""
-    n = require_square(a)
-    if len(b) != n:
-        raise DimensionError("rows of a must match rows of b")
-    rows = [int_row([*ra, *rb]) for ra, rb in zip(a, b)]
-    pivots, last, _ = _echelon(rows, n)
-    if len(pivots) < n:
-        return None
-    return tuple(tuple(Fraction(x, last) for x in row[n:]) for row in rows)
-
-
-def inverse(m: Mat) -> Optional[Mat]:
-    """Exact inverse, or None when the matrix is singular."""
-    return left_divide(m, identity(len(m)))

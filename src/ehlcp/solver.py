@@ -227,7 +227,8 @@ def _selector_pieces(inst: EhlcpInstance) -> Iterator[tuple]:
     on the unpivoted rows, since every later update of such a row combines
     it with another unpivoted one.  A leaf of rank below n is therefore
     inconsistent iff an unpivoted row has a nonzero right-hand side, and
-    every other leaf is read as rational.solve_linear reads an RREF.
+    every other leaf is read as an RREF: the free unknowns zero in the
+    particular point, and one kernel direction per free unknown.
 
     The last level below a node with no free position (depth n - 1, rank
     n - 1) builds no rows: a candidate column nonzero on the one unpivoted

@@ -6,11 +6,17 @@ A only in integers (MatrixTuple.int_stacked).  representative_matrix
 builds the column representative of one selector, the per-selector
 reference of the determinant walk.  walk_dets reads that walk,
 representatives._det_numerators, as (selector, Fraction determinant) pairs.
-mat_mul is the plain matrix product.  solution_points, _step, combine and
-midpoints_solve are the sampled convexity check that harness.nonconvex_pair
-replaced: every piece point plus a half step along each basis direction,
-and the weights 1/4, 1/2 and 3/4 on every pair.  It can miss a violation,
-so it serves only as the other side of a differential test.
+mat_mul and mat_vec are the plain products.  ref_rref is the tests' one
+Fraction Gauss-Jordan, the reference of the package's fraction-free
+elimination, whose rows over their last pivot are the same RREF;
+solve_linear (a particular point and a kernel basis) and inverse read
+their results off it, and share no code with that elimination.
+
+solution_points, _step, combine and midpoints_solve are the sampled
+convexity check that harness.nonconvex_pair replaced: every piece point
+plus a half step along each basis direction, and the weights 1/4, 1/2 and
+3/4 on every pair.  It can miss a violation, so it serves only as the
+other side of a differential test.
 
 ndw_two_solutions builds the two-solution instance that the convexity
 suites build for a tuple without column ND-W.
@@ -45,7 +51,7 @@ from ehlcp import solver
 from ehlcp.csw import check_column_ndw_def
 from ehlcp.errors import DimensionError, InputError, InvariantError
 from ehlcp.harness import two_solutions
-from ehlcp.rational import Mat, Vec, identity, rat, solve_linear, vec, zeros
+from ehlcp.rational import Mat, Vec, identity, rat, vec, zeros
 from ehlcp.representatives import MatrixTuple, _det_numerators
 from ehlcp.solver import EhlcpInstance, SolutionPiece, is_solution, solve_all
 
@@ -158,6 +164,81 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0])))
         for i in range(len(a))
     )
+
+
+def mat_vec(m: Mat, v: Vec) -> Vec:
+    if len(m[0]) != len(v):
+        raise DimensionError("matrix-vector dimension mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def ref_rref(rows, pivot_cols=None):
+    """Fraction Gauss-Jordan: rows become their RREF in place, as Fractions;
+    returns the pivot columns, pivoting in the first pivot_cols only."""
+    rows[:] = [[Fraction(x) for x in row] for row in rows]
+    n_rows = len(rows)
+    if pivot_cols is None:
+        pivot_cols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(pivot_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+@dataclass(frozen=True)
+class LinearSolveResult:
+    """kind is "unique", "affine" or "inconsistent"; the affine solution set
+    is particular + span(kernel_basis)."""
+
+    kind: str
+    particular: Optional[Vec] = None
+    kernel_basis: tuple = ()
+
+
+def solve_linear(a: Mat, b: Vec) -> LinearSolveResult:
+    """a x = b read off ref_rref of [a | b]: the free unknowns are 0 in the
+    particular point, and free unknown f gives the kernel direction with 1
+    at f and minus column f of the RREF on the pivot unknowns."""
+    if len(a) != len(b):
+        raise DimensionError("rows of a must match dimension of b")
+    n_cols = len(a[0])
+    rows = [[*row, x] for row, x in zip(a, b)]
+    pivots = ref_rref(rows, n_cols)
+    if any(row[n_cols] for row in rows[len(pivots):]):
+        return LinearSolveResult("inconsistent")
+    particular = [Fraction(0)] * n_cols
+    for row, c in zip(rows, pivots):
+        particular[c] = row[n_cols]
+    kernel = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        direction = [Fraction(0)] * n_cols
+        direction[f] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            direction[c] = -row[f]
+        kernel.append(tuple(direction))
+    return LinearSolveResult("affine" if kernel else "unique", tuple(particular), tuple(kernel))
+
+
+def inverse(m: Mat) -> Optional[Mat]:
+    """The right block of ref_rref of [m | I], or None when m is singular."""
+    n = len(m)
+    rows = [[*row, *unit] for row, unit in zip(m, identity(n))]
+    if len(ref_rref(rows, n)) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def solution_points(inst: EhlcpInstance) -> list:

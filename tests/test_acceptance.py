@@ -30,7 +30,7 @@ from ehlcp.harness import (
     subseed,
     w0_not_csw_tuple,
 )
-from ehlcp.rational import identity, inverse, mat, mat_vec, zeros
+from ehlcp.rational import identity, mat, zeros
 from ehlcp.representatives import (
     check_column_ndw_det,
     check_column_w,
@@ -39,7 +39,9 @@ from ehlcp.representatives import (
 )
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
 from reference import (
+    inverse,
     mat_mul,
+    mat_vec,
     midpoints_solve,
     ndw_two_solutions,
     representative_matrix,

@@ -1,5 +1,7 @@
 """Single-matrix class oracles: Z, M, P, nondegenerate, column sufficient."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,8 +18,9 @@ from ehlcp.classes import (
 )
 from ehlcp.errors import CapExceeded, DimensionError
 from ehlcp.harness import SplitMix64
-from ehlcp.rational import det, identity, inverse, mat, mat_vec, rat_str
+from ehlcp.rational import det, identity, mat, rat_str
 from ehlcp.representatives import check_column_w, check_column_w0, make_tuple
+from reference import inverse, mat_vec
 
 SKEW = [[0, 1], [-1, 0]]
 TRIDIAG = [[2, -1], [-1, 2]]
@@ -38,6 +41,36 @@ class TestZ:
     def test_non_square(self):
         with pytest.raises(DimensionError):
             is_z(mat([[1, 2]]))
+
+
+def z_matrix(rng, n, rational):
+    """A seeded n x n Z-matrix, integer or rational: strictly diagonally
+    dominant (an M-matrix), with zero row sums (singular), or with a random
+    diagonal, which gives all three is_m outcomes."""
+    def entry(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 4, 6)) if rational else 1)
+
+    rows = [[entry(-3, 0) if i != j else 0 for j in range(n)] for i in range(n)]
+    kind = rng.choice(("dominant", "singular", "random"))
+    for i, row in enumerate(rows):
+        if kind == "random":
+            row[i] = entry(-2, 3)
+        else:
+            row[i] = -sum(row) + (entry(1, 3) if kind == "dominant" else 0)
+    return mat(rows)
+
+
+def reference_m(m):
+    """(holds, witness) of is_m from the reference inverse: the first
+    negative entry in row-major order."""
+    inv = inverse(m)
+    if inv is None:
+        return False, {"singular": True}
+    for i, row in enumerate(inv):
+        for j, v in enumerate(row):
+            if v < 0:
+                return False, {"inverse_row": i + 1, "inverse_col": j + 1, "value": rat_str(v)}
+    return True, None
 
 
 class TestM:
@@ -75,6 +108,18 @@ class TestM:
             assert is_m(m).holds
             q = (Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 3)))
             assert all(v > 0 for v in mat_vec(inverse(m), q))
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_verdict_and_witness_match_the_reference_inverse(self, rational):
+        rng = random.Random(40 + rational)
+        seen = Counter()
+        for _ in range(200):
+            m = z_matrix(rng, rng.randint(1, 4), rational)
+            verdict = is_m(m)
+            assert (verdict.holds, verdict.witness) == reference_m(m), m
+            seen["holds" if verdict.holds else next(iter(verdict.witness))] += 1
+        assert set(seen) == {"holds", "singular", "inverse_row"}
+        assert min(seen.values()) >= 20, seen
 
 
 def principal_minors(m):

@@ -2,7 +2,6 @@
 
 import json
 import random
-import sys
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -21,9 +20,16 @@ from ehlcp.csw import (
 )
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
-from ehlcp.rational import _echelon, det, identity, int_row, mat_vec, solve_linear, zeros
+from ehlcp.rational import det, identity, zeros
 from ehlcp.representatives import MatrixTuple, _cocircuits, check_column_ndw_det, make_tuple
-from reference import ref_nonneg_solution, representative_matrix, stacked_matrix
+from reference import (
+    mat_vec,
+    ref_nonneg_solution,
+    ref_rref,
+    representative_matrix,
+    solve_linear,
+    stacked_matrix,
+)
 
 
 MODES = ("csw", "cone", "ndw")
@@ -213,12 +219,11 @@ class TestPatternRealizable:
 def reference_cocircuits(t):
     """_cocircuits without the zero-set skip: one solve per
     (rank-1)-subset."""
-    rows = [int_row(row) for row in stacked_matrix(t)]
-    pivots, last, _ = _echelon(rows, len(rows[0]))
-    rank = len(pivots)
+    rows = [list(row) for row in stacked_matrix(t)]
+    rank = len(ref_rref(rows))
     if rank == 0:
         return []
-    basis = [[Fraction(x, last) for x in row] for row in rows[:rank]]
+    basis = rows[:rank]
     width = len(basis[0])
     found = {}
     for cols in combinations(range(width), rank - 1):
@@ -340,7 +345,7 @@ class TestCocircuitLeaves:
     @pytest.mark.parametrize("name", sorted(LEAF_CASES))
     def test_hand_built_leaves_match_the_reference(self, name):
         t = from_stacked(*LEAF_CASES[name])
-        rank = len(_echelon([list(row) for row in t.int_stacked], (t.k + 1) * t.n)[0])
+        rank = len(ref_rref([list(row) for row in stacked_matrix(t)]))
         assert rank == int(name[-1])
         for u in (t, rational_rows(t)):
             assert list(_cocircuits(u)) == reference_cocircuits(u)
@@ -350,8 +355,7 @@ class TestIntegerWitness:
     def test_failing_deciders_build_and_check_the_witness_in_integers(
         self, zero_padded_identity, monkeypatch
     ):
-        # the witness simplex and the A x = 0 check read int_stacked: no
-        # Fraction mat_vec through any module's binding, and one
+        # the witness simplex and the A x = 0 check read int_stacked: one
         # nonneg_solution call per failing verdict, on exact int rows
         calls = []
 
@@ -361,9 +365,6 @@ class TestIntegerWitness:
                 return real(*args)
             return wrapper
 
-        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ehlcp"]:
-            if hasattr(module, "mat_vec"):
-                monkeypatch.setattr(module, "mat_vec", spy("mat_vec", module.mat_vec))
         monkeypatch.setattr(csw, "nonneg_solution", spy("nonneg_solution", csw.nonneg_solution))
         rational = make_tuple([[["1/2", 0], [0, "1/3"]], [["1/2", 0], [0, "-1/3"]]])
         singular = make_tuple([[["1/2", 0], [0, "1/3"]], [[0, 0], [0, "-1/3"]]])

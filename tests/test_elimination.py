@@ -1,13 +1,13 @@
 """The one fraction-free pivot step against Fraction references.
 
-The references below are the Fraction Gauss-Jordan RREF and the
-forward-only Bareiss determinant that the integer step replaced; the
-Fraction phase 1 is reference.ref_nonneg_solution, the phase 1 of the
-tests' one reference simplex.  The RREF is canonical: it is _echelon's
-rows divided by the last pivot, and left_divide's result is its right
-block.  The integer tableau is the rational one times a positive scale,
-so pivots, determinants, phase-1 points and pivot counts must agree
-exactly.
+The references are reference.ref_rref, the tests' one Fraction
+Gauss-Jordan RREF, the forward-only Bareiss determinant below, which the
+integer step replaced, and reference.ref_nonneg_solution, the phase 1 of
+the tests' one reference simplex.  The RREF is canonical: it is _echelon's
+rows divided by the last pivot, and for square nonsingular a the right
+block of [a | b] is a^{-1} b.  The integer tableau is the rational one
+times a positive scale, so pivots, determinants, phase-1 points and pivot
+counts must agree exactly.
 """
 
 import random
@@ -18,36 +18,9 @@ from math import lcm
 import pytest
 
 from ehlcp import linprog
-from ehlcp.errors import DimensionError
 from ehlcp.linprog import nonneg_solution
-from ehlcp.rational import _echelon, det, int_row, left_divide
-from reference import ref_nonneg_solution
-
-
-def ref_rref(rows, pivot_cols=None):
-    """Fraction Gauss-Jordan: in-place RREF, returns the pivot columns."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    if pivot_cols is None:
-        pivot_cols = n_cols
-    pivots = []
-    r = 0
-    for c in range(pivot_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+from ehlcp.rational import _echelon, det, int_row
+from reference import ref_nonneg_solution, ref_rref
 
 
 def ref_det(m):
@@ -164,22 +137,20 @@ def square_cases(seed, count):
 class TestLeftDivide:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_right_block_of_the_fraction_reference(self, seed):
+        # a^{-1} b is the right block of _echelon([a | b], n) over its last
+        # pivot, the reading of classes.is_m and harness._normalized
         singular = 0
         for a, b in square_cases(seed, 150):
             n = len(a)
-            ref = [ra + rb for ra, rb in zip(a, b)]
-            rank = len(ref_rref(ref, n))
-            ours = left_divide(tuple(map(tuple, a)), tuple(map(tuple, b)))
+            ours = [ra + rb for ra, rb in zip(a, b)]
+            ref = [row[:] for row in ours]
+            rank = len(echelon_rref(ours, n))
+            assert rank == len(ref_rref(ref, n))
             if rank < n:
                 singular += 1
-                assert ours is None
             else:
-                assert ours == tuple(tuple(row[n:]) for row in ref)
+                assert [row[n:] for row in ours] == [row[n:] for row in ref]
         assert 30 <= singular <= 120  # both branches are exercised
-
-    def test_rows_of_b_must_match_the_order_of_a(self):
-        with pytest.raises(DimensionError):
-            left_divide(((Fraction(1),),), ((Fraction(1),), (Fraction(2),)))
 
 
 class TestDet:

@@ -24,7 +24,7 @@ from ehlcp.harness import (
     verify_theorem,
 )
 from ehlcp.io import parse_instance
-from ehlcp.rational import det, identity, inverse, mat, mat_vec, vec, zeros
+from ehlcp.rational import det, identity, mat, vec, zeros
 from ehlcp.representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -35,7 +35,9 @@ from ehlcp.representatives import (
 from ehlcp.solver import is_solution, solve_all
 from reference import (
     combine,
+    inverse,
     mat_mul,
+    mat_vec,
     midpoints_solve,
     ndw_two_solutions,
     representative_matrix,

