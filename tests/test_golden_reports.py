@@ -18,7 +18,9 @@ whose rows have different denominators, pin ``check``, ``check
 factor and scaling A by one common factor are different computations; a
 third, with two bound blocks, pins ``solve`` where the same holds for q
 and the bounds d.  A fourth, of two rational Z-matrices, pins the
-single-matrix classes, the M witness among them.
+single-matrix classes, the M witness among them.  A fifth pins P and
+nondegenerate on matrices whose principal minors of sizes 1 and 2 are all
+positive, so every verdict is decided by the minors of size 3 and up.
 """
 
 import hashlib
@@ -222,7 +224,12 @@ EXHAUSTIVE_DIGEST = "76ba0f7e69d4b56e00ccfdee9e301df0f06629796f2ff57f6b1ec4e9afc
 # selector tree's root rows have their own lcms 10, 15 and 6 (times C's 2)
 # where one common factor for q and d is 30; rz two Z-matrices of rational
 # rows, C_0 an M-matrix and C_1 one whose inverse has entry (1, 1) = -80/83,
-# the one document that reaches is_m's inverse on rational rows
+# the one document that reaches is_m's inverse on rational rows; pm three 5 x 5
+# matrices whose principal minors of sizes 1 and 2 are all positive: C_0's
+# first zero minor is {1, 3, 5}, C_1 has no zero minor and nonpositive ones
+# of sizes 3, 4 and 5, the first {1, 3, 4} (the walk over selectors meets
+# {3, 4, 5} before it), and C_2 is a rational row diagonally dominant
+# P-matrix
 RATIONAL_DOCS = {
     "r31": {"n": 3, "k": 1, "q": [0, 0, 0],
             "C": [[["-1", "-1/2", "-1/2"], ["-1/3", "2/3", "2/3"], [0, "-1/2", "1/2"]],
@@ -237,6 +244,14 @@ RATIONAL_DOCS = {
     "rz": {"n": 3, "k": 1, "q": [0, 0, 0],
            "C": [[["3/2", "-1/3", 0], ["-1/4", 2, "-1/2"], [0, "-2/3", "5/6"]],
                  [["1/2", "-1/3", "-1/5"], ["-3/4", "1/3", 0], [0, "-1/2", "2/7"]]]},
+    "pm": {"n": 5, "k": 2, "q": [0, 0, 0, 0, 0], "d": [[1, 1, 1, 1, 1]],
+           "C": [[[2, -2, 0, 0, 2], [-1, 3, -1, 1, -2], [-2, -2, 3, 2, 1], [0, 2, 0, 4, 2],
+                  [2, 1, 1, 1, 3]],
+                 [[3, -2, 0, -2, -1], [1, 1, 0, -2, -2], [0, -2, 2, -2, 0], [-2, 1, -2, 3, 2],
+                  [1, 0, 2, -1, 1]],
+                 [["5/2", "-1/2", "1/3", 0, "1/4"], ["1/3", "7/3", "-1/2", "1/5", 0],
+                  [0, "-1/4", "9/4", "1/2", "-1/3"], ["-1/2", 0, "1/6", "11/5", "1/2"],
+                  ["1/7", "1/3", 0, "-1/2", "3/2"]]]},
 }
 
 RATIONAL_COMMANDS = {
@@ -244,12 +259,14 @@ RATIONAL_COMMANDS = {
     "exhaustive": ["check", "--exhaustive", "--props", "column_w,column_w0,column_ndw"],
     "solve": ["solve"],
     "classes": ["check", "--props", "m,z,p,nondegenerate,column_sufficient"],
+    "minors": ["check", "--props", "p,nondegenerate"],
 }
 
 # recorded while the determinant tree scaled each row by its own factor and
 # the selector tree scaled the rows of the Fraction A one by one; r33-solve
 # while the selector tree's root scaled each row to integers by its own lcm;
-# rz-classes while is_m read the inverse off a Fraction solve
+# rz-classes while is_m read the inverse off a Fraction solve; pm-minors while
+# each principal minor was a Fraction determinant of its own
 RATIONAL_DIGESTS = {
     "r31-check": "1fd0f2fcf872d059bbfddea576c5a1ece1cc3b5d15c7646ad191b6e69c9de422",
     "r31-exhaustive": "8dca7217ab15f33995fd451522188c976c776223e5a75c30d33877957a1ea4b4",
@@ -259,6 +276,7 @@ RATIONAL_DIGESTS = {
     "r42-solve": "e2b6e059d592b5c79c09258a9a8dee1ee6e5b8fc5e9bb6e542ed4ee2f2d305c8",
     "r33-solve": "dbad6004bee8f30f97c042bd4dd50c45785f48f97504a567fbefbed41ece48ec",
     "rz-classes": "476ba20ee13018bf2ee08f41afa7f93952dcf55ea424766c5da422ad09460034",
+    "pm-minors": "1865e658ef6003eb26753382f9a328c59ea5d9aa78e9067b02bed45c153224bd",
 }
 
 
