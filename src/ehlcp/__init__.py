@@ -30,7 +30,6 @@ from .harness import (
     verify_theorem,
 )
 from .rational import (
-    det,
     identity,
     mat,
     rat,

@@ -1,15 +1,21 @@
-"""Single-matrix class oracles: Z, M, P, nondegenerate, column sufficient."""
+"""Single-matrix class oracles: Z, M, P, nondegenerate, column sufficient.
+
+P and nondegenerate read m's principal minors as the representative
+determinants of the tuple (I, m); column sufficiency is decided on it too."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .csw import check_csw
-from .errors import CapExceeded
-from .rational import Mat, _echelon, det, identity, int_row, rat_str, ratio_str, require_square
-from .representatives import PropertyVerdict, make_tuple
-
-MINOR_CAP = 16
+from .rational import Mat, _echelon, identity, int_row, rat_str, ratio_str, require_square
+from .representatives import (
+    MatrixTuple,
+    PropertyVerdict,
+    _det_numerators,
+    check_selector_cap,
+    make_tuple,
+)
 
 
 def is_z(m: Mat) -> PropertyVerdict:
@@ -51,40 +57,39 @@ def is_m(m: Mat) -> PropertyVerdict:
     return PropertyVerdict("m", True, None, "Z-matrix with nonnegative inverse")
 
 
-def _minor_verdict(m: Mat, name: str, bad, certificate_ok: str, certificate_bad: str) -> PropertyVerdict:
-    """Scan the principal minors by size, then lexicographically by 1-based
-    index set, and report the first one that is bad."""
+def _minor_verdict(m: Mat, name: str, bad, good_word: str, bad_word: str) -> PropertyVerdict:
+    """Report the first bad principal minor by size, then by 1-based index
+    set; more than SELECTOR_CAP index sets are refused before any minor.
+    Sizes 1 and 2 are read off m.  Only if none is bad and n > 2 is (I, m)
+    walked, in full: det m_aa is its representative that takes column j of
+    m for j in a, and the least bad (size, index set) is kept."""
     n = require_square(m)
-    if n > MINOR_CAP:
-        raise CapExceeded(f"principal minor enumeration capped at n <= {MINOR_CAP}")
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            value = det(tuple(tuple(m[i][j] for j in subset) for i in subset))
-            if bad(value):
-                return PropertyVerdict(
-                    name, False,
-                    {"index_set": [i + 1 for i in subset], "minor": rat_str(value)},
-                    certificate_bad,
-                )
-    return PropertyVerdict(name, True, None, certificate_ok)
+    check_selector_cap(n, 1)
+    small = chain(((m[i][i], (i,)) for i in range(n)),
+                  ((m[i][i] * m[j][j] - m[i][j] * m[j][i], (i, j))
+                   for i, j in combinations(range(n), 2)))
+    found = next(((rat_str(v), subset) for v, subset in small if bad(v)), None)
+    if found is None and n > 2:
+        denom, walk = _det_numerators(MatrixTuple(n, 1, (identity(n), m)))
+        least = min(((sum(sel), [j for j, s in enumerate(sel) if s], num)
+                     for sel, num in walk if bad(num)), default=None)
+        if least is not None:
+            found = ratio_str(least[2], denom), least[1]
+    if found is None:
+        return PropertyVerdict(name, True, None, f"all principal minors are {good_word}")
+    minor, subset = found
+    return PropertyVerdict(name, False, {"index_set": [i + 1 for i in subset], "minor": minor},
+                           f"a {bad_word} principal minor exists")
 
 
 def is_p(m: Mat) -> PropertyVerdict:
     """P-matrix: every principal minor strictly positive."""
-    return _minor_verdict(
-        m, "p", lambda v: v <= 0,
-        "all principal minors are positive",
-        "a nonpositive principal minor exists",
-    )
+    return _minor_verdict(m, "p", lambda v: v <= 0, "positive", "nonpositive")
 
 
 def is_nondegenerate(m: Mat) -> PropertyVerdict:
     """Nondegenerate matrix: every principal minor nonzero."""
-    return _minor_verdict(
-        m, "nondegenerate", lambda v: v == 0,
-        "all principal minors are nonzero",
-        "a zero principal minor exists",
-    )
+    return _minor_verdict(m, "nondegenerate", lambda v: v == 0, "nonzero", "zero")
 
 
 def is_column_sufficient(m: Mat) -> PropertyVerdict:

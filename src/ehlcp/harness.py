@@ -18,7 +18,7 @@ from .classes import is_m, is_z
 from .csw import check_column_ndw_def, check_cone_csw, check_csw, check_x_column_pairs
 from .errors import CapExceeded, InputError, InvariantError
 from .io import instance_to_json, tuple_to_json, vec_to_json
-from .rational import Mat, Vec, _echelon, det, identity, int_row, mat, zeros
+from .rational import Mat, Vec, _echelon, identity, int_row, mat, zeros
 from .representatives import (
     MatrixTuple,
     check_column_ndw_det,
@@ -117,7 +117,7 @@ def gen_tuple(spec: GenSpec) -> MatrixTuple:
     if spec.family == "column_w_constructive":
         for _ in range(1000):
             c0 = _random_matrix(rng, n, -b, b)
-            if det(c0) != 0:
+            if len(_echelon([list(row) for row in c0], n)[0]) == n:  # invertible
                 break
         else:
             raise CapExceeded("no invertible C_0 within the cap of 1000 draws")

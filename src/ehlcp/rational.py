@@ -1,4 +1,4 @@
-"""Exact rational vectors, dense matrices and determinants.
+"""Exact rational vectors and dense matrices, and the one elimination.
 
 Scalars are ``fractions.Fraction``; vectors are tuples of them and matrices
 tuples of row tuples.  Nothing here rounds, so every sign test downstream
@@ -7,14 +7,14 @@ is reliable.
 The package has one elimination step, pivot_step: a fraction-free
 Gauss-Jordan pivot (Bareiss 1968) on integer rows, which keeps every entry
 an integer minor.  _echelon pivots column by column; the RREF is its rows
-divided by the last pivot, and the determinant is that pivot.  Callers read
-their results off the rows undivided: classes.is_m the inverse off
-[m | I], the harness's _normalized s C_0^{-1} C_i off the rows of A, s the
-last pivot's absolute value, and solver._affine_piece a hull basis off the
-implicit rows.  linprog's tableau is the rational one times the last
-pivot, and the elimination trees over column subsets
-(representatives._cocircuits) and column selectors
-(representatives._det_numerators, solver._selector_pieces) pivot once per
+divided by the last pivot.  Callers read their results off the rows
+undivided: classes.is_m the inverse off [m | I], gen_tuple C_0's rank, the
+harness's _normalized s C_0^{-1} C_i off the rows of A, s the last pivot's
+absolute value, and solver._affine_piece a hull basis off the implicit
+rows.  linprog's tableau is the rational one times the last pivot, and the
+elimination trees over column subsets (representatives._cocircuits) and
+column selectors (representatives._det_numerators, which also gives
+classes its principal minors, and solver._selector_pieces) pivot once per
 node and read their last levels off the rows left; their modules say how.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import CapExceeded, DimensionError, InputError
@@ -168,12 +168,3 @@ def _echelon(a: list[list[int]], pivot_cols: int) -> tuple[list[int], int, int]:
         prev = a[r][c]
         pivots.append(c)
     return pivots, prev, sign
-
-
-def det(m: Mat) -> Fraction:
-    """Exact determinant: the last fraction-free pivot of the rows scaled to
-    integers, divided by the row scales and the permutation sign."""
-    n = require_square(m)
-    mults = [lcm(*(x.denominator for x in row)) for row in m]
-    pivots, last, sign = _echelon([int_row(row, k) for row, k in zip(m, mults)], n)
-    return Fraction(sign * last, prod(mults)) if len(pivots) == n else Fraction(0)

@@ -2,7 +2,8 @@
 
 A tuple (C_0, ..., C_k) of n x n matrices has (k+1)^n column representative
 matrices; their determinant signs decide the column W, column W0 and the
-determinant form of the column ND-W property.
+determinant form of the column ND-W property, and for (I, m) they are
+the principal minors that decide m's P and nondegenerate classes.
 
 _det_numerators computes every determinant in one elimination tree over
 the selectors.  Its root is MatrixTuple.int_stacked, A = [C_0 | -C_1 |
@@ -159,10 +160,10 @@ def selectors(n: int, k: int) -> Iterator[tuple]:
     yield from product(range(k + 1), repeat=n)
 
 
-def check_selector_cap(t: MatrixTuple) -> None:
-    """Refuse, before any selector is visited, a tuple with more than
-    SELECTOR_CAP column selectors; the cap has no override."""
-    count = selector_count(t.n, t.k)
+def check_selector_cap(n: int, k: int) -> None:
+    """Refuse, before any selector is visited, more than SELECTOR_CAP
+    selectors of n positions and k + 1 candidates; no override."""
+    count = selector_count(n, k)
     if count > SELECTOR_CAP:
         raise CapExceeded(f"(k+1)^n = {count} exceeds the selector cap {SELECTOR_CAP}")
 
@@ -176,7 +177,7 @@ def _det_numerators(t: MatrixTuple) -> tuple:
     The numerator is sign * last_pivot, with sign the parity of the order
     in which the rows were pivoted; below depth n-4 last_pivot is read as
     a 3 x 3 minor over the pivot above it squared, with no pivot_step."""
-    check_selector_cap(t)
+    check_selector_cap(t.n, t.k)
     n, width = t.n, t.k + 1
     # column j * width + s of the root holds column j of C_s, times int_scale:
     # int_stacked's blocks s >= 1 negated back

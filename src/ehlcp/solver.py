@@ -374,7 +374,7 @@ def solve_all(inst: EhlcpInstance) -> list:
     Only feasible pieces are held while the tree is walked.
     """
     t = inst.matrix_tuple
-    check_selector_cap(t)
+    check_selector_cap(t.n, t.k)
     found = sorted(
         (piece for _, piece in _selector_pieces(inst) if piece is not None),
         key=lambda piece: branch_label(piece.selector, t.k),

@@ -10,7 +10,9 @@ mat_mul and mat_vec are the plain products.  ref_rref is the tests' one
 Fraction Gauss-Jordan, the reference of the package's fraction-free
 elimination, whose rows over their last pivot are the same RREF;
 solve_linear (a particular point and a kernel basis) and inverse read
-their results off it, and share no code with that elimination.
+their results off it, and share no code with that elimination.  det is
+the tests' one Fraction determinant, a forward elimination of its own that
+shares no code with the package's elimination or determinant tree.
 
 solution_points, _step, combine and midpoints_solve are the sampled
 convexity check that harness.nonconvex_pair replaced: every piece point
@@ -196,6 +198,31 @@ def ref_rref(rows, pivot_cols=None):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return pivots
+
+
+def det(m: Mat) -> Fraction:
+    """Exact determinant by Fraction Gaussian elimination: the product of
+    the pivots, negated once per row swap.  DimensionError unless every
+    row has len(m) entries."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise DimensionError("square matrix required")
+    rows = [[Fraction(x) for x in row] for row in m]
+    value = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            value = -value
+        pivot = rows[c][c]
+        value *= pivot
+        for i in range(c + 1, n):
+            f = rows[i][c] / pivot
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return value
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from ehlcp.representatives import (
 )
 from ehlcp.solver import EhlcpInstance, is_solution, solve_all
 from reference import (
+    det,
     inverse,
     mat_mul,
     mat_vec,
@@ -95,8 +96,6 @@ class TestCriterion01:
         violation = w.witness["violations"][0]
         ok = ok and violation["determinant"] == "0"
         sel = tuple(violation["selector"])
-        from ehlcp.rational import det
-
         ok = ok and det(representative_matrix(t, sel)) == 0
         ok = ok and not check_column_ndw_det(t).holds
         ok = ok and check_column_w0(t).holds

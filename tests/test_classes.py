@@ -9,7 +9,6 @@ import pytest
 
 from ehlcp import classes
 from ehlcp.classes import (
-    MINOR_CAP,
     is_column_sufficient,
     is_m,
     is_nondegenerate,
@@ -18,9 +17,9 @@ from ehlcp.classes import (
 )
 from ehlcp.errors import CapExceeded, DimensionError
 from ehlcp.harness import SplitMix64
-from ehlcp.rational import det, identity, mat, rat_str
-from ehlcp.representatives import check_column_w, check_column_w0, make_tuple
-from reference import inverse, mat_vec
+from ehlcp.rational import identity, mat, rat_str
+from ehlcp.representatives import SELECTOR_CAP, check_column_w, check_column_w0, make_tuple
+from reference import det, inverse, mat_vec
 
 SKEW = [[0, 1], [-1, 0]]
 TRIDIAG = [[2, -1], [-1, 2]]
@@ -124,10 +123,12 @@ class TestM:
 
 def principal_minors(m):
     """Reference: all 2^n - 1 principal minors as (index_set, value), index
-    sets 1-based, by size and then lexicographically."""
+    sets 1-based, by size and then lexicographically, each a reference.det;
+    more than SELECTOR_CAP index sets are refused, as the oracles refuse
+    them."""
     n = len(m)
-    if n > MINOR_CAP:
-        raise CapExceeded(f"principal minor enumeration capped at n <= {MINOR_CAP}")
+    if 2 ** n > SELECTOR_CAP:
+        raise CapExceeded(f"2^n = {2 ** n} exceeds the selector cap {SELECTOR_CAP}")
     out = []
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
@@ -156,16 +157,46 @@ class TestPrincipalMinors:
         assert len(principal_minors(identity(3))) == 7
 
     def test_cap(self):
-        # MINOR_CAP is 16: a 17 x 17 matrix would need 2^17 - 1 minors
+        # SELECTOR_CAP is 10^6: a 20 x 20 matrix has 2^20 index sets
         with pytest.raises(CapExceeded):
-            principal_minors(identity(17))
+            principal_minors(identity(20))
+
+
+def walked_matrices():
+    """Seeded matrices whose principal minors of sizes 1 and 2 are all
+    positive, so that is_p and is_nondegenerate walk (I, m): 8 with a zero
+    minor of size >= 3, 8 with a negative one of size >= 3 and no zero one
+    (n = 3..6, entries in -2..2, diagonal in 1..4), and 8 rational
+    diagonally dominant P-matrices, n = 4..6."""
+    rng = SplitMix64(43)
+    kinds = {"zero": [], "negative": []}
+    while min(map(len, kinds.values())) < 8:
+        n = rng.randint(3, 6)
+        rows = [[rng.randint(1, 4) if i == j else rng.randint(-2, 2) for j in range(n)]
+                for i in range(n)]
+        if any(rows[i][i] * rows[j][j] <= rows[i][j] * rows[j][i]
+               for i, j in combinations(range(n), 2)):
+            continue
+        values = [v for _, v in principal_minors(rows)]
+        kind = "zero" if 0 in values else "negative" if min(values) < 0 else None
+        if kind and len(kinds[kind]) < 8:
+            kinds[kind].append(mat(rows))
+    dominant = []
+    for trial in range(8):
+        n = 4 + trial % 3
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = sum(abs(x) for j, x in enumerate(row) if j != i) + Fraction(1, rng.randint(1, 5))
+        dominant.append(mat(rows))
+    return kinds["zero"] + kinds["negative"] + dominant
 
 
 class TestMinorScan:
     @staticmethod
     def matrices():
         """Seeded n x n matrices, n = 1..6, entries in -2..2; every other one
-        has a zero diagonal entry."""
+        has a zero diagonal entry.  Then the matrices of walked_matrices."""
         rng = SplitMix64(41)
         for n in range(1, 7):
             for trial in range(40):
@@ -175,12 +206,17 @@ class TestMinorScan:
                     rows[r][r] = 0
                 yield mat(rows)
             yield identity(n)
+        yield from walked_matrices()
 
     @pytest.mark.parametrize("oracle, bad", [
         (is_p, lambda v: v <= 0),
         (is_nondegenerate, lambda v: v == 0),
     ])
-    def test_witness_is_the_first_bad_minor_of_the_reference(self, oracle, bad):
+    def test_witness_is_the_first_bad_minor_of_the_reference(self, oracle, bad, monkeypatch):
+        walks = []
+        det_numerators = classes._det_numerators
+        monkeypatch.setattr(classes, "_det_numerators",
+                            lambda t: walks.append(t.mats[1]) or det_numerators(t))
         outcomes = {True: 0, False: 0}
         for m in self.matrices():
             first = next(((s, v) for s, v in principal_minors(m) if bad(v)), None)
@@ -192,25 +228,26 @@ class TestMinorScan:
                 assert verdict.witness == {"index_set": list(first[0]), "minor": rat_str(first[1])}
             outcomes[verdict.holds] += 1
         assert outcomes[True] > 5 and outcomes[False] > 5
+        assert sum(m in walks for m in walked_matrices()) >= 10
 
     def test_stops_at_the_first_bad_minor(self, monkeypatch):
-        calls = []
-
-        def counting_det(m):
-            calls.append(len(m))
-            return det(m)
-
-        monkeypatch.setattr(classes, "det", counting_det)
+        walks = []
+        det_numerators = classes._det_numerators
+        monkeypatch.setattr(classes, "_det_numerators",
+                            lambda t: walks.append(t) or det_numerators(t))
         m = [[1] * 6 for _ in range(6)]
         m[0][0] = 0
         verdict = is_p(mat(m))
         assert verdict.witness == {"index_set": [1], "minor": "0"}
-        assert calls == [1]
+        assert walks == []
 
     @pytest.mark.parametrize("oracle", [is_p, is_nondegenerate])
     def test_cap(self, oracle):
+        # 2^20 index sets exceed SELECTOR_CAP, refused before any minor;
+        # 2^17 are walked in full
         with pytest.raises(CapExceeded):
-            oracle(identity(MINOR_CAP + 1))
+            oracle(identity(20))
+        assert oracle(identity(17)).holds
 
 
 class TestPAndNondegenerate:

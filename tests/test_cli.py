@@ -597,7 +597,7 @@ class TestGen:
     def test_no_invertible_c0_within_the_draw_cap_exits_3(self, capsys, monkeypatch):
         # every draw singular: the constructive family stops at its cap
         # instead of escaping as an uncaught error (exit 1)
-        monkeypatch.setattr(harness, "det", lambda m: 0)
+        monkeypatch.setattr(harness, "_echelon", lambda a, pivot_cols: ([], 0, 1))
         code, out, err = run_main(
             ["gen", "--family", "column_w_constructive", "--n", "2", "--k", "1", "--seed", "0"],
             capsys,

@@ -20,9 +20,10 @@ from ehlcp.csw import (
 )
 from ehlcp.errors import InvariantError, UndecidedSize
 from ehlcp.harness import GenSpec, gen_tuple, subseed
-from ehlcp.rational import det, identity, zeros
+from ehlcp.rational import identity, zeros
 from ehlcp.representatives import MatrixTuple, _cocircuits, check_column_ndw_det, make_tuple
 from reference import (
+    det,
     mat_vec,
     ref_nonneg_solution,
     ref_rref,

@@ -1,9 +1,10 @@
 """The one fraction-free pivot step against Fraction references.
 
 The references are reference.ref_rref, the tests' one Fraction
-Gauss-Jordan RREF, the forward-only Bareiss determinant below, which the
-integer step replaced, and reference.ref_nonneg_solution, the phase 1 of
-the tests' one reference simplex.  The RREF is canonical: it is _echelon's
+Gauss-Jordan RREF, reference.det, its one Fraction determinant, the
+forward-only Bareiss determinant below, which the integer step replaced,
+and reference.ref_nonneg_solution, the phase 1 of the tests' one
+reference simplex.  The RREF is canonical: it is _echelon's
 rows divided by the last pivot, and for square nonsingular a the right
 block of [a | b] is a^{-1} b.  The integer tableau is the rational one
 times a positive scale, so pivots, determinants, phase-1 points and pivot
@@ -13,14 +14,14 @@ counts must agree exactly.
 import random
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
 from ehlcp import linprog
 from ehlcp.linprog import nonneg_solution
-from ehlcp.rational import _echelon, det, int_row
-from reference import ref_nonneg_solution, ref_rref
+from ehlcp.rational import _echelon, int_row
+from reference import det, ref_nonneg_solution, ref_rref
 
 
 def ref_det(m):
@@ -156,11 +157,20 @@ class TestLeftDivide:
 class TestDet:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_bareiss_reference(self, seed):
+        # _echelon of the rows scaled to integers ends on sign * det times
+        # the scales, the reading of the determinant tree; the Fraction
+        # elimination and the forward-only Bareiss one must agree with it
         rng = random.Random(100 + seed)
+        singular = 0
         for _ in range(150):
             n = rng.randint(1, 6)
             m = tuple(map(tuple, rand_matrix(rng, n, n, rng.random() < 0.3)))
-            assert det(m) == ref_det(m)
+            mults = [lcm(*(x.denominator for x in row)) for row in m]
+            pivots, last, sign = _echelon([int_row(row, k) for row, k in zip(m, mults)], n)
+            ours = Fraction(sign * last, prod(mults)) if len(pivots) == n else 0
+            assert ours == det(m) == ref_det(m)
+            singular += not ours
+        assert 20 <= singular <= 130
 
 
 def rand_system(rng):

@@ -15,7 +15,6 @@ from fractions import Fraction
 from ehlcp.csw import check_column_ndw_def, check_cone_csw, check_csw
 from ehlcp.harness import FAMILIES, GenSpec, SplitMix64, gen_instance, gen_tuple, subseed
 from ehlcp.io import piece_to_json
-from ehlcp.rational import det
 from ehlcp.representatives import (
     check_column_ndw_det,
     check_column_w,
@@ -23,7 +22,7 @@ from ehlcp.representatives import (
     make_tuple,
 )
 from ehlcp.solver import EhlcpInstance, solve_all
-from reference import mat_mul, mat_vec
+from reference import det, mat_mul, mat_vec
 
 DECIDERS = (check_column_w, check_column_w0, check_column_ndw_det,
             check_column_ndw_def, check_csw, check_cone_csw)

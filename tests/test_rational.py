@@ -1,6 +1,7 @@
-"""Exact linear algebra layer: determinants and parsing.  TestInverse and
-TestSolveLinear check the tests' reference inverse and solve, which other
-tests compare the package's eliminations against."""
+"""Exact linear algebra layer: parsing, and the tests' references.  TestDet,
+TestInverse and TestSolveLinear check the tests' reference determinant,
+inverse and solve, which other tests compare the package's eliminations
+and determinant tree against."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from ehlcp.errors import DimensionError, InputError
 from ehlcp.rational import (
-    det,
     identity,
     mat,
     rat,
@@ -19,7 +19,7 @@ from ehlcp.rational import (
     require_square,
     vec,
 )
-from reference import inverse, mat_mul, mat_vec, solve_linear
+from reference import det, inverse, mat_mul, mat_vec, solve_linear
 
 
 def cofactor_det(m):

@@ -12,7 +12,7 @@ import ehlcp.representatives as representatives
 from ehlcp.csw import check_column_ndw_def
 from ehlcp.errors import CapExceeded, DimensionError, InputError
 from ehlcp.harness import FAMILIES, GenSpec, gen_tuple, subseed
-from ehlcp.rational import det, identity, int_row, mat
+from ehlcp.rational import identity, int_row, mat
 from ehlcp.representatives import (
     MatrixTuple,
     PropertyVerdict,
@@ -24,7 +24,7 @@ from ehlcp.representatives import (
     selectors,
     unstack,
 )
-from reference import representative_matrix, stacked_matrix, walk_dets
+from reference import det, representative_matrix, stacked_matrix, walk_dets
 
 
 class TestSelectors:

@@ -18,7 +18,7 @@ from ehlcp.harness import (
     subseed,
 )
 from ehlcp.io import dump_json, parse_instance, piece_to_json
-from ehlcp.rational import det, identity, vec
+from ehlcp.rational import identity, vec
 from ehlcp.representatives import make_tuple, selectors, unstack
 from ehlcp.solver import (
     EhlcpInstance,
@@ -28,6 +28,7 @@ from ehlcp.solver import (
 )
 from reference import (
     affine_piece_lp,
+    det,
     mat_vec,
     ndw_two_solutions,
     over_common_denominator,
